@@ -83,7 +83,6 @@ class RunConfig:
     sweep_values_nm: tuple[float, ...] = (19.1, 22.1, 25.1)
     out_dir: str = ""
     seed: int = 0
-    threads: int = 1
 
     def cell_params(self) -> UnitCellParams:
         return UnitCellParams(
@@ -134,8 +133,6 @@ class RunConfig:
             )
         if len(self.sweep_values_nm) < 1:
             raise ConfigError("sweep_values_nm must not be empty")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -161,11 +158,10 @@ class RunConfig:
     @property
     def run_id(self) -> str:
         """Short digest of everything that shapes the numbers.  Storage
-        location and thread count do not affect results, so the same
-        computation keeps the same ID wherever it lands."""
+        location does not affect results, so the same computation keeps the
+        same ID wherever it lands."""
         payload = self.to_dict()
         payload.pop("out_dir")
-        payload.pop("threads")
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:10]
 
@@ -247,7 +243,7 @@ _CONFIG_FLAGS: dict[str, dict] = {
     "center_tolerance_pct": {"type": float}, "width_tolerance_pct": {"type": float},
     "sweep_param": {"type": str, "choices": SWEEPABLE_PARAMS},
     "sweep_values_nm": {"type": _parse_float_list, "metavar": "V1,V2,..."},
-    "out_dir": {"type": str}, "seed": {"type": int}, "threads": {"type": int},
+    "out_dir": {"type": str}, "seed": {"type": int},
 }
 
 
@@ -358,6 +354,31 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
+def _write_config(out: Path, config: RunConfig) -> None:
+    (out / "config.json").write_text(dump_config(config), encoding="utf-8")
+
+
+def _write_bands_csv(path: Path, bands) -> None:
+    _write_csv(
+        path,
+        ["k_reduced", "band_index", "frequency_GHz", "parity_y", "parity_z"],
+        (
+            [_fmt(k), str(j), _fmt(bands.frequencies_ghz[i, j]),
+             bands.parity_y[i, j], bands.parity_z[i, j]]
+            for i, k in enumerate(bands.k_points)
+            for j in range(bands.n_bands)
+        ),
+    )
+
+
+def _write_dos_csv(path: Path, dos) -> None:
+    _write_csv(
+        path,
+        ["frequency_GHz", "dos_per_GHz"],
+        ([_fmt(f), _fmt(d)] for f, d in zip(dos.frequency_ghz, dos.dos_per_ghz)),
+    )
+
+
 def _note(path: Path) -> None:
     print(f"wrote {path}")
 
@@ -387,7 +408,6 @@ def _compute_bands(config: RunConfig, *, classify: bool):
         config.k_path(),
         config.n_modes,
         classify=classify,
-        threads=config.threads,
     )
 
 
@@ -398,21 +418,10 @@ def _compute_bands(config: RunConfig, *, classify: bool):
 def cmd_bands(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     bands = _compute_bands(config, classify=True)
-    rows = []
-    for i, k in enumerate(bands.k_points):
-        for j in range(bands.n_bands):
-            rows.append([
-                _fmt(k), str(j), _fmt(bands.frequencies_ghz[i, j]),
-                bands.parity_y[i, j], bands.parity_z[i, j],
-            ])
     out = _artifact_dir(config, "bands")
     path = out / "bands.csv"
-    _write_csv(
-        path,
-        ["k_reduced", "band_index", "frequency_GHz", "parity_y", "parity_z"],
-        rows,
-    )
-    (out / "config.json").write_text(dump_config(config), encoding="utf-8")
+    _write_bands_csv(path, bands)
+    _write_config(out, config)
     _note(path)
     return 0
 
@@ -423,12 +432,8 @@ def cmd_dos(args: argparse.Namespace) -> int:
     dos = compute_dos(bands, config.broadening_ghz)
     out = _artifact_dir(config, "dos")
     path = out / "dos.csv"
-    _write_csv(
-        path,
-        ["frequency_GHz", "dos_per_GHz"],
-        ([_fmt(f), _fmt(d)] for f, d in zip(dos.frequency_ghz, dos.dos_per_ghz)),
-    )
-    (out / "config.json").write_text(dump_config(config), encoding="utf-8")
+    _write_dos_csv(path, dos)
+    _write_config(out, config)
     _note(path)
     return 0
 
@@ -483,7 +488,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     _write_csv(csv_path, ["param_value_nm", "center_GHz", "width_GHz"], [row])
     json_path = out / "gap.json"
     _write_json(json_path, report)
-    (out / "config.json").write_text(dump_config(config), encoding="utf-8")
+    _write_config(out, config)
     if gap is None:
         print("no complete gap inside the window")
     else:
@@ -519,7 +524,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_modes=config.n_modes,
         f_max_ghz=config.f_max_ghz,
         window_ghz=(config.window_lo_ghz, config.window_hi_ghz),
-        threads=config.threads,
     )
     out = _artifact_dir(config, "sweep")
     path = out / "sweep.csv"
@@ -528,7 +532,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ["param_value_nm", "center_GHz", "width_GHz"],
         (gap_row(p.value_nm, p.center_ghz, p.width_ghz) for p in points),
     )
-    (out / "config.json").write_text(dump_config(config), encoding="utf-8")
+    _write_config(out, config)
     _note(path)
     return 0
 
@@ -565,23 +569,8 @@ def cmd_fig1b(args: argparse.Namespace) -> int:
         (config.window_lo_ghz, config.window_hi_ghz),
     )
     out = _artifact_dir(config, "fig1b")
-    rows = []
-    for i, k in enumerate(bands.k_points):
-        for j in range(bands.n_bands):
-            rows.append([
-                _fmt(k), str(j), _fmt(bands.frequencies_ghz[i, j]),
-                bands.parity_y[i, j], bands.parity_z[i, j],
-            ])
-    _write_csv(
-        out / "bands.csv",
-        ["k_reduced", "band_index", "frequency_GHz", "parity_y", "parity_z"],
-        rows,
-    )
-    _write_csv(
-        out / "dos.csv",
-        ["frequency_GHz", "dos_per_GHz"],
-        ([_fmt(f), _fmt(d)] for f, d in zip(dos.frequency_ghz, dos.dos_per_ghz)),
-    )
+    _write_bands_csv(out / "bands.csv", bands)
+    _write_dos_csv(out / "dos.csv", dos)
     if gap is None:
         shading = ""
     else:
@@ -594,7 +583,7 @@ def cmd_fig1b(args: argparse.Namespace) -> int:
         f_max=_fmt(config.f_max_ghz), shading=shading
     )
     (out / "fig1b.gp").write_text(script, encoding="utf-8")
-    (out / "config.json").write_text(dump_config(config), encoding="utf-8")
+    _write_config(out, config)
     for name in ("bands.csv", "dos.csv", "fig1b.gp"):
         _note(out / name)
     return 0

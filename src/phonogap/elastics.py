@@ -10,7 +10,6 @@ planes of the structure.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,9 +337,10 @@ def classify_parities(
     """Label each mode 'even'/'odd'/'mixed' under the two mirrors.
 
     Modes whose frequencies agree within ``DEGENERACY_TOL_GHZ`` are treated
-    as one invariant subspace: the mirror overlap matrix is diagonalized on
-    the subspace so that an arbitrary rotation among degenerate partners
-    cannot masquerade as mixing.
+    as one invariant subspace: the two mirror overlap matrices are
+    diagonalized jointly on the subspace so that an arbitrary rotation among
+    degenerate partners cannot masquerade as mixing, and each published
+    (y, z) pair belongs to one mode.
 
     Precondition: the columns of each such cluster are mass-orthonormal,
     ``max|V^H M V - I| <= MASS_ORTHONORMAL_TOL``; only then are the
@@ -365,13 +365,22 @@ def classify_parities(
                 f"mass-orthonormal (max |V^H M V - I| = {err:.3g}); "
                 "their parities are undefined"
             )
-    for which, (perm, axis) in enumerate(((maps.perm_y, 1), (maps.perm_z, 2))):
-        reflected = _reflect_modes(modes, perm, axis)
-        for cluster in clusters:
-            su = reflected[:, cluster]
-            overlap = m_modes[:, cluster].conj().T @ su
-            herm = 0.5 * (overlap + overlap.conj().T)
-            parities = np.sort(np.linalg.eigvalsh(herm))[::-1]
+    reflected = [
+        _reflect_modes(modes, maps.perm_y, 1),
+        _reflect_modes(modes, maps.perm_z, 2),
+    ]
+    for cluster in clusters:
+        herms = []
+        for mirrored in reflected:
+            overlap = m_modes[:, cluster].conj().T @ mirrored[:, cluster]
+            herms.append(0.5 * (overlap + overlap.conj().T))
+        # The mirrors commute, so one basis of the cluster diagonalizes
+        # both; the weights 1 and 2 give the four parity pairs the distinct
+        # eigenvalues +-1 +-2, so each basis vector is one mode's pair.
+        _, basis = np.linalg.eigh(herms[0] + 2.0 * herms[1])
+        basis = basis[:, ::-1]
+        for which, herm in enumerate(herms):
+            parities = np.einsum("im,ij,jm->m", basis.conj(), herm, basis).real
             for local, p in enumerate(parities):
                 if p > threshold:
                     lab = "even"
@@ -439,7 +448,6 @@ def band_diagram(
     n_modes: int = 30,
     *,
     classify: bool = True,
-    threads: int = 1,
     target_ghz: float = 0.0,
     dense_cutoff: int = 600,
 ) -> BandStructure:
@@ -455,8 +463,6 @@ def band_diagram(
         Number of bands per k point.
     classify : bool
         Attach mirror-parity labels (requires a mirror-symmetric mesh).
-    threads : int
-        Worker threads for independent k-point solves.
 
     Returns
     -------
@@ -478,11 +484,7 @@ def band_diagram(
         par_y, par_z = classify_parities(full, freqs, m_mat, maps)
         return freqs, par_y, par_z, problem.n_dofs
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, k_points))
-    else:
-        results = [solve_one(k) for k in k_points]
+    results = [solve_one(k) for k in k_points]
 
     freqs = np.vstack([r[0] for r in results])
     parity_y = parity_z = None

@@ -1,17 +1,16 @@
 """Damped least-squares engine and the measurement curve models.
 
-One Levenberg-Marquardt core drives every 1-D curve fit (exponential
-recovery, Lorentzian line, saturation, Gaussian, tether waist); the conic
-fits (ellipse, circle) get algebraic initializations followed by geometric
-refinement on orthogonal distances.  Standard errors come from the inverse
-weighted normal matrix and therefore assume the supplied sigmas are absolute
-one-sigma uncertainties.
+One Levenberg-Marquardt core drives every iterative fit: the 1-D curve fits
+(exponential recovery, tether waist) and the geometric refinement of the
+conic fits (ellipse, circle) on orthogonal distances, which start from
+algebraic initializations.  Standard errors of the curve fits come from the
+inverse weighted normal matrix and therefore assume the supplied sigmas are
+absolute one-sigma uncertainties.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -70,54 +69,6 @@ def _recovery_jacobian(x, p):
     return (-np.exp(-x / p[0]) * x / p[0] ** 2)[:, None]
 
 
-def _lorentzian_predict(x, p):
-    center, fwhm, amplitude, offset = p
-    d = 2.0 * (x - center) / fwhm
-    return offset + amplitude / (1.0 + d * d)
-
-
-def _lorentzian_jacobian(x, p):
-    center, fwhm, amplitude, offset = p
-    d = 2.0 * (x - center) / fwhm
-    lor = 1.0 / (1.0 + d * d)
-    jac = np.empty((x.size, 4))
-    jac[:, 0] = amplitude * lor**2 * 4.0 * d / fwhm
-    jac[:, 1] = amplitude * lor**2 * 2.0 * d * d / fwhm
-    jac[:, 2] = lor
-    jac[:, 3] = 1.0
-    return jac
-
-
-def _saturation_predict(x, p):
-    i_max, p_sat = p
-    return i_max * (1.0 - np.exp(-x / p_sat))
-
-
-def _saturation_jacobian(x, p):
-    i_max, p_sat = p
-    decay = np.exp(-x / p_sat)
-    jac = np.empty((x.size, 2))
-    jac[:, 0] = 1.0 - decay
-    jac[:, 1] = -i_max * decay * x / p_sat**2
-    return jac
-
-
-def _gaussian_predict(x, p):
-    amplitude, center, width = p
-    return amplitude * np.exp(-0.5 * ((x - center) / width) ** 2)
-
-
-def _gaussian_jacobian(x, p):
-    amplitude, center, width = p
-    z = (x - center) / width
-    core = np.exp(-0.5 * z * z)
-    jac = np.empty((x.size, 3))
-    jac[:, 0] = core
-    jac[:, 1] = amplitude * core * z / width
-    jac[:, 2] = amplitude * core * z * z / width
-    return jac
-
-
 def _waist_predict(x, p):
     y0, x0, curv, span = p
     q = x - x0
@@ -141,20 +92,6 @@ MODELS: dict[str, CurveModel] = {
     m.tag: m
     for m in (
         CurveModel("recovery", ("t1",), _recovery_predict, _recovery_jacobian),
-        CurveModel(
-            "lorentzian",
-            ("center", "fwhm", "amplitude", "offset"),
-            _lorentzian_predict,
-            _lorentzian_jacobian,
-        ),
-        CurveModel(
-            "saturation", ("i_max", "p_sat"), _saturation_predict,
-            _saturation_jacobian,
-        ),
-        CurveModel(
-            "gaussian", ("amplitude", "center", "width"), _gaussian_predict,
-            _gaussian_jacobian,
-        ),
         CurveModel(
             "waist", ("y0", "x0", "curvature", "softening"), _waist_predict,
             _waist_jacobian,
@@ -214,57 +151,66 @@ def fit_nonlinear(
             f"{model.tag} expects {model.n_params} initial parameters"
         )
 
-    def weighted(p):
-        resid = (model.predict(x, p) - y) / sigma
-        return resid, float(resid @ resid)
+    params, wrss, n_iter, status = _levenberg_marquardt(
+        lambda p: (model.predict(x, p) - y) / sigma,
+        lambda p: model.jacobian(x, p) / sigma[:, None],
+        params,
+        max_iterations,
+    )
+    result = _finalize(model, x, sigma, params, wrss, n_iter, absolute_sigma)
+    if status == "stalled":
+        raise NonConvergenceError(
+            f"{model.tag} fit stalled (damping exhausted)", best=result
+        )
+    if status == "capped":
+        raise NonConvergenceError(
+            f"{model.tag} fit exceeded {max_iterations} iterations", best=result
+        )
+    return result
 
-    resid, wrss = weighted(params)
+
+def _levenberg_marquardt(residual, jacobian, params, max_iterations):
+    """Minimize ``|residual(p)|^2`` from ``params`` by damped Gauss-Newton.
+
+    Damping starts at 1e-3 on the normal-matrix diagonal, falls tenfold
+    after an accepted step and rises tenfold after a rejected one; a trial
+    whose sum of squares is not finite is rejected.  Returns the best
+    parameters, their sum of squares, the iteration count and a status:
+    ``"converged"`` (relative step below STEP_TOL or gradient norm below
+    GRAD_TOL), ``"stalled"`` (damping reached 1e12 without an improving
+    step) or ``"capped"`` (``max_iterations`` steps taken).
+    """
+    resid = residual(params)
+    wrss = float(resid @ resid)
     lam = 1e-3
-    n_iter = 0
     for n_iter in range(1, max_iterations + 1):
-        jac = model.jacobian(x, params) / sigma[:, None]
+        jac = jacobian(params)
         grad = jac.T @ resid
         if np.linalg.norm(grad) < GRAD_TOL:
-            n_iter -= 1
-            break
+            return params, wrss, n_iter - 1, "converged"
         normal = jac.T @ jac
         diag = np.diag(normal).copy()
         diag[diag == 0] = 1.0
-        stepped = False
         while lam < 1e12:
             try:
-                step = np.linalg.solve(
-                    normal + lam * np.diag(diag), -grad
-                )
+                step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             trial = params + step
-            trial_resid, trial_wrss = weighted(trial)
+            trial_resid = residual(trial)
+            trial_wrss = float(trial_resid @ trial_resid)
             if np.isfinite(trial_wrss) and trial_wrss <= wrss:
-                rel_step = np.max(
-                    np.abs(step) / (np.abs(params) + 1e-30)
-                )
-                params, resid, wrss = trial, trial_resid, trial_wrss
-                lam = max(lam / 10.0, 1e-15)
-                stepped = True
                 break
             lam *= 10.0
-        if not stepped or rel_step < STEP_TOL:
-            if stepped:
-                break
-            raise NonConvergenceError(
-                f"{model.tag} fit stalled (damping exhausted)",
-                best=_finalize(model, x, sigma, params, wrss, n_iter,
-                               absolute_sigma),
-            )
-    else:
-        raise NonConvergenceError(
-            f"{model.tag} fit exceeded {max_iterations} iterations",
-            best=_finalize(model, x, sigma, params, wrss, max_iterations,
-                           absolute_sigma),
-        )
-    return _finalize(model, x, sigma, params, wrss, n_iter, absolute_sigma)
+        else:
+            return params, wrss, n_iter, "stalled"
+        rel_step = np.max(np.abs(step) / (np.abs(params) + 1e-30))
+        params, resid, wrss = trial, trial_resid, trial_wrss
+        lam = max(lam / 10.0, 1e-15)
+        if rel_step < STEP_TOL:
+            return params, wrss, n_iter, "converged"
+    return params, wrss, max_iterations, "capped"
 
 
 def _finalize(model, x, sigma, params, wrss, n_iter, absolute_sigma=True):
@@ -317,81 +263,6 @@ def fit_recovery(
     guesses = -taus[usable] / np.log1p(-np.clip(vals[usable], 0.0, 1 - 1e-12))
     init = float(np.median(guesses)) if usable.any() else float(np.median(taus))
     return fit_nonlinear(MODELS["recovery"], taus, vals, sigma, [init])
-
-
-def fit_lorentzian(
-    freq_mhz: Sequence[float],
-    counts: Sequence[float],
-    sigma: Sequence[float] | None = None,
-) -> FitResult:
-    """Four-parameter Lorentzian line fit (center, FWHM, amplitude, offset)."""
-    freq = np.asarray(freq_mhz, dtype=float)
-    vals = np.asarray(counts, dtype=float)
-    if freq.size < 5:
-        raise FitError("Lorentzian fit needs at least 5 points")
-    offset = float(vals.min())
-    amplitude = float(vals.max() - offset)
-    center = float(freq[np.argmax(vals)])
-    above = freq[vals > offset + 0.5 * amplitude]
-    fwhm = float(above.max() - above.min()) if above.size > 1 else float(
-        np.ptp(freq) / 4.0
-    )
-    fwhm = max(fwhm, np.ptp(freq) * 1e-3)
-    result = fit_nonlinear(
-        MODELS["lorentzian"], freq, vals, sigma,
-        [center, fwhm, amplitude, offset],
-    )
-    if (
-        result["amplitude"] <= 0
-        or result["fwhm"] <= 0
-        or "singular-normal-matrix" in result.flags
-    ):
-        raise NonConvergenceError(
-            "no Lorentzian peak found in the data", best=result
-        )
-    return result
-
-
-def fit_saturation(
-    power_uw: Sequence[float],
-    counts: Sequence[float],
-    sigma: Sequence[float] | None = None,
-) -> FitResult:
-    """Saturation curve I(P) = I_max * (1 - exp(-P/P_sat))."""
-    power = np.asarray(power_uw, dtype=float)
-    vals = np.asarray(counts, dtype=float)
-    if power.size < 3:
-        raise FitError("saturation fit needs at least 3 points")
-    if np.any(power < 0):
-        raise InvalidParameterError("optical powers must be non-negative")
-    if sigma is None:
-        # Robust per-point noise from successive differences in the
-        # saturated (flat) upper half of the power range.
-        diffs = np.diff(vals)
-        tail = diffs[diffs.size // 2 :] if diffs.size >= 8 else diffs
-        level = 1.4826 * float(np.median(np.abs(tail - np.median(tail))))
-        noise = np.full_like(vals, max(level / math.sqrt(2.0), 1e-30))
-    else:
-        noise = np.asarray(sigma, dtype=float)
-    drops = np.diff(vals) < -3.0 * np.hypot(noise[1:], noise[:-1])
-    if np.any(drops):
-        warnings.warn(
-            "saturation data decreases beyond its error bars; the "
-            "exponential model may not apply",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    i_max = float(vals.max()) or 1.0
-    positive = power > 0
-    slope = (
-        float(np.median(vals[positive] / power[positive]))
-        if positive.any()
-        else 1.0
-    )
-    p_sat = i_max / slope if slope > 0 else float(np.median(power) or 1.0)
-    return fit_nonlinear(
-        MODELS["saturation"], power, vals, sigma, [i_max, p_sat]
-    )
 
 
 # --------------------------------------------------------------------------
@@ -513,53 +384,30 @@ def fit_ellipse(points) -> EllipseFit:
     coeffs = _direct_ellipse_coeffs(pts)
     geom = np.array(_conic_to_geometry(coeffs))
 
-    def objective(g):
-        d = _ellipse_distances(pts, g)
-        return float(d @ d)
+    def distances(g):
+        # A non-positive semi-axis is no ellipse: reject the trial.
+        if g[2] <= 0 or g[3] <= 0:
+            return np.full(pts.shape[0], np.inf)
+        return _ellipse_distances(pts, g)
 
-    best = geom.copy()
-    best_val = objective(best)
-    lam = 1e-3
-    scale = np.maximum(np.abs(best), 1e-6)
-    for _ in range(MAX_ITERATIONS):
-        # Central-difference Jacobian of the distance residuals.
+    # Central differences, with steps fixed by the initial geometry.
+    h = 1e-6 * np.maximum(np.abs(geom), 1e-6)
+
+    def jacobian(g):
         jac = np.empty((pts.shape[0], 5))
-        h = 1e-6 * scale
         for j in range(5):
-            plus, minus = best.copy(), best.copy()
+            plus, minus = g.copy(), g.copy()
             plus[j] += h[j]
             minus[j] -= h[j]
             jac[:, j] = (
                 _ellipse_distances(pts, plus) - _ellipse_distances(pts, minus)
             ) / (2.0 * h[j])
-        resid = _ellipse_distances(pts, best)
-        grad = jac.T @ resid
-        if np.linalg.norm(grad) < GRAD_TOL:
-            break
-        normal = jac.T @ jac
-        diag = np.diag(normal).copy()
-        diag[diag == 0] = 1.0
-        improved = False
-        while lam < 1e10:
-            try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = best + step
-            if trial[2] <= 0 or trial[3] <= 0:
-                lam *= 10.0
-                continue
-            val = objective(trial)
-            if val <= best_val:
-                rel = np.max(np.abs(step) / (np.abs(best) + 1e-30))
-                best, best_val = trial, val
-                lam = max(lam / 10.0, 1e-15)
-                improved = True
-                break
-            lam *= 10.0
-        if not improved or rel < STEP_TOL:
-            break
+        return jac
+
+    # A stall or the iteration cap still leaves the best geometry found.
+    best, best_val, _, _ = _levenberg_marquardt(
+        distances, jacobian, geom, MAX_ITERATIONS
+    )
 
     cx, cy, ax, ay, phi = best
     if ax < ay:  # keep the first axis the longer one consistently
@@ -576,7 +424,7 @@ def fit_ellipse(points) -> EllipseFit:
 
 
 def fit_circle(points) -> CircleFit:
-    """Algebraic circle fit refined by Gauss-Newton on radial distances."""
+    """Algebraic circle fit refined on radial distances."""
     pts = _point_array(points, 3, "circle")
     x, y = pts[:, 0], pts[:, 1]
     design = np.stack([x, y, np.ones_like(x)], axis=1)
@@ -590,24 +438,21 @@ def fit_circle(points) -> CircleFit:
         raise FitError("degenerate circle fit")
     params = np.array([cx, cy, math.sqrt(r_sq)])
 
-    for _ in range(MAX_ITERATIONS):
-        dx = x - params[0]
-        dy = y - params[1]
+    def jacobian(p):
+        dx, dy = x - p[0], y - p[1]
         dist = np.hypot(dx, dy)
         if np.any(dist == 0):
             raise FitError("a point coincides with the circle centre")
-        resid = dist - params[2]
-        jac = np.stack([-dx / dist, -dy / dist, -np.ones_like(dist)], axis=1)
-        grad = jac.T @ resid
-        if np.linalg.norm(grad) < GRAD_TOL:
-            break
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        params = params + step
-        if np.max(np.abs(step) / (np.abs(params) + 1e-30)) < STEP_TOL:
-            break
-    dx, dy = x - params[0], y - params[1]
-    resid = np.hypot(dx, dy) - params[2]
-    rms = math.sqrt(float(resid @ resid) / pts.shape[0])
+        return np.stack([-dx / dist, -dy / dist, -np.ones_like(dist)], axis=1)
+
+    # A stall or the iteration cap still leaves the best circle found.
+    params, rss, _, _ = _levenberg_marquardt(
+        lambda p: np.hypot(x - p[0], y - p[1]) - p[2],
+        jacobian,
+        params,
+        MAX_ITERATIONS,
+    )
+    rms = math.sqrt(rss / pts.shape[0])
     return CircleFit(float(params[0]), float(params[1]), float(params[2]), rms)
 
 
@@ -651,47 +496,3 @@ def fit_tether_width(upper_edge, lower_edge) -> TetherFit:
     width = upper["y0"] + lower["y0"]
     waist_x = 0.5 * (upper["x0"] + lower["x0"])
     return TetherFit(float(width), float(waist_x), upper, lower)
-
-
-# --------------------------------------------------------------------------
-# Histogram statistics
-
-
-@dataclass(frozen=True)
-class HistogramStats:
-    mean: float
-    sd: float
-    fit_amplitude: float
-    fit_center: float
-    fit_width: float
-    degenerate: bool
-
-
-def gaussian_histogram_stats(values, bins: int | None = None) -> HistogramStats:
-    """Sample mean/S.D. plus a Gaussian fit to the histogram."""
-    vals = np.asarray(values, dtype=float)
-    if vals.size < 10:
-        raise InvalidParameterError(
-            f"need at least 10 samples, got {vals.size}"
-        )
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1))
-    if sd == 0.0:
-        return HistogramStats(mean, 0.0, float(vals.size), mean, 0.0, True)
-
-    n_bins = bins if bins is not None else max(6, int(round(math.sqrt(vals.size))))
-    counts, edges = np.histogram(vals, bins=n_bins)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    sigma = np.sqrt(np.maximum(counts, 1.0))
-    init = [float(counts.max()), mean, sd]
-    result = fit_nonlinear(
-        MODELS["gaussian"], centers, counts.astype(float), sigma, init
-    )
-    return HistogramStats(
-        mean,
-        sd,
-        result["amplitude"],
-        result["center"],
-        abs(result["width"]),
-        False,
-    )

@@ -206,7 +206,6 @@ def parameter_sweep(
     n_modes: int = 26,
     f_max_ghz: float = 100.0,
     window_ghz: tuple[float, float] = (30.0, 100.0),
-    threads: int = 1,
 ) -> list[SweepPoint]:
     """Primary-gap centre and width as one cell parameter varies.
 
@@ -222,9 +221,7 @@ def parameter_sweep(
     for value in sorted(float(v) for v in values_nm):
         params = base.replace(**{param: value})
         mesh = build_unit_cell_mesh(params, resolution)
-        bands = band_diagram(
-            mesh, material, k_points, n_modes, classify=False, threads=threads
-        )
+        bands = band_diagram(mesh, material, k_points, n_modes, classify=False)
         gap = primary_gap(find_complete_gaps(bands, f_max_ghz), window_ghz)
         if gap is None:
             points.append(SweepPoint(value, math.nan, 0.0))

@@ -53,6 +53,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             cli.RunConfig.from_dict({"w_um": 0.09})
+        with pytest.raises(ConfigError, match="unknown config key"):
+            cli.RunConfig.from_dict({"threads": 2})
 
     def test_run_id_is_stable_and_sensitive(self):
         a = cli.RunConfig()

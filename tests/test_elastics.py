@@ -453,6 +453,17 @@ class TestParity:
                 labels[0][which][:12], labels[1][which][:12]
             )
 
+    def test_gamma_rigid_cluster_pairs_belong_to_one_mode(self,
+                                                          reference_bands):
+        # At k = 0 the x, y and z translations and the rotation about the
+        # beam axis share zero frequency.  Their parity pairs are (even,
+        # even), (odd, even), (even, odd) and (odd, odd); each published
+        # pair must be one mode's, not y and z parities sorted apart.
+        pairs = set(zip(reference_bands.parity_y[0, :4],
+                        reference_bands.parity_z[0, :4]))
+        assert pairs == {("even", "even"), ("odd", "even"),
+                         ("even", "odd"), ("odd", "odd")}
+
     def test_reference_bands_have_clean_labels(self, reference_bands):
         bands = reference_bands
         assert bands.parity_y.shape == bands.frequencies_ghz.shape
@@ -479,17 +490,6 @@ class TestBandDiagram:
                              classify=False)
         assert bands.frequencies_ghz.shape == (1, 6)
         assert bands.parity_y is None
-
-    def test_threaded_solve_matches_serial(self, small_cell):
-        mesh, _, _ = small_cell
-        ks = np.linspace(0.0, 1.0, 5)
-        serial = band_diagram(mesh, DIAMOND, ks, n_modes=8, classify=False,
-                              threads=1)
-        threaded = band_diagram(mesh, DIAMOND, ks, n_modes=8, classify=False,
-                                threads=3)
-        np.testing.assert_array_equal(
-            serial.frequencies_ghz, threaded.frequencies_ghz
-        )
 
     def test_default_path_covers_zone_edge(self):
         path = elastics.default_k_path()

@@ -1,7 +1,6 @@
 """Curve-fit engine, measurement models, and conic fits."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +12,6 @@ from phonogap.errors import FitError, InvalidParameterError, NonConvergenceError
 
 RNG_PARAMS = {
     "recovery": [3.4],
-    "lorentzian": [5.0, 2.0, 4.0, 1.0],
-    "saturation": [7.0, 2.5],
-    "gaussian": [3.0, 5.0, 1.7],
     "waist": [11.0, 4.9, 0.8, 2.2],
 }
 
@@ -91,18 +87,18 @@ class TestEngine:
         assert result.n_iterations < 12
 
     def test_iteration_cap_raises_with_best_parameters(self):
-        x = np.linspace(0.1, 8.0, 40)
-        y = fitkit.MODELS["lorentzian"].predict(
-            x, np.array([4.0, 1.2, 5.0, 0.5])
+        x = np.linspace(-10.0, 10.0, 40)
+        y = fitkit.MODELS["waist"].predict(
+            x, np.array([11.0, 0.6, 0.8, 2.2])
         )
-        with pytest.raises(NonConvergenceError) as err:
+        with pytest.raises(NonConvergenceError, match="exceeded 1 ") as err:
             fitkit.fit_nonlinear(
-                fitkit.MODELS["lorentzian"], x, y, None,
-                [2.0, 4.0, 1.0, 0.0], max_iterations=1,
+                fitkit.MODELS["waist"], x, y, None,
+                [9.0, -1.0, 0.5, 4.0], max_iterations=1,
             )
         best = err.value.best
         assert best is not None
-        assert best.tag == "lorentzian"
+        assert best.tag == "waist"
         assert np.isfinite(best.wrss)
 
     def test_weighted_residual_sum_definition(self):
@@ -154,97 +150,6 @@ class TestRecovery:
     def test_saturated_ratios_not_identifiable(self):
         with pytest.raises(FitError, match="identifiable"):
             fitkit.fit_recovery([100.0, 200.0, 300.0], [1.0, 1.0, 1.0])
-
-
-class TestLorentzian:
-    TRUE = np.array([2872.0, 387.0, 900.0, 120.0])
-
-    def test_width_recovered_through_five_percent_noise(self):
-        freq = np.linspace(2000.0, 4000.0, 81)
-        clean = fitkit.MODELS["lorentzian"].predict(freq, self.TRUE)
-        noisy = clean + np.random.default_rng(19).normal(0.0, 45.0, freq.size)
-        result = fitkit.fit_lorentzian(freq, noisy)
-        assert abs(result["fwhm"] - 387.0) / 387.0 < 0.03
-        # Reported uncertainty should reflect the actual noise level.
-        assert 5.0 < result.error_of("fwhm") < 40.0
-
-    def test_symmetric_sampling_pins_center(self):
-        freq = np.linspace(2872.0 - 600.0, 2872.0 + 600.0, 41)
-        clean = fitkit.MODELS["lorentzian"].predict(freq, self.TRUE)
-        result = fitkit.fit_lorentzian(freq, clean)
-        assert abs(result["center"] - 2872.0) < 1e-9
-
-    def test_half_sampling_density_is_benign(self):
-        freq = np.linspace(2000.0, 4000.0, 81)
-        clean = fitkit.MODELS["lorentzian"].predict(freq, self.TRUE)
-        full = fitkit.fit_lorentzian(freq, clean)
-        half = fitkit.fit_lorentzian(freq[::2], clean[::2])
-        assert abs(half["fwhm"] - full["fwhm"]) / full["fwhm"] < 0.01
-
-    def test_peakless_data_raises_nonconvergence(self):
-        freq = np.linspace(2000.0, 4000.0, 40)
-        with pytest.raises(NonConvergenceError) as err:
-            fitkit.fit_lorentzian(freq, np.full(40, 7.0))
-        assert err.value.best is not None
-
-    def test_too_few_points(self):
-        with pytest.raises(FitError):
-            fitkit.fit_lorentzian([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 0])
-
-
-class TestSaturation:
-    def test_exact_noiseless(self):
-        power = np.linspace(0.05, 6.0, 25)
-        counts = 1200.0 * (1.0 - np.exp(-power / 1.0))
-        result = fitkit.fit_saturation(power, counts)
-        assert abs(result["i_max"] - 1200.0) < 1e-6
-        assert abs(result["p_sat"] - 1.0) < 1e-9
-
-    def test_saturation_power_through_five_percent_noise(self):
-        power = np.linspace(0.05, 6.0, 25)
-        clean = 1200.0 * (1.0 - np.exp(-power / 1.0))
-        noisy = clean + np.random.default_rng(13).normal(0.0, 60.0, 25)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = fitkit.fit_saturation(power, noisy)
-        assert abs(result["p_sat"] - 1.0) < 0.10
-
-    def test_small_signal_slope_identity(self):
-        power = np.linspace(0.05, 6.0, 25)
-        counts = 850.0 * (1.0 - np.exp(-power / 1.7))
-        result = fitkit.fit_saturation(power, counts)
-        eps = 1e-8
-        slope = fitkit.MODELS["saturation"].predict(
-            np.array([eps]), result.params
-        )[0] / eps
-        assert abs(slope - result["i_max"] / result["p_sat"]) < 1e-3 * slope
-
-    def test_beats_coarse_grid_search(self):
-        power = np.linspace(0.05, 6.0, 25)
-        clean = 1200.0 * (1.0 - np.exp(-power / 1.0))
-        noisy = clean + np.random.default_rng(2).normal(0.0, 60.0, 25)
-        result = fitkit.fit_saturation(power, noisy)
-        best_grid = np.inf
-        for i_max in np.linspace(900.0, 1500.0, 41):
-            for p_sat in np.linspace(0.4, 2.0, 41):
-                resid = noisy - i_max * (1.0 - np.exp(-power / p_sat))
-                best_grid = min(best_grid, float(resid @ resid))
-        assert result.wrss <= best_grid + 1e-9
-
-    def test_decreasing_tail_warns(self):
-        power = np.linspace(0.05, 6.0, 25)
-        counts = 1200.0 * (1.0 - np.exp(-power / 1.0))
-        counts[18:] *= np.linspace(1.0, 0.55, 7)
-        with pytest.warns(RuntimeWarning, match="decreases"):
-            fitkit.fit_saturation(power, counts, sigma=np.full(25, 5.0))
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(InvalidParameterError):
-            fitkit.fit_saturation([-1.0, 0.5, 1.0], [1.0, 2.0, 3.0])
-
-    def test_too_few_points(self):
-        with pytest.raises(FitError):
-            fitkit.fit_saturation([0.5, 1.0], [10.0, 20.0])
 
 
 class TestEllipse:
@@ -435,33 +340,3 @@ class TestTetherWidth:
         pts = np.stack([x, waist_profile(x, 10.0)], axis=1)
         with pytest.raises(FitError):
             fitkit.fit_tether_width(pts, pts * np.array([1.0, -1.0]))
-
-
-class TestHistogramStats:
-    def test_seeded_normal_sample(self):
-        values = np.random.default_rng(14).normal(89.9, 4.2, 73)
-        stats = fitkit.gaussian_histogram_stats(values)
-        assert abs(stats.mean - 89.9) < 4.0 * 4.2 / math.sqrt(73)
-        assert abs(stats.sd - 4.2) / 4.2 < 0.25
-        assert not stats.degenerate
-        # Histogram fit must agree with the sample mean far better than
-        # the sampling error of the mean itself.
-        assert abs(stats.fit_center - stats.mean) < 0.5 * stats.sd / math.sqrt(73)
-        assert 2.5 < stats.fit_width < 6.0
-
-    def test_all_equal_samples_flagged_degenerate(self):
-        stats = fitkit.gaussian_histogram_stats(np.full(12, 5.0))
-        assert stats.degenerate
-        assert stats.sd == 0.0
-        assert stats.mean == 5.0
-        assert stats.fit_width == 0.0
-
-    def test_too_few_samples(self):
-        with pytest.raises(InvalidParameterError):
-            fitkit.gaussian_histogram_stats(np.arange(9, dtype=float))
-
-    def test_deterministic(self):
-        values = np.random.default_rng(0).normal(10.0, 2.0, 40)
-        assert fitkit.gaussian_histogram_stats(values) == (
-            fitkit.gaussian_histogram_stats(values)
-        )
