@@ -1,10 +1,12 @@
 """Command-line front end for the band-structure and relaxation pipeline.
 
-One structured JSON config plus per-key flag overrides (flags win) drives
-the compute subcommands; fitting subcommands read CSV inputs.  Artifacts
-land under ``<out_dir>/<subcommand>-<run_id>/`` where the run ID is a short
-hash of the fully resolved config, so identical inputs reuse identical
-paths and never collide with other runs.
+The band subcommands (bands, dos, gap, sweep, fig1b) take one JSON config
+plus one flag per ``RunConfig`` field (flags win); the others take only
+their own flags, and the fits record the SHA-256 of each file they read in
+place of its path.  That request lands as ``config.json`` in
+``<out_dir>/<subcommand>-<run_id>/``, the run ID being a short hash of the
+request without ``out_dir``: identical inputs reuse identical paths and
+never collide with other runs.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 failure (no gap coverage, non-convergent fit, ...).
@@ -30,7 +32,6 @@ from .elastics import band_diagram, default_k_path
 from .errors import ConfigError, InvalidParameterError, PhonogapError
 from .fitkit import fit_circle, fit_ellipse, fit_recovery, fit_tether_width
 from .geometry import (
-    DIAMOND,
     Material,
     UnitCellParams,
     build_nanobeam_mesh,
@@ -44,7 +45,7 @@ from .spectrum import (
     parameter_sweep,
     primary_gap,
 )
-from .tempfit import RateSeries, fit_power_model, select_model
+from .tempfit import RateSeries, select_model
 
 OUT_DIR_ENV = "PHONOGAP_OUT_DIR"
 STRUCTURES = ("pnc", "nanobeam")
@@ -82,7 +83,6 @@ class RunConfig:
     sweep_param: str = "t"
     sweep_values_nm: tuple[float, ...] = (19.1, 22.1, 25.1)
     out_dir: str = ""
-    seed: int = 0
 
     def cell_params(self) -> UnitCellParams:
         return UnitCellParams(
@@ -95,9 +95,6 @@ class RunConfig:
             c11_gpa=self.c11_gpa, c12_gpa=self.c12_gpa,
             c44_gpa=self.c44_gpa, rho_kgm3=self.rho_kgm3,
         )
-
-    def k_path(self) -> np.ndarray:
-        return default_k_path(self.n_kpoints)
 
     def validate(self) -> None:
         """Check every module's preconditions before any compute starts."""
@@ -157,40 +154,45 @@ class RunConfig:
 
     @property
     def run_id(self) -> str:
-        """Short digest of everything that shapes the numbers.  Storage
-        location does not affect results, so the same computation keeps the
-        same ID wherever it lands."""
-        payload = self.to_dict()
-        payload.pop("out_dir")
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:10]
+        return run_id(self.to_dict())
 
     def resolved_out_dir(self) -> Path:
-        root = self.out_dir or os.environ.get(OUT_DIR_ENV, "runs")
-        return Path(root)
+        return _out_root(self.out_dir)
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Defaults, then the config file, then flag overrides (flags win)."""
-    data: dict = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as err:
-            raise ConfigError(f"cannot read config file {path}: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+    data = {} if path is None else _read_json_object(path, "config file")
     data.update({k: v for k, v in overrides.items() if v is not None})
     config = RunConfig.from_dict(data)
     config.validate()
     return config
 
 
-def dump_config(config: RunConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+def _read_json_object(path: str, what: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
+
+
+def run_id(request: dict) -> str:
+    """Short digest of everything that shapes the numbers.  Storage
+    location does not affect results, so the same computation keeps the
+    same ID wherever it lands."""
+    payload = {key: value for key, value in request.items() if key != "out_dir"}
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:10]
+
+
+def _out_root(out_dir: str) -> Path:
+    return Path(out_dir or os.environ.get(OUT_DIR_ENV, "runs"))
 
 
 # ---------------------------------------------------------------------------
@@ -228,36 +230,28 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.array(_parse_float_list(text))
 
 
-_CONFIG_FLAGS: dict[str, dict] = {
-    "structure": {"type": str, "choices": STRUCTURES},
-    "w_nm": {"type": float}, "h_nm": {"type": float}, "a_nm": {"type": float},
-    "t_nm": {"type": float}, "r_nm": {"type": float}, "d_nm": {"type": float},
-    "beam_width_nm": {"type": float}, "beam_thickness_nm": {"type": float},
-    "c11_gpa": {"type": float}, "c12_gpa": {"type": float},
-    "c44_gpa": {"type": float}, "rho_kgm3": {"type": float},
+#: Flag settings that the type of a ``RunConfig`` default cannot give.
+_FLAG_SPECS: dict[str, dict] = {
+    "structure": {"choices": STRUCTURES},
+    "sweep_param": {"choices": SWEEPABLE_PARAMS},
     "resolution": {"type": _parse_int_triple, "metavar": "NX,NY,NZ"},
-    "n_kpoints": {"type": int}, "n_modes": {"type": int},
-    "broadening_ghz": {"type": float}, "f_max_ghz": {"type": float},
-    "window_lo_ghz": {"type": float}, "window_hi_ghz": {"type": float},
-    "reference_center_ghz": {"type": float}, "reference_width_ghz": {"type": float},
-    "center_tolerance_pct": {"type": float}, "width_tolerance_pct": {"type": float},
-    "sweep_param": {"type": str, "choices": SWEEPABLE_PARAMS},
     "sweep_values_nm": {"type": _parse_float_list, "metavar": "V1,V2,..."},
-    "out_dir": {"type": str}, "seed": {"type": int},
 }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration overrides")
     group.add_argument("--config", metavar="FILE", help="JSON config file")
-    for key, spec in _CONFIG_FLAGS.items():
+    for field in dataclasses.fields(RunConfig):
+        spec = {"type": type(field.default), **_FLAG_SPECS.get(field.name, {})}
         group.add_argument(
-            f"--{key.replace('_', '-')}", dest=key, default=None, **spec
+            f"--{field.name.replace('_', '-')}", dest=field.name, default=None,
+            **spec,
         )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, key) for key in _CONFIG_FLAGS}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
     return load_config(args.config, overrides)
 
 
@@ -272,6 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if config:
             _add_config_flags(p)
+        else:
+            p.add_argument("--out-dir", default="", help="artifact root "
+                           f"(default ${OUT_DIR_ENV}, else ./runs)")
         return p
 
     command("bands", "band structure along the reduced k path")
@@ -280,12 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     command("sweep", "gap center/width vs one geometry parameter")
     command("fig1b", "bands + DOS CSVs and a two-panel gnuplot script")
 
-    p = command("rates", "phonon-induced orbital relaxation rates")
+    p = command("rates", "phonon-induced orbital relaxation rates", config=False)
     p.add_argument("--delta-ghz", type=float, required=True,
                    help="orbital splitting in GHz")
-    p.add_argument("--temp-k", type=float, help="single temperature")
-    p.add_argument("--temp-range", type=_parse_grid, metavar="LO:HI:N",
-                   help="temperature grid (or comma list)")
+    temps = p.add_mutually_exclusive_group(required=True)
+    temps.add_argument("--temp-k", type=float, help="single temperature")
+    temps.add_argument("--temp-range", type=_parse_grid, metavar="LO:HI:N",
+                       help="temperature grid (or comma list)")
     p.add_argument("--chi-rho", type=float, default=0.0,
                    help="one-phonon coupling-density product")
     p.add_argument("--chi-rho-sq", type=float, default=0.0,
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=("plain_frequency", "angular"),
                    default="plain_frequency")
 
-    p = command("pumpprobe", "simulated two-pulse recovery curve")
+    p = command("pumpprobe", "simulated two-pulse recovery curve", config=False)
     p.add_argument("--t1-ns", type=float, help="orbital lifetime; implies "
                    "equal up/down rates")
     p.add_argument("--gamma-up-mhz", type=float)
@@ -308,11 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Gaussian sigma added to each ratio")
     p.add_argument("--dump-trace-ns", type=float, metavar="TAU",
                    help="also write the full trace at this delay")
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
 
-    p = command("fit-t1", "fit a recovery curve CSV (tau_ns, ratio[, sigma])")
+    p = command("fit-t1", "fit a recovery curve CSV (tau_ns, ratio[, sigma])",
+                config=False)
     p.add_argument("--input", required=True, metavar="FILE")
 
-    p = command("fit-temp", "power-law fits of rate vs temperature CSV")
+    p = command("fit-temp", "power-law fits of rate vs temperature CSV",
+                config=False)
     p.add_argument("--input", required=True, metavar="FILE",
                    help="CSV with temperature_K, rate_MHz, sigma_MHz")
     p.add_argument("--models", type=str, default="1,3,5,7",
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float,
                    help="fit only points at or below this temperature")
 
-    p = command("fit-geom", "fabricated-geometry statistics from contours")
+    p = command("fit-geom", "fabricated-geometry statistics from contours",
+                config=False)
     p.add_argument("--manifest", required=True, metavar="FILE",
                    help="JSON manifest: contours: [{path, role}, ...]")
 
@@ -335,10 +337,32 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _artifact_dir(config: RunConfig, command: str) -> Path:
-    directory = config.resolved_out_dir() / f"{command}-{config.run_id}"
+def _artifact_dir(command: str, request: dict) -> Path:
+    """Make ``<out_dir>/<command>-<run_id>/`` and record the request in it."""
+    directory = _out_root(request["out_dir"]) / f"{command}-{run_id(request)}"
     directory.mkdir(parents=True, exist_ok=True)
+    _write_json(directory / "config.json", request)
     return directory
+
+
+def _sha256(path: str | Path) -> str:
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
+
+
+def _request(args: argparse.Namespace, *input_paths: str | Path) -> dict:
+    """A non-band command's flags, grids as lists, and in place of the input
+    path the SHA-256 of each file read: moving a file keeps the run ID."""
+    request = {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in vars(args).items()
+        if key not in ("command", "input", "manifest")
+    }
+    if input_paths:
+        request["input_sha256"] = [_sha256(path) for path in input_paths]
+    return request
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -352,10 +376,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def _write_config(out: Path, config: RunConfig) -> None:
-    (out / "config.json").write_text(dump_config(config), encoding="utf-8")
 
 
 def _write_bands_csv(path: Path, bands) -> None:
@@ -389,23 +409,20 @@ def gap_row(value_nm: float, center_ghz: float, width_ghz: float) -> list[str]:
     return [_fmt(value_nm), _fmt(center_ghz), _fmt(width_ghz)]
 
 
-def _build_mesh(config: RunConfig):
+def _compute_bands(config: RunConfig, *, classify: bool):
     if config.structure == "nanobeam":
-        return build_nanobeam_mesh(
+        mesh = build_nanobeam_mesh(
             config.beam_width_nm,
             config.beam_thickness_nm,
             config.a_nm,
             config.resolution,
         )
-    return build_unit_cell_mesh(config.cell_params(), config.resolution)
-
-
-def _compute_bands(config: RunConfig, *, classify: bool):
-    mesh = _build_mesh(config)
+    else:
+        mesh = build_unit_cell_mesh(config.cell_params(), config.resolution)
     return band_diagram(
         mesh,
         config.material(),
-        config.k_path(),
+        default_k_path(config.n_kpoints),
         config.n_modes,
         classify=classify,
     )
@@ -418,10 +435,9 @@ def _compute_bands(config: RunConfig, *, classify: bool):
 def cmd_bands(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     bands = _compute_bands(config, classify=True)
-    out = _artifact_dir(config, "bands")
+    out = _artifact_dir("bands", config.to_dict())
     path = out / "bands.csv"
     _write_bands_csv(path, bands)
-    _write_config(out, config)
     _note(path)
     return 0
 
@@ -430,10 +446,9 @@ def cmd_dos(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     bands = _compute_bands(config, classify=False)
     dos = compute_dos(bands, config.broadening_ghz)
-    out = _artifact_dir(config, "dos")
+    out = _artifact_dir("dos", config.to_dict())
     path = out / "dos.csv"
     _write_dos_csv(path, dos)
-    _write_config(out, config)
     _note(path)
     return 0
 
@@ -478,7 +493,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     bands = _compute_bands(config, classify=False)
     report = _gap_report(config, bands)
     gap = report["gap"]
-    out = _artifact_dir(config, "gap")
+    out = _artifact_dir("gap", config.to_dict())
     value_nm = getattr(config.cell_params(), config.sweep_param)
     if gap is None:
         row = gap_row(value_nm, math.nan, 0.0)
@@ -488,7 +503,6 @@ def cmd_gap(args: argparse.Namespace) -> int:
     _write_csv(csv_path, ["param_value_nm", "center_GHz", "width_GHz"], [row])
     json_path = out / "gap.json"
     _write_json(json_path, report)
-    _write_config(out, config)
     if gap is None:
         print("no complete gap inside the window")
     else:
@@ -520,19 +534,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config.sweep_values_nm,
         material=config.material(),
         resolution=config.resolution,
-        k_points=config.k_path(),
+        k_points=default_k_path(config.n_kpoints),
         n_modes=config.n_modes,
         f_max_ghz=config.f_max_ghz,
         window_ghz=(config.window_lo_ghz, config.window_hi_ghz),
     )
-    out = _artifact_dir(config, "sweep")
+    out = _artifact_dir("sweep", config.to_dict())
     path = out / "sweep.csv"
     _write_csv(
         path,
         ["param_value_nm", "center_GHz", "width_GHz"],
         (gap_row(p.value_nm, p.center_ghz, p.width_ghz) for p in points),
     )
-    _write_config(out, config)
     _note(path)
     return 0
 
@@ -568,7 +581,7 @@ def cmd_fig1b(args: argparse.Namespace) -> int:
         find_complete_gaps(bands, config.f_max_ghz),
         (config.window_lo_ghz, config.window_hi_ghz),
     )
-    out = _artifact_dir(config, "fig1b")
+    out = _artifact_dir("fig1b", config.to_dict())
     _write_bands_csv(out / "bands.csv", bands)
     _write_dos_csv(out / "dos.csv", dos)
     if gap is None:
@@ -583,16 +596,12 @@ def cmd_fig1b(args: argparse.Namespace) -> int:
         f_max=_fmt(config.f_max_ghz), shading=shading
     )
     (out / "fig1b.gp").write_text(script, encoding="utf-8")
-    _write_config(out, config)
     for name in ("bands.csv", "dos.csv", "fig1b.gp"):
         _note(out / name)
     return 0
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    if (args.temp_k is None) == (args.temp_range is None):
-        raise ConfigError("give exactly one of --temp-k or --temp-range")
     temps = (
         np.array([args.temp_k]) if args.temp_k is not None else args.temp_range
     )
@@ -612,7 +621,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
             _fmt(rates.gamma_raman_mhz),
             _fmt(rates.t1_ns),
         ])
-    out = _artifact_dir(config, "rates")
+    out = _artifact_dir("rates", _request(args))
     path = out / "rates.csv"
     _write_csv(
         path,
@@ -647,7 +656,6 @@ def _pumpprobe_system(args: argparse.Namespace) -> LevelSystem:
 
 
 def cmd_pumpprobe(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     system = _pumpprobe_system(args)
     taus = args.taus
     if taus is None:
@@ -658,9 +666,9 @@ def cmd_pumpprobe(args: argparse.Namespace) -> int:
         width_ns=args.pulse_width_ns,
         window_ns=args.window_ns,
         noise=args.noise,
-        seed=config.seed,
+        seed=args.seed,
     )
-    out = _artifact_dir(config, "pumpprobe")
+    out = _artifact_dir("pumpprobe", _request(args))
     path = out / "pumpprobe.csv"
     _write_csv(
         path,
@@ -709,11 +717,11 @@ def _read_csv_columns(path: str, required: tuple[str, ...],
 
 
 def cmd_fit_t1(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     data = _read_csv_columns(args.input, ("tau_ns", "ratio"), ("sigma",))
+    request = _request(args, args.input)
     fit = fit_recovery(data["tau_ns"], data["ratio"], data.get("sigma"))
     report = {
-        "run_id": config.run_id,
+        "run_id": run_id(request),
         "n_points": int(data["tau_ns"].size),
         "t1_ns": fit["t1"],
         "t1_err_ns": fit.error_of("t1"),
@@ -721,7 +729,7 @@ def cmd_fit_t1(args: argparse.Namespace) -> int:
         "dof": fit.dof,
         "n_iterations": fit.n_iterations,
     }
-    out = _artifact_dir(config, "fit-t1")
+    out = _artifact_dir("fit-t1", request)
     path = out / "fit_t1.json"
     _write_json(path, report)
     print(f"T1 = {report['t1_ns']:.3f} +/- {report['t1_err_ns']:.3f} ns")
@@ -730,10 +738,10 @@ def cmd_fit_t1(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_temp(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     cols = _read_csv_columns(
         args.input, ("temperature_K", "rate_MHz", "sigma_MHz")
     )
+    request = _request(args, args.input)
     data = RateSeries(cols["temperature_K"], cols["rate_MHz"], cols["sigma_MHz"])
     if args.t_max is not None:
         data = data.restrict(args.t_max)
@@ -743,7 +751,7 @@ def cmd_fit_temp(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --models list {args.models!r}") from err
     ranked = select_model(data, exponents)
     report = {
-        "run_id": config.run_id,
+        "run_id": run_id(request),
         "n_points": len(data),
         "t_max_k": args.t_max,
         "best_exponent": ranked[0].exponent,
@@ -764,7 +772,7 @@ def cmd_fit_temp(args: argparse.Namespace) -> int:
     grid = np.linspace(data.temperatures_k[0], data.temperatures_k[-1], 200)
     header = ["temperature_K"] + [f"rate_p{f.exponent}_MHz" for f in ranked]
     curves = np.column_stack([grid] + [f.predict(grid) for f in ranked])
-    out = _artifact_dir(config, "fit-temp")
+    out = _artifact_dir("fit-temp", request)
     json_path = out / "fit_temp.json"
     csv_path = out / "fit_temp_curves.csv"
     _write_json(json_path, report)
@@ -783,11 +791,6 @@ def cmd_fit_temp(args: argparse.Namespace) -> int:
 _GEOM_ROLES = ("block", "corner", "tether-edge")
 
 
-def _load_contour(path: Path) -> np.ndarray:
-    cols = _read_csv_columns(str(path), ("x_nm", "y_nm"))
-    return np.column_stack([cols["x_nm"], cols["y_nm"]])
-
-
 def _aligned_diameters(fit) -> tuple[float, float]:
     """Block diameters along the contour x and y axes.
 
@@ -801,19 +804,11 @@ def _aligned_diameters(fit) -> tuple[float, float]:
 
 
 def cmd_fit_geom(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    try:
-        with open(args.manifest, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except OSError as err:
-        raise ConfigError(f"cannot read manifest {args.manifest}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"manifest is not valid JSON: {err}") from err
-    entries = manifest.get("contours") if isinstance(manifest, dict) else None
+    entries = _read_json_object(args.manifest, "manifest").get("contours")
     if not isinstance(entries, list) or not entries:
         raise ConfigError('manifest must hold {"contours": [{path, role}, ...]}')
     base = Path(args.manifest).parent
-    widths, heights, radii, tether_edges = [], [], [], []
+    paths, widths, heights, radii, tether_edges = [], [], [], [], []
     for entry in entries:
         role = entry.get("role")
         rel = entry.get("path")
@@ -822,7 +817,9 @@ def cmd_fit_geom(args: argparse.Namespace) -> int:
                 f"each contour needs a path and a role from {_GEOM_ROLES}, "
                 f"got {entry!r}"
             )
-        points = _load_contour(base / rel)
+        paths.append(base / rel)
+        cols = _read_csv_columns(str(paths[-1]), ("x_nm", "y_nm"))
+        points = np.column_stack([cols["x_nm"], cols["y_nm"]])
         if role == "block":
             width_nm, height_nm = _aligned_diameters(fit_ellipse(points))
             widths.append(width_nm)
@@ -857,7 +854,7 @@ def cmd_fit_geom(args: argparse.Namespace) -> int:
         rows.append([name, _fmt(float(arr.mean())), _fmt(sd)])
     if not rows:
         raise ConfigError("manifest produced no fitted parameters")
-    out = _artifact_dir(config, "fit-geom")
+    out = _artifact_dir("fit-geom", _request(args, args.manifest, *paths))
     path = out / "fit_geom.csv"
     _write_csv(path, ["parameter", "average_nm", "sd_nm"], rows)
     _note(path)

@@ -92,10 +92,6 @@ class PulseSequence:
         if self.ramp_ns >= self.width_ns:
             raise InvalidParameterError("ramp cannot exceed the pulse width")
 
-    @property
-    def total_ns(self) -> float:
-        return 2.0 * self.width_ns + self.delay_ns + self.gap_ns
-
     def pulse_starts(self) -> tuple[float, float]:
         return 0.0, self.width_ns + self.delay_ns
 

@@ -199,11 +199,9 @@ def solve_reduced(
     m_red: sp.csr_matrix,
     n_modes: int,
     *,
-    target_ghz: float = 0.0,
     dense_cutoff: int = 600,
-    maxiter: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest (or nearest-to-target) modes of the reduced Hermitian pencil.
+    """Lowest modes of the reduced Hermitian pencil.
 
     Returns ``(frequencies_ghz, vectors)`` with mass-orthonormal columns
     (``max|V^H M V - I| <= MASS_ORTHONORMAL_TOL``).  Uses shift-invert
@@ -233,12 +231,9 @@ def solve_reduced(
     if n <= max(dense_cutoff, 3 * n_modes):
         vals, vecs = dense_solve()
     else:
-        if target_ghz > 0:
-            sigma = (2 * math.pi * target_ghz * GHZ) ** 2
-        else:
-            # A slightly negative shift keeps the factorization well defined
-            # when rigid-body modes make K singular at k = 0.
-            sigma = -((2 * math.pi * GHZ) ** 2)
+        # A slightly negative shift keeps the factorization well defined
+        # when rigid-body modes make K singular at k = 0.
+        sigma = -((2 * math.pi * GHZ) ** 2)
         rng = np.random.default_rng(_EIGSH_SEED)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         try:
@@ -249,7 +244,6 @@ def solve_reduced(
                 sigma=sigma,
                 which="LM",
                 v0=v0,
-                maxiter=maxiter,
             )
         except ArpackNoConvergence:
             vals, vecs = dense_solve("ARPACK failed to converge")
@@ -268,7 +262,6 @@ def solve_bands(
     problem: BlochProblem,
     n_modes: int,
     *,
-    target_ghz: float = 0.0,
     dense_cutoff: int = 600,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies (GHz) and full-space mode shapes at one wavenumber.
@@ -280,7 +273,6 @@ def solve_bands(
         problem.stiffness,
         problem.mass,
         n_modes,
-        target_ghz=target_ghz,
         dense_cutoff=dense_cutoff,
     )
     return freqs, problem.basis @ vecs
@@ -325,6 +317,8 @@ def _reflect_modes(modes: np.ndarray, perm: np.ndarray, axis: int) -> np.ndarray
 
 
 DEGENERACY_TOL_GHZ = 1e-3
+#: A mirror overlap above this magnitude labels a mode even or odd.
+PARITY_THRESHOLD = 0.9
 
 
 def classify_parities(
@@ -332,7 +326,6 @@ def classify_parities(
     freqs_ghz: np.ndarray,
     m_mat: sp.spmatrix,
     maps: ReflectionMaps,
-    threshold: float = 0.9,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label each mode 'even'/'odd'/'mixed' under the two mirrors.
 
@@ -382,9 +375,9 @@ def classify_parities(
         for which, herm in enumerate(herms):
             parities = np.einsum("im,ij,jm->m", basis.conj(), herm, basis).real
             for local, p in enumerate(parities):
-                if p > threshold:
+                if p > PARITY_THRESHOLD:
                     lab = "even"
-                elif p < -threshold:
+                elif p < -PARITY_THRESHOLD:
                     lab = "odd"
                 else:
                     lab = "mixed"
@@ -398,7 +391,6 @@ def classify_symmetry(
     m_mat: sp.spmatrix,
     *,
     maps: ReflectionMaps | None = None,
-    threshold: float = 0.9,
 ) -> tuple[str, str]:
     """Parity labels of a single mode under the y and z mirrors.
 
@@ -411,9 +403,7 @@ def classify_symmetry(
     norm = math.sqrt(abs((modes[:, 0].conj() @ (m_mat @ modes[:, 0])).real))
     if norm == 0.0:
         raise ClassificationError("cannot classify an identically zero mode")
-    par_y, par_z = classify_parities(
-        modes / norm, np.zeros(1), m_mat, maps, threshold=threshold
-    )
+    par_y, par_z = classify_parities(modes / norm, np.zeros(1), m_mat, maps)
     return str(par_y[0]), str(par_z[0])
 
 
@@ -448,7 +438,6 @@ def band_diagram(
     n_modes: int = 30,
     *,
     classify: bool = True,
-    target_ghz: float = 0.0,
     dense_cutoff: int = 600,
 ) -> BandStructure:
     """Compute the lowest ``n_modes`` bands along a reduced k path.
@@ -476,9 +465,7 @@ def band_diagram(
 
     def solve_one(k_red: float):
         problem = make_bloch_problem(mesh, k_red, k_mat, m_mat)
-        freqs, full = solve_bands(
-            problem, n_modes, target_ghz=target_ghz, dense_cutoff=dense_cutoff
-        )
+        freqs, full = solve_bands(problem, n_modes, dense_cutoff=dense_cutoff)
         if maps is None:
             return freqs, None, None, problem.n_dofs
         par_y, par_z = classify_parities(full, freqs, m_mat, maps)

@@ -12,7 +12,6 @@ computation could sit inside a reported "gap".
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,8 +144,6 @@ def compute_dos(
     bands: BandStructure,
     broadening_ghz: float = 0.5,
     grid_ghz: np.ndarray | None = None,
-    *,
-    strict: bool = True,
 ) -> DosCurve:
     """Gaussian-broadened density of states, normalized to one state per band.
 
@@ -154,8 +151,7 @@ def compute_dos(
     weighted by its trapezoidal share of the k path, so every band integrates
     to one state.  The k sampling must resolve the band slopes: if any band
     jumps by more than three broadening widths between adjacent k points the
-    histogram would alias, which raises :class:`SamplingError` (or just warns
-    with ``strict=False``).
+    histogram would alias, which raises :class:`SamplingError`.
     """
     if not (math.isfinite(broadening_ghz) and broadening_ghz > 0):
         raise InvalidParameterError(
@@ -166,14 +162,11 @@ def compute_dos(
 
     max_step = float(np.abs(np.diff(f, axis=0)).max()) if f.shape[0] > 1 else 0.0
     if max_step > 3.0 * broadening_ghz:
-        message = (
+        raise SamplingError(
             f"band sampling too coarse for the kernel: adjacent k points jump "
             f"by up to {max_step:.2f} GHz, above 3 x broadening = "
             f"{3.0 * broadening_ghz:.2f} GHz; refine the k grid or broaden"
         )
-        if strict:
-            raise SamplingError(message)
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
 
     if grid_ghz is None:
         grid_ghz = np.linspace(0.0, f.max() + 5.0 * broadening_ghz, 1601)

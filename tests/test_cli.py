@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +42,8 @@ def gap_sweep_run(tmp_path_factory):
 
 class TestConfig:
     def test_round_trip_is_identity(self):
-        config = cli.RunConfig(w_nm=91.0, resolution=(6, 5, 4), seed=7)
-        again = cli.RunConfig.from_dict(json.loads(cli.dump_config(config)))
+        config = cli.RunConfig(w_nm=91.0, resolution=(6, 5, 4), n_modes=7)
+        again = cli.RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert again == config
 
     def test_flags_override_file(self, tmp_path):
@@ -86,7 +89,15 @@ class TestDispatch:
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        text = capsys.readouterr().out
+        for name in cli._COMMANDS:
+            assert name in text
+        assert cli.main(["rates", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--w-nm" not in text and "--config" not in text
+        assert cli.main(["gap", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--w-nm" in text and "--config" in text
 
     def test_invalid_geometry_exits_2(self, tmp_path, capsys):
         code = cli.main(["bands", "--w-nm", "-4", "--out-dir", str(tmp_path)])
@@ -101,6 +112,25 @@ class TestDispatch:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["gap", "--config", str(path)]) == 2
+
+    def test_seed_config_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps({"seed": 0}))
+        assert cli.main(["gap", "--config", str(path)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = [
+            line
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.splitlines()
+            if line.startswith("phonogap ")
+        ]
+        assert lines
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
 
 class TestBands:
@@ -189,6 +219,10 @@ class TestGap:
         values = [float(r[0]) for r in rows]
         assert values == sorted(values) == [19.1, 22.1, 25.1]
 
+    def test_config_has_no_seed(self, gap_sweep_run):
+        gap_dir, _ = gap_sweep_run
+        assert "seed" not in json.loads((gap_dir / "config.json").read_text())
+
     def test_rerun_is_byte_identical(self, gap_sweep_run, tmp_path):
         gap_dir, _ = gap_sweep_run
         assert cli.main(["gap", *COARSE, "--out-dir", str(tmp_path)]) == 0
@@ -259,6 +293,24 @@ class TestRates:
             t1s.append(t1)
         assert t1s == sorted(t1s, reverse=True)
 
+    def test_own_flags_name_the_run(self, tmp_path):
+        for delta in ("46", "80"):
+            assert cli.main([
+                "rates", "--delta-ghz", delta, "--temp-k", "4",
+                "--out-dir", str(tmp_path),
+            ]) == 0
+        dirs = sorted(tmp_path.glob("rates-*"))
+        assert len(dirs) == 2
+        deltas = {json.loads((d / "config.json").read_text())["delta_ghz"]
+                  for d in dirs}
+        assert deltas == {46.0, 80.0}
+
+    def test_geometry_flag_exits_2(self, tmp_path):
+        assert cli.main([
+            "rates", "--delta-ghz", "46", "--temp-k", "4", "--w-nm", "100",
+            "--out-dir", str(tmp_path),
+        ]) == 2
+
     def test_requires_exactly_one_temperature_spec(self, tmp_path, capsys):
         base = ["rates", "--delta-ghz", "46", "--out-dir", str(tmp_path)]
         assert cli.main(base) == 2
@@ -298,6 +350,14 @@ class TestPumpProbe:
             )
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
+
+    def test_own_flags_name_the_run(self, tmp_path):
+        for t1_ns, seed in (("34", "5"), ("34", "6"), ("50", "6")):
+            assert cli.main([
+                "pumpprobe", "--t1-ns", t1_ns, "--taus", "0:170:4",
+                "--noise", "0.02", "--seed", seed, "--out-dir", str(tmp_path),
+            ]) == 0
+        assert len(list(tmp_path.glob("pumpprobe-*"))) == 3
 
     def test_trace_dump(self, tmp_path):
         code = cli.main([
@@ -347,6 +407,20 @@ class TestFitT1:
         assert report["n_points"] == 12
         assert report["dof"] == 11
         assert report["wrss"] < 1e-15
+
+    def test_run_id_follows_file_contents_not_path(self, tmp_path):
+        src = tmp_path / "rec.csv"
+        copy = tmp_path / "copy.csv"
+        ids = []
+        for t1_ns, path in ((100.0, src), (80.0, src), (80.0, copy)):
+            write_recovery_csv(path, t1_ns)
+            out = tmp_path / f"out{len(ids)}"
+            assert cli.main([
+                "fit-t1", "--input", str(path), "--out-dir", str(out),
+            ]) == 0
+            ids.append(only_dir(out, "fit-t1").name)
+        assert ids[0] != ids[1]
+        assert ids[1] == ids[2]
 
     def test_missing_column_exits_2(self, tmp_path):
         src = tmp_path / "bad.csv"
@@ -489,6 +563,15 @@ class TestFitGeom:
         _, rows = read_csv(only_dir(tmp_path, "fit-geom") / "fit_geom.csv")
         table = {r[0]: float(r[1]) for r in rows}
         assert math.isclose(table["t"], 22.1, rel_tol=1e-6)
+
+    def test_edited_contour_changes_run_id(self, tmp_path):
+        manifest = self.make_manifest(tmp_path)
+        args = ["fit-geom", "--manifest", str(manifest), "--out-dir",
+                str(tmp_path)]
+        assert cli.main(args) == 0
+        arc_contour(tmp_path / "corner.csv", 17.2)
+        assert cli.main(args) == 0
+        assert len(list(tmp_path.glob("fit-geom-*"))) == 2
 
     def test_odd_tether_count_exits_2(self, tmp_path, capsys):
         entries = [{"path": "upper.csv", "role": "tether-edge"}]
