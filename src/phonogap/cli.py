@@ -810,9 +810,9 @@ def cmd_fit_geom(args: argparse.Namespace) -> int:
     base = Path(args.manifest).parent
     paths, widths, heights, radii, tether_edges = [], [], [], [], []
     for entry in entries:
-        role = entry.get("role")
-        rel = entry.get("path")
-        if role not in _GEOM_ROLES or not rel:
+        fields = entry if isinstance(entry, dict) else {}
+        role, rel = fields.get("role"), fields.get("path")
+        if role not in _GEOM_ROLES or not isinstance(rel, str) or not rel:
             raise ConfigError(
                 f"each contour needs a path and a role from {_GEOM_ROLES}, "
                 f"got {entry!r}"

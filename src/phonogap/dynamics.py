@@ -7,6 +7,13 @@ The orbital bath exchanges |1> and |2> at gamma_up / gamma_down, so the
 fluorescence recovery between two pump pulses measures the orbital lifetime
 T1 = 1/(gamma_up + gamma_down).
 
+A sequence is a chain of constant-drive segments, each sampled on a uniform
+step with an exact one-step propagator P.  The recovery ratio needs only the
+means of four sample windows, and on one segment the samples are P^j q, so
+``extract_peak_ratio`` sums each window in closed form from one power of the
+block matrix [[P, I], [0, I]].  ``simulate_sequence`` steps the same samples
+one by one; it serves trace dumps and is the tests' reference.
+
 Rates are in MHz, times in ns throughout (1 MHz = 1e-3 / ns).
 """
 
@@ -18,12 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    ConfigError,
-    ExtractionError,
-    InvalidParameterError,
-    NumericalError,
-)
+from .errors import ExtractionError, InvalidParameterError, NumericalError
 
 DEFAULT_OPTICAL_DECAY_MHZ = 1.0e3 / 1.7  # ~588 MHz, a typical excited-state decay
 MHZ_PER_INV_NS = 1.0e3
@@ -80,17 +82,14 @@ class PulseSequence:
     delay_ns: float
     width_ns: float = 300.0
     gap_ns: float = 300.0
-    ramp_ns: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.width_ns) and self.width_ns > 0):
             raise InvalidParameterError("pulse width must be positive")
         if not (math.isfinite(self.delay_ns) and self.delay_ns >= 0):
             raise InvalidParameterError("pulse delay must be >= 0")
-        if self.gap_ns < 0 or self.ramp_ns < 0:
-            raise InvalidParameterError("gap and ramp must be >= 0")
-        if self.ramp_ns >= self.width_ns:
-            raise InvalidParameterError("ramp cannot exceed the pulse width")
+        if self.gap_ns < 0:
+            raise InvalidParameterError("gap must be >= 0")
 
     def pulse_starts(self) -> tuple[float, float]:
         return 0.0, self.width_ns + self.delay_ns
@@ -125,136 +124,124 @@ def generator(system: LevelSystem, pump_fraction: float = 1.0) -> np.ndarray:
     )
 
 
-def evolve_populations(
-    system: LevelSystem,
-    populations,
-    duration_ns: float,
-    pump_fraction: float = 0.0,
-) -> np.ndarray:
-    """Propagate populations exactly over one constant-drive interval."""
-    p = np.asarray(populations, dtype=float)
-    return sla.expm(generator(system, pump_fraction) * duration_ns) @ p
+def _initial_populations(system: LevelSystem) -> np.ndarray:
+    if system.initial_populations is not None:
+        return np.asarray(system.initial_populations, dtype=float)
+    return system.thermal_populations()
 
 
-def _max_rate_per_ns(system: LevelSystem) -> float:
-    return float(np.max(np.abs(np.diag(generator(system, 1.0)))))
+def _check_conservation(populations: np.ndarray) -> None:
+    drift = float(np.max(np.abs(np.sum(populations, axis=-1) - 1.0)))
+    if drift > CONSERVATION_TOL:
+        raise NumericalError(f"population conservation violated by {drift:.2e}")
 
 
-def simulate_sequence(
-    system: LevelSystem,
-    sequence: PulseSequence,
-    dt_ns: float | None = None,
-) -> FluorescenceTrace:
-    """Integrate the rate equations piecewise over the two-pulse sequence.
+def _segments(
+    system: LevelSystem, sequence: PulseSequence
+) -> list[tuple[float, int, np.ndarray]]:
+    """(step, step count, one-step propagator) of each constant-drive segment.
 
-    Each constant-drive segment advances with a cached matrix exponential, so
-    the stepping is exact for any step size; the step bound (0.1 of the
-    fastest rate's timescale) keeps the *sampled* trace fine enough for
-    edge-window extraction.
+    A segment splits evenly into steps no longer than 0.1 of the fastest
+    rate's timescale (and 1 ns).  The propagator is the exact matrix
+    exponential over one step, so the step only sets how finely the
+    fluorescence is sampled for the edge windows.
     """
-    max_rate = _max_rate_per_ns(system)
-    if dt_ns is None:
-        dt_ns = min(1.0, 0.1 / max_rate) if max_rate > 0 else 1.0
-    if dt_ns <= 0:
-        raise ConfigError("time step must be positive")
-    if max_rate > 0 and dt_ns > 0.1 / max_rate:
-        raise ConfigError(
-            f"time step {dt_ns} ns does not resolve the fastest rate; "
-            f"need dt <= {0.1 / max_rate:.4g} ns"
-        )
-
-    segments: list[tuple[float, float]] = []  # (duration, pump fraction)
-    for pulse in range(2):
-        if sequence.ramp_ns > 0:
-            n_ramp = max(int(math.ceil(sequence.ramp_ns / dt_ns)), 4)
-            ramp_step = sequence.ramp_ns / n_ramp
-            for j in range(n_ramp):
-                segments.append((ramp_step, (j + 0.5) / n_ramp))
-            segments.append((sequence.width_ns - sequence.ramp_ns, 1.0))
-        else:
-            segments.append((sequence.width_ns, 1.0))
-        off = sequence.delay_ns if pulse == 0 else sequence.gap_ns
+    max_rate = float(np.max(np.abs(np.diag(generator(system, 1.0)))))
+    dt_ns = min(1.0, 0.1 / max_rate) if max_rate > 0 else 1.0
+    drives = []  # (duration, pump fraction)
+    for off in (sequence.delay_ns, sequence.gap_ns):
+        drives.append((sequence.width_ns, 1.0))
         if off > 0:
-            segments.append((off, 0.0))
-
+            drives.append((off, 0.0))
     propagators: dict[tuple[float, float], np.ndarray] = {}
-    times = [0.0]
-    pops = [
-        np.asarray(system.initial_populations, dtype=float)
-        if system.initial_populations is not None
-        else system.thermal_populations()
-    ]
-    fractions = [0.0]
-    now = 0.0
-    for duration, fraction in segments:
-        n_steps = max(int(math.ceil(duration / dt_ns - 1e-12)), 1)
-        step = duration / n_steps
+    segments = []
+    for duration, fraction in drives:
+        count = max(int(math.ceil(duration / dt_ns - 1e-12)), 1)
+        step = duration / count
         key = (step, fraction)
         if key not in propagators:
             propagators[key] = sla.expm(generator(system, fraction) * step)
-        prop = propagators[key]
+        segments.append((step, count, propagators[key]))
+    return segments
+
+
+def _sample_times(segments) -> np.ndarray:
+    """Sample times from t = 0, accumulated step by step in sequence order."""
+    steps = [np.full(count, step) for step, count, _ in segments]
+    return np.cumsum(np.concatenate([[0.0], *steps]))
+
+
+def simulate_sequence(
+    system: LevelSystem, sequence: PulseSequence
+) -> FluorescenceTrace:
+    """Step the rate equations sample by sample over the two-pulse sequence.
+
+    Each constant-drive segment advances with its cached exact one-step
+    propagator.  The stepped trace serves trace dumps and is the reference
+    for the closed-form window sums of ``extract_peak_ratio``.
+    """
+    segments = _segments(system, sequence)
+    pops = [_initial_populations(system)]
+    for _, count, prop in segments:
         p = pops[-1]
-        for _ in range(n_steps):
+        for _ in range(count):
             p = prop @ p
-            now += step
-            times.append(now)
             pops.append(p)
-            fractions.append(fraction)
-
     populations = np.stack(pops)
-    drift = np.abs(populations.sum(axis=1) - 1.0)
-    if np.max(drift) > CONSERVATION_TOL:
-        raise NumericalError(
-            f"population conservation violated by {np.max(drift):.2e}"
-        )
+    _check_conservation(populations)
     signal = system.gamma_opt_mhz * np.clip(populations[:, 2], 0.0, None)
-    return FluorescenceTrace(np.asarray(times), signal, populations)
+    return FluorescenceTrace(_sample_times(segments), signal, populations)
 
 
-def _window_mean(trace: FluorescenceTrace, start: float, stop: float) -> float:
-    mask = (trace.times_ns >= start - 1e-9) & (trace.times_ns <= stop + 1e-9)
-    if not mask.any():
-        raise ExtractionError(
-            f"no samples inside the window [{start:.1f}, {stop:.1f}] ns"
-        )
-    return float(trace.signal[mask].mean())
+def _window_populations(
+    system: LevelSystem, sequence: PulseSequence, windows
+) -> np.ndarray:
+    """Mean populations over the samples of each (start, stop) window.
 
+    The samples are those of ``simulate_sequence`` that lie within 1e-9 ns
+    of the window.  Segment s holds P^j q_s for j = 1..n_s after its start
+    state q_s, and the first segment also holds the t = 0 sample (j = 0).
+    Samples j0..j0+L-1 of a segment sum to S(L) P^j0 q_s, where
+    S(L) = sum_{m<L} P^m is the upper-right block of [[P, I], [0, I]]^L.
+    """
+    segments = _segments(system, sequence)
+    times = _sample_times(segments)
+    states = [_initial_populations(system)]
+    for _, count, prop in segments:
+        states.append(np.linalg.matrix_power(prop, count) @ states[-1])
+    _check_conservation(np.stack(states))
 
-def _detect_pulses(trace: FluorescenceTrace) -> tuple[tuple[float, float], ...]:
-    """Hysteresis edge detection: pulses rise through 50% of the signal
-    range and are considered over once the signal falls to the dark level
-    (2% of range), which survives the in-pulse decay toward the low
-    stationary fluorescence."""
-    signal = trace.signal
-    lo, hi = float(signal.min()), float(signal.max())
-    if hi <= lo:
-        raise ExtractionError("flat trace; no pulses to detect")
-    high = lo + 0.5 * (hi - lo)
-    low = lo + 0.02 * (hi - lo)
-    bounds = []
-    inside = False
-    start = 0
-    for i, value in enumerate(signal):
-        if not inside and value > high:
-            inside = True
-            start = i
-        elif inside and value < low:
-            inside = False
-            bounds.append((start, i))
-    if inside:
-        bounds.append((start, signal.size - 1))
-    if len(bounds) != 2:
-        raise ExtractionError(
-            f"expected 2 pulses, detected {len(bounds)}"
-        )
-    t = trace.times_ns
-    return tuple((float(t[a]), float(t[b])) for a, b in bounds)
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    means = []
+    for start, stop in windows:
+        first = int(np.searchsorted(times, start - 1e-9, side="left"))
+        last = int(np.searchsorted(times, stop + 1e-9, side="right")) - 1
+        if last < first:
+            raise ExtractionError(
+                f"no samples inside the window [{start:.1f}, {stop:.1f}] ns"
+            )
+        total = np.zeros(3)
+        origin = 0  # index of the sample each segment starts from
+        for (_, count, prop), state in zip(segments, states):
+            lo = max(first, origin + 1 if origin else 0)
+            hi = min(last, origin + count)
+            if lo <= hi:
+                block = np.block([[prop, eye], [zero, eye]])
+                partial = np.linalg.matrix_power(block, hi - lo + 1)[:3, 3:]
+                total += partial @ (
+                    np.linalg.matrix_power(prop, lo - origin) @ state
+                )
+            origin += count
+        means.append(total / (last - first + 1))
+    means = np.stack(means)
+    _check_conservation(means)
+    return means
 
 
 def extract_peak_ratio(
-    trace: FluorescenceTrace,
+    system: LevelSystem,
+    sequence: PulseSequence,
     window_ns: float = 10.0,
-    sequence: PulseSequence | None = None,
     settle_ns: float = 5.0,
 ) -> float:
     """Baseline-subtracted ratio of the two leading-edge fluorescence peaks.
@@ -267,41 +254,29 @@ def extract_peak_ratio(
     optical lifetimes) so the turn-on rise, which is not proportional to
     the recovered population, has settled; the slower in-pulse decay then
     cancels between the two pulses.
+
+    Each window mean averages the samples that ``simulate_sequence`` takes
+    inside it, summed in closed form per segment, so no trace is stepped.
     """
     if window_ns <= 0 or settle_ns < 0:
         raise InvalidParameterError("window must be positive and settle >= 0")
-    if sequence is not None:
-        width = sequence.width_ns
-        bounds = [
-            (start, start + width) for start in sequence.pulse_starts()
-        ]
-        trailing_guard = 0.0
-    else:
-        bounds = list(_detect_pulses(trace))
-        # A detected pulse end sits a few ns into the dark decay; back the
-        # stationary window off by one window width to stay inside the pulse.
-        trailing_guard = window_ns
-    if any(
-        stop - start < settle_ns + 2 * window_ns + trailing_guard
-        for start, stop in bounds
-    ):
+    bounds = [
+        (start, start + sequence.width_ns) for start in sequence.pulse_starts()
+    ]
+    if any(stop - start < settle_ns + 2 * window_ns for start, stop in bounds):
         raise ExtractionError("pulses are too short for the chosen window")
-    levels = []
+    windows = []
     for start, stop in bounds:
-        peak = _window_mean(
-            trace, start + settle_ns, start + settle_ns + window_ns
-        )
-        stationary = _window_mean(
-            trace, stop - trailing_guard - window_ns, stop - trailing_guard
-        )
-        levels.append((peak, stationary))
-    (peak1, stat1), (peak2, stat2) = levels
+        windows.append((start + settle_ns, start + settle_ns + window_ns))
+        windows.append((stop - window_ns, stop))
+    means = _window_populations(system, sequence, windows)
+    peak1, stat1, peak2, stat2 = system.gamma_opt_mhz * means[:, 2]
     denom = peak1 - stat1
     if denom <= 0:
         raise ExtractionError(
             "first pulse shows no leading-edge transient; cannot normalize"
         )
-    return (peak2 - stat2) / denom
+    return float((peak2 - stat2) / denom)
 
 
 def thermalization_curve(
@@ -312,7 +287,11 @@ def thermalization_curve(
     noise: float = 0.0,
     seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recovery ratio versus pump-probe delay, with optional shot noise."""
+    """Recovery ratio versus pump-probe delay, with optional shot noise.
+
+    Each delay's ratio is ``extract_peak_ratio`` on a two-pulse sequence of
+    pulse width ``width_ns``; the noise is Gaussian, added to the ratios.
+    """
     taus = np.asarray(taus_ns, dtype=float)
     if taus.size == 0:
         raise InvalidParameterError("need at least one delay")
@@ -321,8 +300,7 @@ def thermalization_curve(
     ratios = np.empty(taus.size)
     for i, tau in enumerate(taus):
         sequence = PulseSequence(delay_ns=float(tau), width_ns=width_ns)
-        trace = simulate_sequence(system, sequence)
-        ratios[i] = extract_peak_ratio(trace, window_ns, sequence)
+        ratios[i] = extract_peak_ratio(system, sequence, window_ns)
     if noise > 0:
         rng = np.random.default_rng(seed)
         ratios = ratios + rng.normal(0.0, noise, ratios.size)

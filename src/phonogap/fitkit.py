@@ -355,7 +355,9 @@ def _conic_to_geometry(coeffs: np.ndarray) -> tuple[float, float, float, float, 
     return float(cx), float(cy), semi_x, semi_y, float(angle)
 
 
-def _ellipse_distances(pts: np.ndarray, geom: np.ndarray) -> np.ndarray:
+def _ellipse_foot(pts: np.ndarray, geom: np.ndarray):
+    """Each point in the ellipse frame, (u, v), and the parameter t of its
+    nearest ellipse point (ax cos t, ay sin t)."""
     cx, cy, ax, ay, phi = geom
     cos_p, sin_p = math.cos(phi), math.sin(phi)
     u = (pts[:, 0] - cx) * cos_p + (pts[:, 1] - cy) * sin_p
@@ -374,8 +376,35 @@ def _ellipse_distances(pts: np.ndarray, geom: np.ndarray) -> np.ndarray:
         t = t - delta
         if np.max(np.abs(delta)) < 1e-14:
             break
+    return u, v, t
+
+
+def _ellipse_distances(pts: np.ndarray, geom: np.ndarray) -> np.ndarray:
+    u, v, t = _ellipse_foot(pts, geom)
+    return np.hypot(geom[2] * np.cos(t) - u, geom[3] * np.sin(t) - v)
+
+
+def _ellipse_jacobian(pts: np.ndarray, geom: np.ndarray) -> np.ndarray:
+    """Derivatives of the orthogonal distances by (cx, cy, ax, ay, phi).
+
+    The foot point is stationary in t, so each derivative is the unit normal
+    n = (E(t) - (u, v)) / d dotted with the derivative of E(t) - (u, v) at
+    fixed t.  A point on the ellipse (d = 0) has no normal and a zero row.
+    """
+    u, v, t = _ellipse_foot(pts, geom)
     ct, st = np.cos(t), np.sin(t)
-    return np.hypot(ax * ct - u, ay * st - v)
+    rx, ry = geom[2] * ct - u, geom[3] * st - v
+    d = np.hypot(rx, ry)
+    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    nx, ny = rx * inv_d, ry * inv_d
+    cos_p, sin_p = math.cos(geom[4]), math.sin(geom[4])
+    return np.stack([
+        nx * cos_p - ny * sin_p,
+        nx * sin_p + ny * cos_p,
+        nx * ct,
+        ny * st,
+        ny * u - nx * v,
+    ], axis=1)
 
 
 def fit_ellipse(points) -> EllipseFit:
@@ -390,23 +419,9 @@ def fit_ellipse(points) -> EllipseFit:
             return np.full(pts.shape[0], np.inf)
         return _ellipse_distances(pts, g)
 
-    # Central differences, with steps fixed by the initial geometry.
-    h = 1e-6 * np.maximum(np.abs(geom), 1e-6)
-
-    def jacobian(g):
-        jac = np.empty((pts.shape[0], 5))
-        for j in range(5):
-            plus, minus = g.copy(), g.copy()
-            plus[j] += h[j]
-            minus[j] -= h[j]
-            jac[:, j] = (
-                _ellipse_distances(pts, plus) - _ellipse_distances(pts, minus)
-            ) / (2.0 * h[j])
-        return jac
-
     # A stall or the iteration cap still leaves the best geometry found.
     best, best_val, _, _ = _levenberg_marquardt(
-        distances, jacobian, geom, MAX_ITERATIONS
+        distances, lambda g: _ellipse_jacobian(pts, g), geom, MAX_ITERATIONS
     )
 
     cx, cy, ax, ay, phi = best

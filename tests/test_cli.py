@@ -593,6 +593,16 @@ class TestFitGeom:
             "fit-geom", "--manifest", str(manifest), "--out-dir", str(tmp_path),
         ]) == 2
 
+    @pytest.mark.parametrize("entry", ["a.csv", ["a.csv", "block"],
+                                       {"path": 5, "role": "block"}])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, entry):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"contours": [entry]}))
+        assert cli.main([
+            "fit-geom", "--manifest", str(manifest), "--out-dir", str(tmp_path),
+        ]) == 2
+        assert "each contour needs a path and a role" in capsys.readouterr().err
+
     def test_missing_contour_file_exits_2(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(

@@ -180,6 +180,21 @@ class TestEllipse:
         mean_err = np.mean(errors, axis=0)
         assert np.all(mean_err < 3.0 / math.sqrt(60.0))
 
+    def test_analytic_jacobian_matches_central_differences(self):
+        pts = ellipse_points(12.0, -7.0, 47.85, 44.95, 0.3)
+        pts = pts + np.random.default_rng(11).normal(0.0, 1.0, pts.shape)
+        geom = np.array([11.5, -6.8, 48.3, 44.1, 0.35])
+        jac = fitkit._ellipse_jacobian(pts, geom)
+        fd = np.empty_like(jac)
+        for j in range(geom.size):
+            h = 1e-6 * max(abs(geom[j]), 1.0)
+            plus, minus = geom.copy(), geom.copy()
+            plus[j] += h
+            minus[j] -= h
+            fd[:, j] = (fitkit._ellipse_distances(pts, plus)
+                        - fitkit._ellipse_distances(pts, minus)) / (2 * h)
+        assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(fd))
+
     def test_collinear_points_rejected(self):
         x = np.linspace(0.0, 10.0, 8)
         with pytest.raises(FitError):

@@ -1,6 +1,8 @@
-"""Every example script still imports and parses its arguments."""
+"""Every example script still imports and parses its arguments, and the
+pump-probe demo round-trips a lifetime end to end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,15 +17,26 @@ def test_scripts_exist():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_help_exits_0(script):
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    done = subprocess.run(
-        [sys.executable, str(script), "--help"],
+    return subprocess.run(
+        [sys.executable, str(script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_help_exits_0(script):
+    done = run_script(script, "--help")
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def test_pump_probe_demo_recovers_lifetime():
+    done = run_script(ROOT / "scripts" / "pump_probe_demo.py", "--noise", "0")
+    assert done.returncode == 0, done.stderr
+    fitted = float(re.search(r"fitted\s+T1 = ([0-9.]+)", done.stdout).group(1))
+    assert abs(fitted - 34.0) / 34.0 < 0.03
