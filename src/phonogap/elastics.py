@@ -2,9 +2,18 @@
 
 Builds sparse stiffness/mass matrices for trilinear hexahedra with a 2x2x2
 Gauss rule, applies the Bloch phase by eliminating the slave periodic face,
-and solves the reduced Hermitian generalized eigenproblem for the lowest
-bands.  Mode shapes are classified by parity under the two transverse mirror
-planes of the structure.
+and solves the reduced generalized eigenproblem for the lowest bands.  Mode
+shapes are classified by parity under the two transverse mirror planes of
+the structure.
+
+The reduced Bloch pencil is Hermitian, but the cell is also invariant under
+the axial mirror X (x -> period - x).  X maps a Bloch wave at k to one at -k
+and complex conjugation maps it back, so T = X o conj is an antiunitary
+symmetry at every k with T^2 = 1.  In a basis of T-invariant vectors the
+pencil is real symmetric (Wigner's time-reversal argument), which buys a
+real LU and ARPACK's symmetric Lanczos driver.  ``make_bloch_problem``
+returns the pencil in that basis; ``bloch_basis`` and ``reduce_bloch`` give
+the plain complex form it is built from.
 """
 
 from __future__ import annotations
@@ -29,6 +38,26 @@ FREQ_FLOOR_RAD2 = (2 * math.pi * 1e-3 * GHZ) ** 2
 
 #: Largest entry of |V^H M V - I| accepted for a mass-orthonormal basis.
 MASS_ORTHONORMAL_TOL = 1e-8
+
+#: Largest imaginary part, relative to the whole pencil, that the real form
+#: may drop; more means the cell is not x-mirror symmetric.  Real entries
+#: below it, relative to the largest, are rounding residue and are dropped.
+REAL_FORM_TOL = 1e-12
+
+#: Eigenvalue scale (rad/s)^2 of 1 GHz; residuals of near-zero modes are
+#: measured against it instead of their own vanishing eigenvalue.
+LAMBDA_1GHZ = (2 * math.pi * GHZ) ** 2
+
+#: Modes asked of ARPACK beyond the ones kept: its highest Ritz pairs are
+#: the least converged, so they are dropped.
+ARPACK_GUARD_MODES = 6
+
+#: Largest relative residual |K v - lam M v| / (max(lam, LAMBDA_1GHZ) |M v|)
+#: accepted for a mode from ARPACK; a looser mode sends the solve dense.
+RESIDUAL_TOL = 1e-3
+
+#: Largest reduced size that a failed sparse solve may repeat densely.
+DENSE_FALLBACK_MAX_DOFS = 6000
 
 
 def assemble(mesh: Mesh, material: Material) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -128,16 +157,86 @@ def reduce_bloch(
 
 @dataclass
 class BlochProblem:
-    """Reduced Hermitian pencil for one axial Bloch wavenumber."""
+    """Reduced real symmetric pencil for one axial Bloch wavenumber."""
 
     k_reduced: float
-    stiffness: sp.csr_matrix  # Hermitian
-    mass: sp.csr_matrix  # Hermitian positive definite
-    basis: sp.csr_matrix  # maps reduced vectors back to full nodal DOFs
+    stiffness: sp.csr_matrix  # real symmetric
+    mass: sp.csr_matrix  # real symmetric positive definite
+    basis: sp.csr_matrix  # complex; maps reduced vectors to full nodal DOFs
 
     @property
     def n_dofs(self) -> int:
         return self.stiffness.shape[0]
+
+
+def _mirror_perm(mesh: Mesh, axis: int, tol_rel: float = 1e-6) -> np.ndarray | None:
+    """Node permutation of the mirror across the mid-plane of ``axis``.
+
+    Each reflected node is matched to the nearest node; None when some
+    match is further than ``tol_rel`` of the cell's largest extent.
+    """
+    coords = mesh.nodes
+    scale = max(mesh.period_m, np.ptp(coords[:, 1]), np.ptp(coords[:, 2]))
+    along = coords[:, axis]
+    flipped = coords.copy()
+    flipped[:, axis] = along.min() + along.max() - along
+    dist, idx = cKDTree(coords).query(flipped)
+    return None if dist.max() > tol_rel * scale else idx
+
+
+def _real_form(mesh: Mesh, basis: sp.csr_matrix) -> sp.csr_matrix:
+    """Unitary Q whose columns are T-invariant reduced vectors.
+
+    In reduced coordinates T is ``v -> T_r conj(v)`` with
+    ``T_r = R X conj(P)``, where P is the Bloch basis, X the signed x-mirror
+    and R keeps the rows of the reduced DOFs.  T_r sends DOF j to one DOF
+    pi(j) times a phase d_j.  A pair (i, pi(i)) gets the columns
+    (e_i + d_i e_pi(i))/sqrt2 and i(e_i - d_i e_pi(i))/sqrt2 in places i and
+    pi(i); a fixed point i gets exp(i arg(d_i)/2) e_i.  With T^2 = 1,
+    ``Q^H A Q`` is real for every Hermitian A that commutes with T.
+    """
+    perm = _mirror_perm(mesh, 0)
+    if perm is None:
+        raise NumericalError(
+            "mesh is not mirror-symmetric along the beam axis; "
+            "the real Bloch form needs it"
+        )
+    n = mesh.n_dofs
+    comp = np.arange(3)
+    mirror = sp.csr_matrix(
+        (
+            np.tile([-1.0, 1.0, 1.0], mesh.n_nodes),
+            ((3 * perm[:, None] + comp).ravel(), np.arange(n)),
+        ),
+        shape=(n, n),
+    )
+    slave = (3 * mesh.slave_nodes[:, None] + comp).ravel()
+    keep = np.setdiff1d(np.arange(n), slave)
+    t_red = (mirror @ basis.conj())[keep].tocsc()
+    m = basis.shape[1]
+    cols = np.arange(m)
+    pi, d = t_red.indices, t_red.data
+    if t_red.nnz != m or np.any(pi[pi] != cols):
+        raise NumericalError(
+            "the x-mirror does not map the Bloch space onto itself; "
+            "the periodic faces do not match the mirror"
+        )
+    first = cols < pi
+    fixed = cols == pi
+    lo, hi, d_lo = cols[first], pi[first], d[first]
+    root_half = math.sqrt(0.5)
+    rows = np.concatenate([lo, hi, lo, hi, cols[fixed]])
+    where = np.concatenate([lo, lo, hi, hi, cols[fixed]])
+    vals = np.concatenate(
+        [
+            np.full(lo.size, root_half, dtype=complex),
+            root_half * d_lo,
+            np.full(lo.size, 1j * root_half),
+            -1j * root_half * d_lo,
+            np.exp(0.5j * np.angle(d[fixed])),
+        ]
+    )
+    return sp.csr_matrix((vals, (rows, where)), shape=(m, m))
 
 
 def make_bloch_problem(
@@ -146,10 +245,44 @@ def make_bloch_problem(
     k_mat: sp.spmatrix,
     m_mat: sp.spmatrix,
 ) -> BlochProblem:
-    """Tie the slave face to the master face at one wavenumber."""
-    basis = bloch_basis(mesh, k_reduced)
-    k_red, m_red = reduce_bloch(k_mat, m_mat, basis)
-    return BlochProblem(k_reduced=k_reduced, stiffness=k_red, mass=m_red, basis=basis)
+    """Tie the slave face to the master face at one wavenumber, in real form.
+
+    The basis is ``P Q``: P is ``bloch_basis(mesh, k_reduced)`` and Q the
+    unitary map onto T-invariant vectors (see ``_real_form``).  The pencil
+    ``Q^H P^H (K, M) P Q``, as ``reduce_bloch`` would give it for ``P Q``,
+    is real up to rounding; its imaginary part is checked against
+    ``REAL_FORM_TOL`` and dropped.  A larger one means that ``k_mat`` or
+    ``m_mat`` break the x-mirror, and raises ``NumericalError``.  Real
+    entries below ``REAL_FORM_TOL`` of the largest are the rounding residue
+    of exact cancellations and are dropped too.  Full-space modes are
+    ``basis @ vectors``, complex Bloch waves as from the plain reduction.
+    """
+    bloch = bloch_basis(mesh, k_reduced)
+    unitary = _real_form(mesh, bloch)
+    bloch_h, unitary_h = bloch.getH().tocsr(), unitary.getH().tocsr()
+    pencil = []
+    for mat in (k_mat, m_mat):
+        mat = (unitary_h @ ((bloch_h @ (mat @ bloch)) @ unitary)).tocsr()
+        drift = np.linalg.norm(mat.data.imag) / np.linalg.norm(mat.data)
+        if drift > REAL_FORM_TOL:
+            raise NumericalError(
+                f"the Bloch pencil is not real in the x-mirror basis "
+                f"(relative imaginary part {drift:.2e}); "
+                "the operators are not x-mirror symmetric"
+            )
+        # Entries that cancel exactly come out as ~1e-15 residue; keeping
+        # them would nearly double the pencil's nonzeros.
+        values = mat.data.real.copy()
+        values[np.abs(values) <= REAL_FORM_TOL * np.abs(values).max()] = 0.0
+        real = sp.csr_matrix((values, mat.indices, mat.indptr), shape=mat.shape)
+        real.eliminate_zeros()
+        pencil.append(real)
+    return BlochProblem(
+        k_reduced=k_reduced,
+        stiffness=pencil[0],
+        mass=pencil[1],
+        basis=(bloch @ unitary).tocsr(),
+    )
 
 
 def _frequencies_ghz(eigvals: np.ndarray) -> np.ndarray:
@@ -194,6 +327,15 @@ def _mass_orthonormalize(
     return vecs
 
 
+def _relative_residuals(
+    k_red: sp.spmatrix, m_red: sp.spmatrix, vals: np.ndarray, vecs: np.ndarray
+) -> np.ndarray:
+    """``|K v - lam M v| / (max(lam, LAMBDA_1GHZ) |M v|)`` per column."""
+    m_vecs = m_red @ vecs
+    resid = np.linalg.norm(k_red @ vecs - m_vecs * vals, axis=0)
+    return resid / (np.maximum(vals, LAMBDA_1GHZ) * np.linalg.norm(m_vecs, axis=0))
+
+
 def solve_reduced(
     k_red: sp.csr_matrix,
     m_red: sp.csr_matrix,
@@ -201,16 +343,22 @@ def solve_reduced(
     *,
     dense_cutoff: int = 600,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest modes of the reduced Hermitian pencil.
+    """Lowest modes of a reduced symmetric (real) or Hermitian pencil.
 
-    Returns ``(frequencies_ghz, vectors)`` with mass-orthonormal columns
-    (``max|V^H M V - I| <= MASS_ORTHONORMAL_TOL``).  Uses shift-invert
-    Lanczos with a deterministic start vector and falls back to a dense
-    solve for small systems or when ARPACK stalls.  ARPACK's Ritz vectors
+    Returns ``(frequencies_ghz, vectors)`` in the space of the arguments,
+    real for a real pencil, with mass-orthonormal columns
+    (``max|V^H M V - I| <= MASS_ORTHONORMAL_TOL``).  Small systems are
+    solved densely.  Larger ones use shift-invert Lanczos (for a real pencil
+    a real LU and ARPACK's symmetric driver) with a deterministic start
+    vector; it is asked for ``ARPACK_GUARD_MODES`` more modes than kept,
+    since its highest Ritz pairs are the loosest.  ARPACK's Ritz vectors
     for a degenerate cluster (the four rigid-body modes at k = 0) need not
     be mass-orthogonal to one another, so they are re-based through the
     Cholesky factor of their mass Gram matrix; the eigenvalues are kept as
-    ARPACK returned them.  If that re-basing fails, the dense solve is used.
+    ARPACK returned them.  Every kept mode must then have a relative
+    residual of at most ``RESIDUAL_TOL``.  If ARPACK stalls, the re-basing
+    fails or a residual is too large, the dense solve is used, up to
+    ``DENSE_FALLBACK_MAX_DOFS``; above that ``NumericalError`` is raised.
     """
     n = k_red.shape[0]
     if not 1 <= n_modes <= n:
@@ -219,7 +367,7 @@ def solve_reduced(
         )
 
     def dense_solve(reason: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-        if reason is not None and n > 6000:
+        if reason is not None and n > DENSE_FALLBACK_MAX_DOFS:
             raise NumericalError(
                 f"{reason} on a {n}-DOF system too large for the dense fallback"
             )
@@ -233,13 +381,12 @@ def solve_reduced(
     else:
         # A slightly negative shift keeps the factorization well defined
         # when rigid-body modes make K singular at k = 0.
-        sigma = -((2 * math.pi * GHZ) ** 2)
-        rng = np.random.default_rng(_EIGSH_SEED)
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sigma = -LAMBDA_1GHZ
+        v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
         try:
             vals, vecs = eigsh(
                 k_red,
-                k=n_modes,
+                k=min(n_modes + ARPACK_GUARD_MODES, n - 1),
                 M=m_red,
                 sigma=sigma,
                 which="LM",
@@ -248,13 +395,20 @@ def solve_reduced(
         except ArpackNoConvergence:
             vals, vecs = dense_solve("ARPACK failed to converge")
         else:
-            order = np.argsort(vals)
+            order = np.argsort(vals)[:n_modes]
             vals, vecs = vals[order], vecs[:, order]
             vecs = _mass_orthonormalize(vecs, m_red)
             if vecs is None:
                 vals, vecs = dense_solve(
                     "ARPACK returned vectors that cannot be mass-orthonormalized"
                 )
+            else:
+                worst = _relative_residuals(k_red, m_red, vals, vecs).max()
+                if worst > RESIDUAL_TOL:
+                    vals, vecs = dense_solve(
+                        f"ARPACK returned a mode with relative residual "
+                        f"{worst:.2e} > {RESIDUAL_TOL:g}"
+                    )
     return _frequencies_ghz(vals), vecs
 
 
@@ -282,28 +436,21 @@ def solve_bands(
 class ReflectionMaps:
     """Node permutations realizing the transverse mirror symmetries."""
 
-    perm_y: np.ndarray  # y -> -y
+    perm_y: np.ndarray  # y -> y_mid - (y - y_mid), y_mid = 0
     perm_z: np.ndarray  # z -> z_mid - (z - z_mid)
 
 
 def reflection_maps(mesh: Mesh, tol_rel: float = 1e-6) -> ReflectionMaps:
     """Match every node to its mirror partner; error if the mesh is asymmetric."""
-    coords = mesh.nodes
-    scale = max(mesh.period_m, np.ptp(coords[:, 1]), np.ptp(coords[:, 2]))
-    tree = cKDTree(coords)
     perms = []
-    z_mid = 0.5 * (coords[:, 2].min() + coords[:, 2].max())
-    for axis, flipped in (
-        (1, coords * np.array([1.0, -1.0, 1.0])),
-        (2, np.column_stack([coords[:, 0], coords[:, 1], 2 * z_mid - coords[:, 2]])),
-    ):
-        dist, idx = tree.query(flipped)
-        if dist.max() > tol_rel * scale:
+    for axis in (1, 2):
+        perm = _mirror_perm(mesh, axis, tol_rel)
+        if perm is None:
             raise ClassificationError(
                 f"mesh is not mirror-symmetric about axis {axis}; "
                 "parity classification is unsupported"
             )
-        perms.append(idx)
+        perms.append(perm)
     return ReflectionMaps(perm_y=perms[0], perm_z=perms[1])
 
 

@@ -130,18 +130,17 @@ class UnitCellParams:
 
 @dataclass(frozen=True)
 class Material:
-    """Cubic elastic medium (GPa / kg m^-3) with optional crystal rotation.
+    """Cubic elastic medium (GPa, kg m^-3) aligned with the device axes.
 
     The default values are the standard single-crystal diamond constants.
-    ``rotation`` maps crystal axes to device axes; ``None`` means the cubic
-    axes coincide with the device axes.
+    The cubic symmetry keeps the three device mirrors, which the real Bloch
+    form and the parity labels rely on.
     """
 
     c11_gpa: float = 1079.0
     c12_gpa: float = 124.0
     c44_gpa: float = 578.0
     rho_kgm3: float = 3515.0
-    rotation: tuple | None = None
 
     def validate(self) -> None:
         c11, c12, c44 = self.c11_gpa, self.c12_gpa, self.c44_gpa
@@ -153,10 +152,6 @@ class Material:
                 "cubic stiffness constants do not define a stable material: "
                 f"C11={c11}, C12={c12}, C44={c44}"
             )
-        if self.rotation is not None:
-            rot = np.asarray(self.rotation, dtype=float)
-            if rot.shape != (3, 3) or not np.allclose(rot @ rot.T, np.eye(3), atol=1e-10):
-                raise InvalidParameterError("rotation must be a 3x3 orthogonal matrix")
 
     def stiffness_voigt_pa(self) -> np.ndarray:
         """6x6 stiffness in Pa, Voigt order (xx, yy, zz, yz, xz, xy)."""
@@ -167,27 +162,10 @@ class Material:
         c[:3, :3] = c12
         np.fill_diagonal(c[:3, :3], c11)
         c[3, 3] = c[4, 4] = c[5, 5] = c44
-        if self.rotation is not None:
-            m = _bond_matrix(np.asarray(self.rotation, dtype=float))
-            c = m @ c @ m.T
         return c
 
 
 DIAMOND = Material()
-
-
-def _bond_matrix(a: np.ndarray) -> np.ndarray:
-    """Bond stress-transformation matrix for a 3x3 rotation ``a``."""
-    m = np.empty((6, 6))
-    # Pairs of tensor indices for Voigt positions (xx, yy, zz, yz, xz, xy).
-    pairs = [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
-    for p, (i, j) in enumerate(pairs):
-        for q, (k, l) in enumerate(pairs):
-            if q < 3:
-                m[p, q] = a[i, k] * a[j, k]
-            else:
-                m[p, q] = a[i, k] * a[j, l] + a[i, l] * a[j, k]
-    return m
 
 
 class FilletArc(NamedTuple):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from phonogap import dynamics, fitkit, rates
 from phonogap.dynamics import LevelSystem, PulseSequence
-from phonogap.errors import ExtractionError, InvalidParameterError
+from phonogap.errors import ExtractionError, InvalidParameterError, NumericalError
 
 
 def bath_system(t1_ns, up_fraction=0.3, **kwargs):
@@ -164,6 +164,32 @@ class TestSimulateSequence:
             system, PulseSequence(delay_ns=tau)
         )
         assert np.max(np.abs(trace.populations.sum(axis=1) - 1.0)) < 1e-9
+
+    @staticmethod
+    def leaky_propagator(leak):
+        # Moves ``leak`` of |2> into the excited state per step; the columns
+        # still sum to one, so population conservation cannot see a
+        # negative ``leak`` drive p_e below zero.
+        return np.array(
+            [[1.0, 0.0, 0.0], [0.0, 1.0 - leak, 0.0], [0.0, leak, 1.0]]
+        )
+
+    def test_negative_excited_population_raises(self, monkeypatch):
+        prop = self.leaky_propagator(-1e-6)
+        monkeypatch.setattr(dynamics, "_segments",
+                            lambda system, sequence: [(1.0, 3, prop)])
+        system = LevelSystem(initial_populations=(0.5, 0.5, 0.0))
+        with pytest.raises(NumericalError, match="went negative"):
+            dynamics.simulate_sequence(system, PulseSequence(delay_ns=10.0))
+
+    def test_round_off_below_zero_is_clipped(self, monkeypatch):
+        prop = self.leaky_propagator(-2e-16)
+        monkeypatch.setattr(dynamics, "_segments",
+                            lambda system, sequence: [(1.0, 1, prop)])
+        system = LevelSystem(initial_populations=(0.5, 0.5, 0.0))
+        trace = dynamics.simulate_sequence(system, PulseSequence(delay_ns=10.0))
+        assert trace.populations[1, 2] == pytest.approx(-1e-16, rel=1e-6)
+        np.testing.assert_array_equal(trace.signal, [0.0, 0.0])
 
 
 class TestExtractPeakRatio:

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from phonogap import elastics
 from phonogap.elastics import (
@@ -342,6 +343,173 @@ class TestBlochReduction:
         first = solve_bands(problem, 12)[0]
         second = solve_bands(problem, 12)[0]
         np.testing.assert_array_equal(first, second)
+
+
+def dense_frequencies_ghz(k_red, m_red, n_modes):
+    vals = eigh(k_red.toarray(), m_red.toarray(), eigvals_only=True,
+                subset_by_index=[0, n_modes - 1])
+    return np.sqrt(np.clip(vals, 0.0, None)) / (2.0 * math.pi * 1e9)
+
+
+def relative_errors(freqs, ref):
+    """Frequency errors on the 1 GHz floor of the benchmark's dense check.
+
+    They are taken on the eigenvalues, |f^2 - ref^2| / (2 max(ref, 1)^2),
+    which is |f - ref| / ref to first order above 1 GHz.  Below it a dense
+    solve is only good to an absolute eigenvalue error (~ eps times the
+    largest eigenvalue), which a frequency error blows up as f -> 0.  Modes
+    under 1 MHz on both sides are numerical zeros (``FREQ_FLOOR_RAD2``).
+    """
+    err = np.abs(freqs**2 - ref**2) / (2.0 * np.maximum(ref, 1.0) ** 2)
+    err[(freqs < 1e-3) & (ref < 1e-3)] = 0.0
+    return err
+
+
+@pytest.fixture(scope="module")
+def bench_cell():
+    mesh = build_unit_cell_mesh(UnitCellParams(), (10, 8, 4))
+    k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
+    return mesh, k_mat, m_mat
+
+
+class TestRealForm:
+    """``make_bloch_problem`` returns the real form of the complex pencil.
+
+    The benchmark's dense reference solves ``problem.stiffness/.mass`` and
+    its tracer reads ``solve_reduced``'s vectors in the space of its
+    arguments, so both are held here.
+    """
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 0.7021, 1.0])
+    def test_real_pencil_matches_complex_reduction(self, bench_cell, k):
+        # Dense eigh of the real pencil, and the whole sparse path (guard
+        # modes and postconditions included), against dense eigh of the
+        # complex pencil.
+        mesh, k_mat, m_mat = bench_cell
+        problem = make_bloch_problem(mesh, k, k_mat, m_mat)
+        assert problem.stiffness.dtype == np.float64
+        assert problem.mass.dtype == np.float64
+        ref = dense_frequencies_ghz(
+            *reduce_bloch(k_mat, m_mat, bloch_basis(mesh, k)), 26
+        )
+        real = dense_frequencies_ghz(problem.stiffness, problem.mass, 26)
+        assert relative_errors(real, ref).max() < 1e-9
+        published, _ = solve_bands(problem, 26)
+        assert relative_errors(published, ref).max() < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.floats(-1.0, 1.0))
+    def test_real_pencil_matches_complex_reduction_any_k(self, small_cell, k):
+        mesh, k_mat, m_mat = small_cell
+        problem = make_bloch_problem(mesh, k, k_mat, m_mat)
+        ref = dense_frequencies_ghz(
+            *reduce_bloch(k_mat, m_mat, bloch_basis(mesh, k)), 20
+        )
+        real = dense_frequencies_ghz(problem.stiffness, problem.mass, 20)
+        assert relative_errors(real, ref).max() < 1e-9
+        # The basis is unitary on the Bloch space: it carries the complex
+        # pencil into the real one.
+        k_back, m_back = reduce_bloch(k_mat, m_mat, problem.basis)
+        assert spla.norm(k_back.real - problem.stiffness) <= 1e-12 * spla.norm(k_back)
+        assert spla.norm(m_back.real - problem.mass) <= 1e-12 * spla.norm(m_back)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_solve_reduced_vectors_live_in_argument_space(self, small_cell,
+                                                          real):
+        mesh, k_mat, m_mat = small_cell
+        if real:
+            problem = make_bloch_problem(mesh, 0.41, k_mat, m_mat)
+            k_red, m_red = problem.stiffness, problem.mass
+        else:
+            k_red, m_red = reduce_bloch(k_mat, m_mat, bloch_basis(mesh, 0.41))
+        freqs, vecs = elastics.solve_reduced(k_red, m_red, 8, dense_cutoff=0)
+        assert vecs.shape == (k_red.shape[0], 8)
+        assert np.iscomplexobj(vecs) != real
+        gram = vecs.conj().T @ (m_red @ vecs)
+        np.testing.assert_allclose(gram, np.eye(8), atol=elastics.MASS_ORTHONORMAL_TOL)
+        lam = (2.0 * math.pi * 1e9 * freqs) ** 2
+        resid = elastics._relative_residuals(k_red, m_red, lam, vecs)
+        assert resid.max() < 1e-6
+
+    def test_real_modes_expand_to_bloch_waves(self, small_cell):
+        # Real reduced vectors expand through the complex basis to full
+        # fields that obey the Bloch phase between the periodic faces.
+        mesh, k_mat, m_mat = small_cell
+        k = 0.37
+        freqs, modes = solve_bands(make_bloch_problem(mesh, k, k_mat, m_mat), 6)
+        slave = (3 * mesh.slave_nodes[:, None] + np.arange(3)).ravel()
+        master = (3 * mesh.master_nodes[:, None] + np.arange(3)).ravel()
+        np.testing.assert_allclose(
+            modes[slave], np.exp(1j * math.pi * k) * modes[master], atol=1e-12
+        )
+        gram = modes.conj().T @ (m_mat @ modes)
+        np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
+
+    def test_x_asymmetric_stiffness_rejected(self, small_cell):
+        # One stiffened DOF off the x mid-plane breaks the x-mirror: the
+        # projected pencil keeps an imaginary part that must not be dropped.
+        mesh, k_mat, m_mat = small_cell
+        nx, ny, nz = mesh.grid_shape
+        dof = 3 * (ny + 1) * (nz + 1) + 1  # uy of a node in the first x layer
+        lumpy = k_mat.tolil()
+        lumpy[dof, dof] += 1e-6 * abs(k_mat.diagonal()).max()
+        with pytest.raises(NumericalError, match="not real"):
+            make_bloch_problem(mesh, 0.3, lumpy.tocsr(), m_mat)
+
+    def test_x_asymmetric_mesh_rejected(self, small_cell):
+        mesh, k_mat, m_mat = small_cell
+        nodes = mesh.nodes.copy()
+        nodes[mesh.grid_shape[2] + 3, 0] += 0.05 * mesh.period_m / mesh.grid_shape[0]
+        crooked = Mesh(nodes=nodes, elements=mesh.elements,
+                       master_nodes=mesh.master_nodes,
+                       slave_nodes=mesh.slave_nodes, period_m=mesh.period_m,
+                       grid_shape=mesh.grid_shape)
+        with pytest.raises(NumericalError, match="mirror-symmetric"):
+            make_bloch_problem(crooked, 0.3, k_mat, m_mat)
+
+
+class TestArpackGuard:
+    @staticmethod
+    def loosen_top_mode(monkeypatch, real_eigsh):
+        # The highest kept mode comes back with its eigenvalue 1% off.
+        def loose_eigsh(*args, **kwargs):
+            vals, vecs = real_eigsh(*args, **kwargs)
+            top = np.argsort(vals)[kwargs["k"] - elastics.ARPACK_GUARD_MODES - 1]
+            vals = vals.copy()
+            vals[top] *= 1.01
+            return vals, vecs
+
+        monkeypatch.setattr(elastics, "eigsh", loose_eigsh)
+
+    def test_loose_top_mode_takes_dense_path(self, small_cell, monkeypatch):
+        mesh, k_mat, m_mat = small_cell
+        problem = make_bloch_problem(mesh, 0.3, k_mat, m_mat)
+        dense = elastics.solve_reduced(problem.stiffness, problem.mass, 6,
+                                       dense_cutoff=10_000)[0]
+        self.loosen_top_mode(monkeypatch, elastics.eigsh)
+        freqs, vecs = elastics.solve_reduced(
+            problem.stiffness, problem.mass, 6, dense_cutoff=0
+        )
+        np.testing.assert_array_equal(freqs, dense)
+        gram = vecs.T @ (problem.mass @ vecs)
+        np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
+
+    def test_loose_top_mode_too_large_for_dense_raises(self, monkeypatch):
+        n = elastics.DENSE_FALLBACK_MAX_DOFS + 1
+        lam = elastics.LAMBDA_1GHZ * np.arange(1.0, n + 1.0) ** 2
+        k_red = sp.diags(lam, format="csr")
+        m_red = sp.identity(n, format="csr")
+
+        def exact_eigsh(k_red, k, **_):
+            return lam[:k].copy(), np.eye(n, k)
+
+        self.loosen_top_mode(monkeypatch, exact_eigsh)
+        with pytest.raises(NumericalError, match="residual"):
+            elastics.solve_reduced(k_red, m_red, 2, dense_cutoff=0)
+        # The same exact modes unloosened pass the postcondition.
+        monkeypatch.setattr(elastics, "eigsh", exact_eigsh)
+        freqs, _ = elastics.solve_reduced(k_red, m_red, 2, dense_cutoff=0)
+        np.testing.assert_allclose(freqs, [1.0, 2.0])
 
 
 class TestParity:

@@ -149,16 +149,6 @@ class TestMaterial:
         np.testing.assert_allclose(c, c.T, atol=1e-3)
         assert np.linalg.eigvalsh(c).min() > 0
 
-    def test_identity_rotation_changes_nothing(self):
-        rotated = Material(rotation=np.eye(3))
-        np.testing.assert_allclose(
-            rotated.stiffness_voigt_pa(), DIAMOND.stiffness_voigt_pa(), rtol=1e-15
-        )
-
-    def test_rotation_must_be_orthogonal(self):
-        with pytest.raises(InvalidParameterError):
-            Material(rotation=np.diag([1.0, 2.0, 1.0])).validate()
-
     def test_rejects_unstable_constants(self):
         with pytest.raises(InvalidParameterError):
             Material(c11_gpa=100.0, c12_gpa=124.0).validate()
@@ -166,18 +156,6 @@ class TestMaterial:
             Material(c44_gpa=-5.0).validate()
         with pytest.raises(InvalidParameterError):
             Material(rho_kgm3=0.0).validate()
-
-    def test_young_modulus_after_45_degree_rotation(self):
-        # Oracle: for a cubic crystal, 1/E along [uvw] is
-        # S11 - 2*(S11 - S12 - S44/2)*(l^2 m^2 + m^2 n^2 + n^2 l^2) with S the
-        # compliance matrix.  For [110], the direction factor is 1/4.
-        s = np.linalg.inv(DIAMOND.stiffness_voigt_pa())
-        e_110 = 1.0 / (s[0, 0] - (s[0, 0] - s[0, 1] - s[3, 3] / 2.0) / 2.0)
-
-        c = math.cos(math.pi / 4.0)
-        rot = np.array([[c, c, 0.0], [-c, c, 0.0], [0.0, 0.0, 1.0]])
-        s_rot = np.linalg.inv(Material(rotation=rot).stiffness_voigt_pa())
-        assert 1.0 / s_rot[0, 0] == pytest.approx(e_110, rel=1e-10)
 
 
 class TestMesh:

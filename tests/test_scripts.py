@@ -39,4 +39,7 @@ def test_pump_probe_demo_recovers_lifetime():
     done = run_script(ROOT / "scripts" / "pump_probe_demo.py", "--noise", "0")
     assert done.returncode == 0, done.stderr
     fitted = float(re.search(r"fitted\s+T1 = ([0-9.]+)", done.stdout).group(1))
-    assert abs(fitted - 34.0) / 34.0 < 0.03
+    # The noiseless fit is pinned to its known value, 34.67 ns for a true
+    # 34 ns: the 5 ns settle window biases every extracted ratio (see
+    # ``extract_peak_ratio``), and any drift of the extraction shows here.
+    assert abs(fitted - 34.67) <= 0.05
