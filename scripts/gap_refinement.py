@@ -27,9 +27,7 @@ LADDER = ((8, 6, 4), (10, 8, 4), (13, 10, 5), (16, 12, 6))
 def run_level(params, resolution, n_kpoints, n_modes):
     mesh = build_unit_cell_mesh(params, resolution)
     start = time.perf_counter()
-    bands = band_diagram(
-        mesh, DIAMOND, default_k_path(n_kpoints), n_modes, classify=False
-    )
+    bands = band_diagram(mesh, DIAMOND, default_k_path(n_kpoints), n_modes)
     elapsed = time.perf_counter() - start
     gap = primary_gap(find_complete_gaps(bands, f_max_ghz=100.0))
     return gap, elapsed

@@ -409,7 +409,7 @@ def gap_row(value_nm: float, center_ghz: float, width_ghz: float) -> list[str]:
     return [_fmt(value_nm), _fmt(center_ghz), _fmt(width_ghz)]
 
 
-def _compute_bands(config: RunConfig, *, classify: bool):
+def _compute_bands(config: RunConfig):
     if config.structure == "nanobeam":
         mesh = build_nanobeam_mesh(
             config.beam_width_nm,
@@ -424,7 +424,6 @@ def _compute_bands(config: RunConfig, *, classify: bool):
         config.material(),
         default_k_path(config.n_kpoints),
         config.n_modes,
-        classify=classify,
     )
 
 
@@ -434,7 +433,7 @@ def _compute_bands(config: RunConfig, *, classify: bool):
 
 def cmd_bands(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    bands = _compute_bands(config, classify=True)
+    bands = _compute_bands(config)
     out = _artifact_dir("bands", config.to_dict())
     path = out / "bands.csv"
     _write_bands_csv(path, bands)
@@ -444,7 +443,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
 
 def cmd_dos(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    bands = _compute_bands(config, classify=False)
+    bands = _compute_bands(config)
     dos = compute_dos(bands, config.broadening_ghz)
     out = _artifact_dir("dos", config.to_dict())
     path = out / "dos.csv"
@@ -490,7 +489,7 @@ def _gap_report(config: RunConfig, bands) -> dict:
 
 def cmd_gap(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    bands = _compute_bands(config, classify=False)
+    bands = _compute_bands(config)
     report = _gap_report(config, bands)
     gap = report["gap"]
     out = _artifact_dir("gap", config.to_dict())
@@ -563,9 +562,7 @@ set key off
 plot "bands.csv" skip 1 using 1:(strcol(4) eq "even" ? $3 : NaN) \\
          with points pt 7 ps 0.4 lc rgb "#1f77b4", \\
      "bands.csv" skip 1 using 1:(strcol(4) eq "odd" ? $3 : NaN) \\
-         with points pt 6 ps 0.4 lc rgb "#d62728", \\
-     "bands.csv" skip 1 using 1:(strcol(4) eq "mixed" ? $3 : NaN) \\
-         with points pt 4 ps 0.4 lc rgb "#7f7f7f"
+         with points pt 6 ps 0.4 lc rgb "#d62728"
 set xlabel "DOS (states/GHz)"
 unset ylabel
 plot "dos.csv" skip 1 using 2:1 with lines lc rgb "#2ca02c"
@@ -575,7 +572,7 @@ unset multiplot
 
 def cmd_fig1b(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    bands = _compute_bands(config, classify=True)
+    bands = _compute_bands(config)
     dos = compute_dos(bands, config.broadening_ghz)
     gap = primary_gap(
         find_complete_gaps(bands, config.f_max_ghz),

@@ -2,9 +2,7 @@
 
 Builds sparse stiffness/mass matrices for trilinear hexahedra with a 2x2x2
 Gauss rule, applies the Bloch phase by eliminating the slave periodic face,
-and solves the reduced generalized eigenproblem for the lowest bands.  Mode
-shapes are classified by parity under the two transverse mirror planes of
-the structure.
+and solves the reduced generalized eigenproblem for the lowest bands.
 
 The reduced Bloch pencil is Hermitian, but the cell is also invariant under
 the axial mirror X (x -> period - x).  X maps a Bloch wave at k to one at -k
@@ -14,6 +12,14 @@ pencil is real symmetric (Wigner's time-reversal argument), which buys a
 real LU and ARPACK's symmetric Lanczos driver.  ``make_bloch_problem``
 returns the pencil in that basis; ``bloch_basis`` and ``reduce_bloch`` give
 the plain complex form it is built from.
+
+The transverse mirrors Y (y -> -y) and Z (z -> -z) commute with each other,
+with X and with the pencil, and in that real basis they are signed
+permutations, the same at every k.  ``band_diagram`` therefore splits each
+pencil into the four sectors of their joint eigenvalues and solves each on
+its own; a band's mirror parities are those of its sector, exact by
+construction (the standard symmetry reduction; Bossavit, Comput. Methods
+Appl. Mech. Eng. 56, 167 (1986)).
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import norm as sparse_norm
 from scipy.spatial import cKDTree
 
 from .errors import ClassificationError, InvalidParameterError, NumericalError
@@ -40,9 +47,15 @@ FREQ_FLOOR_RAD2 = (2 * math.pi * 1e-3 * GHZ) ** 2
 MASS_ORTHONORMAL_TOL = 1e-8
 
 #: Largest imaginary part, relative to the whole pencil, that the real form
-#: may drop; more means the cell is not x-mirror symmetric.  Real entries
-#: below it, relative to the largest, are rounding residue and are dropped.
+#: may drop; more means the cell is not x-mirror symmetric.  The same bound
+#: holds the y and z mirror symmetry of the operators and the real basis.
 REAL_FORM_TOL = 1e-12
+
+#: Real-form entries at or below this, relative to the largest, are the
+#: rounding residue of exact cancellations (at most ~1.2e-16 on the mesh
+#: ladder) and are dropped.  Entries that are small because k is (they scale
+#: with sin(pi k)) must stay, so it sits far below ``REAL_FORM_TOL``.
+RESIDUE_TOL = 1e-14
 
 #: Eigenvalue scale (rad/s)^2 of 1 GHz; residuals of near-zero modes are
 #: measured against it instead of their own vanishing eigenvalue.
@@ -114,6 +127,32 @@ def assemble(mesh: Mesh, material: Material) -> tuple[sp.csr_matrix, sp.csr_matr
     return k_mat, m_mat
 
 
+def _periodic_dofs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kept DOFs (all off the slave face), and the rows and columns of the
+    Bloch basis: each kept DOF in its own column, then each slave DOF in
+    the column of its master."""
+    n = mesh.n_dofs
+    comp = np.arange(3)
+    slave = (3 * mesh.slave_nodes[:, None] + comp).ravel()
+    master = (3 * mesh.master_nodes[:, None] + comp).ravel()
+    keep = np.setdiff1d(np.arange(n), slave)
+    col_of = np.full(n, -1, dtype=np.int64)
+    col_of[keep] = np.arange(keep.size)
+    return keep, np.concatenate([keep, slave]), col_of[np.concatenate([keep, master])]
+
+
+def _phase_basis(n_dofs: int, dofs: tuple, k_reduced: float) -> sp.csr_matrix:
+    """``bloch_basis`` from the index sets of ``_periodic_dofs``."""
+    if not math.isfinite(k_reduced) or not (-1.0 <= k_reduced <= 1.0):
+        raise InvalidParameterError(
+            f"reduced wavenumber must lie in [-1, 1], got {k_reduced!r}"
+        )
+    keep, rows, cols = dofs
+    vals = np.ones(rows.size, dtype=complex)
+    vals[keep.size :] = np.exp(1j * math.pi * k_reduced)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, keep.size)).tocsr()
+
+
 def bloch_basis(mesh: Mesh, k_reduced: float) -> sp.csr_matrix:
     """Reduction basis P with slave-face DOFs tied to phase * master DOFs.
 
@@ -122,24 +161,7 @@ def bloch_basis(mesh: Mesh, k_reduced: float) -> sp.csr_matrix:
     that time-reversal pairs (k, -k) can be compared directly.  The slave-face
     phase is ``exp(i pi k_reduced)``.
     """
-    if not math.isfinite(k_reduced) or not (-1.0 <= k_reduced <= 1.0):
-        raise InvalidParameterError(
-            f"reduced wavenumber must lie in [-1, 1], got {k_reduced!r}"
-        )
-    phase = np.exp(1j * math.pi * k_reduced)
-    n = mesh.n_dofs
-    comp = np.arange(3)
-    slave = (3 * mesh.slave_nodes[:, None] + comp).ravel()
-    master = (3 * mesh.master_nodes[:, None] + comp).ravel()
-    keep = np.setdiff1d(np.arange(n), slave, assume_unique=False)
-    col_of = np.full(n, -1, dtype=np.int64)
-    col_of[keep] = np.arange(keep.size)
-    rows = np.concatenate([keep, slave])
-    cols = np.concatenate([col_of[keep], col_of[master]])
-    vals = np.concatenate(
-        [np.ones(keep.size, dtype=complex), np.full(slave.size, phase)]
-    )
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, keep.size)).tocsr()
+    return _phase_basis(mesh.n_dofs, _periodic_dofs(mesh), k_reduced)
 
 
 def reduce_bloch(
@@ -184,7 +206,45 @@ def _mirror_perm(mesh: Mesh, axis: int, tol_rel: float = 1e-6) -> np.ndarray | N
     return None if dist.max() > tol_rel * scale else idx
 
 
-def _real_form(mesh: Mesh, basis: sp.csr_matrix) -> sp.csr_matrix:
+def _signed_mirror(perm: np.ndarray, axis: int) -> sp.csr_matrix:
+    """The mirror across the mid-plane of ``axis`` acting on nodal fields.
+
+    A signed permutation of the DOFs: each node's displacement moves to its
+    mirror node ``perm[node]`` with the component along ``axis`` negated.
+    """
+    signs = np.ones(3)
+    signs[axis] = -1.0
+    n = 3 * perm.size
+    return sp.csr_matrix(
+        (
+            np.tile(signs, perm.size),
+            ((3 * perm[:, None] + np.arange(3)).ravel(), np.arange(n)),
+        ),
+        shape=(n, n),
+    )
+
+
+@dataclass
+class _BlochCell:
+    """What the real Bloch pencils of one mesh share at every k."""
+
+    k_mat: sp.spmatrix
+    m_mat: sp.spmatrix
+    dofs: tuple  # (keep, rows, cols) from _periodic_dofs
+    x_mirror: sp.csr_matrix
+
+
+def _bloch_cell(mesh: Mesh, k_mat: sp.spmatrix, m_mat: sp.spmatrix) -> _BlochCell:
+    perm = _mirror_perm(mesh, 0)
+    if perm is None:
+        raise NumericalError(
+            "mesh is not mirror-symmetric along the beam axis; "
+            "the real Bloch form needs it"
+        )
+    return _BlochCell(k_mat, m_mat, _periodic_dofs(mesh), _signed_mirror(perm, 0))
+
+
+def _real_form(cell: _BlochCell, basis: sp.csr_matrix) -> sp.csr_matrix:
     """Unitary Q whose columns are T-invariant reduced vectors.
 
     In reduced coordinates T is ``v -> T_r conj(v)`` with
@@ -195,24 +255,7 @@ def _real_form(mesh: Mesh, basis: sp.csr_matrix) -> sp.csr_matrix:
     pi(i); a fixed point i gets exp(i arg(d_i)/2) e_i.  With T^2 = 1,
     ``Q^H A Q`` is real for every Hermitian A that commutes with T.
     """
-    perm = _mirror_perm(mesh, 0)
-    if perm is None:
-        raise NumericalError(
-            "mesh is not mirror-symmetric along the beam axis; "
-            "the real Bloch form needs it"
-        )
-    n = mesh.n_dofs
-    comp = np.arange(3)
-    mirror = sp.csr_matrix(
-        (
-            np.tile([-1.0, 1.0, 1.0], mesh.n_nodes),
-            ((3 * perm[:, None] + comp).ravel(), np.arange(n)),
-        ),
-        shape=(n, n),
-    )
-    slave = (3 * mesh.slave_nodes[:, None] + comp).ravel()
-    keep = np.setdiff1d(np.arange(n), slave)
-    t_red = (mirror @ basis.conj())[keep].tocsc()
+    t_red = (cell.x_mirror @ basis.conj())[cell.dofs[0]].tocsc()
     m = basis.shape[1]
     cols = np.arange(m)
     pi, d = t_red.indices, t_red.data
@@ -239,6 +282,36 @@ def _real_form(mesh: Mesh, basis: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, where)), shape=(m, m))
 
 
+def _bloch_problem(cell: _BlochCell, k_reduced: float) -> BlochProblem:
+    """``make_bloch_problem`` with the k-independent work done beforehand."""
+    bloch = _phase_basis(cell.k_mat.shape[0], cell.dofs, k_reduced)
+    unitary = _real_form(cell, bloch)
+    bloch_h, unitary_h = bloch.getH().tocsr(), unitary.getH().tocsr()
+    pencil = []
+    for mat in (cell.k_mat, cell.m_mat):
+        mat = (unitary_h @ ((bloch_h @ (mat @ bloch)) @ unitary)).tocsr()
+        drift = np.linalg.norm(mat.data.imag) / np.linalg.norm(mat.data)
+        if drift > REAL_FORM_TOL:
+            raise NumericalError(
+                f"the Bloch pencil is not real in the x-mirror basis "
+                f"(relative imaginary part {drift:.2e}); "
+                "the operators are not x-mirror symmetric"
+            )
+        # Entries that cancel exactly come out as ~1e-16 residue; keeping
+        # them would nearly double the pencil's nonzeros.
+        values = mat.data.real.copy()
+        values[np.abs(values) <= RESIDUE_TOL * np.abs(values).max()] = 0.0
+        real = sp.csr_matrix((values, mat.indices, mat.indptr), shape=mat.shape)
+        real.eliminate_zeros()
+        pencil.append(real)
+    return BlochProblem(
+        k_reduced=k_reduced,
+        stiffness=pencil[0],
+        mass=pencil[1],
+        basis=(bloch @ unitary).tocsr(),
+    )
+
+
 def make_bloch_problem(
     mesh: Mesh,
     k_reduced: float,
@@ -253,36 +326,11 @@ def make_bloch_problem(
     is real up to rounding; its imaginary part is checked against
     ``REAL_FORM_TOL`` and dropped.  A larger one means that ``k_mat`` or
     ``m_mat`` break the x-mirror, and raises ``NumericalError``.  Real
-    entries below ``REAL_FORM_TOL`` of the largest are the rounding residue
+    entries below ``RESIDUE_TOL`` of the largest are the rounding residue
     of exact cancellations and are dropped too.  Full-space modes are
     ``basis @ vectors``, complex Bloch waves as from the plain reduction.
     """
-    bloch = bloch_basis(mesh, k_reduced)
-    unitary = _real_form(mesh, bloch)
-    bloch_h, unitary_h = bloch.getH().tocsr(), unitary.getH().tocsr()
-    pencil = []
-    for mat in (k_mat, m_mat):
-        mat = (unitary_h @ ((bloch_h @ (mat @ bloch)) @ unitary)).tocsr()
-        drift = np.linalg.norm(mat.data.imag) / np.linalg.norm(mat.data)
-        if drift > REAL_FORM_TOL:
-            raise NumericalError(
-                f"the Bloch pencil is not real in the x-mirror basis "
-                f"(relative imaginary part {drift:.2e}); "
-                "the operators are not x-mirror symmetric"
-            )
-        # Entries that cancel exactly come out as ~1e-15 residue; keeping
-        # them would nearly double the pencil's nonzeros.
-        values = mat.data.real.copy()
-        values[np.abs(values) <= REAL_FORM_TOL * np.abs(values).max()] = 0.0
-        real = sp.csr_matrix((values, mat.indices, mat.indptr), shape=mat.shape)
-        real.eliminate_zeros()
-        pencil.append(real)
-    return BlochProblem(
-        k_reduced=k_reduced,
-        stiffness=pencil[0],
-        mass=pencil[1],
-        basis=(bloch @ unitary).tocsr(),
-    )
+    return _bloch_problem(_bloch_cell(mesh, k_mat, m_mat), k_reduced)
 
 
 def _frequencies_ghz(eigvals: np.ndarray) -> np.ndarray:
@@ -299,14 +347,7 @@ def _frequencies_ghz(eigvals: np.ndarray) -> np.ndarray:
     return np.sqrt(vals) / (2 * math.pi * GHZ)
 
 
-def _mass_gram_error(vecs: np.ndarray, m_vecs: np.ndarray) -> float:
-    """``max|V^H M V - I|`` from ``V`` and ``M V``."""
-    return float(np.abs(vecs.conj().T @ m_vecs - np.eye(vecs.shape[1])).max())
-
-
-def _mass_orthonormalize(
-    vecs: np.ndarray, m_red: sp.spmatrix
-) -> np.ndarray | None:
+def _mass_orthonormalize(vecs: np.ndarray, m_red: sp.spmatrix) -> np.ndarray | None:
     """Re-base ``vecs`` so that ``V^H M V = I``, or None if that fails.
 
     Uses the Cholesky factor of the reduced Gram matrix ``G = L L^H`` and
@@ -321,8 +362,8 @@ def _mass_orthonormalize(
         return None
     inv_chol_h = solve_triangular(chol, np.eye(chol.shape[0]), lower=True).conj().T
     vecs = vecs @ inv_chol_h
-    m_vecs = m_vecs @ inv_chol_h
-    if _mass_gram_error(vecs, m_vecs) > MASS_ORTHONORMAL_TOL:
+    gram = vecs.conj().T @ (m_vecs @ inv_chol_h)
+    if np.abs(gram - np.eye(gram.shape[0])).max() > MASS_ORTHONORMAL_TOL:
         return None
     return vecs
 
@@ -371,10 +412,9 @@ def solve_reduced(
             raise NumericalError(
                 f"{reason} on a {n}-DOF system too large for the dense fallback"
             )
-        vals, vecs = eigh(
+        return eigh(
             k_red.toarray(), m_red.toarray(), subset_by_index=[0, n_modes - 1]
         )
-        return vals, vecs
 
     if n <= max(dense_cutoff, 3 * n_modes):
         vals, vecs = dense_solve()
@@ -424,10 +464,7 @@ def solve_bands(
     to all nodal DOFs (slave face included) for post-processing.
     """
     freqs, vecs = solve_reduced(
-        problem.stiffness,
-        problem.mass,
-        n_modes,
-        dense_cutoff=dense_cutoff,
+        problem.stiffness, problem.mass, n_modes, dense_cutoff=dense_cutoff
     )
     return freqs, problem.basis @ vecs
 
@@ -440,127 +477,111 @@ class ReflectionMaps:
     perm_z: np.ndarray  # z -> z_mid - (z - z_mid)
 
 
-def reflection_maps(mesh: Mesh, tol_rel: float = 1e-6) -> ReflectionMaps:
+def reflection_maps(mesh: Mesh) -> ReflectionMaps:
     """Match every node to its mirror partner; error if the mesh is asymmetric."""
     perms = []
     for axis in (1, 2):
-        perm = _mirror_perm(mesh, axis, tol_rel)
+        perm = _mirror_perm(mesh, axis)
         if perm is None:
             raise ClassificationError(
                 f"mesh is not mirror-symmetric about axis {axis}; "
-                "parity classification is unsupported"
+                "its bands have no mirror parities"
             )
         perms.append(perm)
     return ReflectionMaps(perm_y=perms[0], perm_z=perms[1])
 
 
-def _reflect_modes(modes: np.ndarray, perm: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a mirror to displacement fields, flipping the normal component."""
-    n_nodes = perm.size
-    field = modes.reshape(n_nodes, 3, -1)
-    out = field[perm].copy()
-    out[:, axis, :] *= -1.0
-    return out.reshape(3 * n_nodes, -1)
+def _parity_sectors(cell: _BlochCell, maps: ReflectionMaps) -> list[sp.csc_matrix]:
+    """Bases S of the (y, z) mirror-parity sectors (even, even), (even, odd),
+    (odd, even) and (odd, odd) in the real Bloch basis ``P Q``.
 
-
-DEGENERACY_TOL_GHZ = 1e-3
-#: A mirror overlap above this magnitude labels a mode even or odd.
-PARITY_THRESHOLD = 0.9
-
-
-def classify_parities(
-    modes: np.ndarray,
-    freqs_ghz: np.ndarray,
-    m_mat: sp.spmatrix,
-    maps: ReflectionMaps,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label each mode 'even'/'odd'/'mixed' under the two mirrors.
-
-    Modes whose frequencies agree within ``DEGENERACY_TOL_GHZ`` are treated
-    as one invariant subspace: the two mirror overlap matrices are
-    diagonalized jointly on the subspace so that an arbitrary rotation among
-    degenerate partners cannot masquerade as mixing, and each published
-    (y, z) pair belongs to one mode.
-
-    Precondition: the columns of each such cluster are mass-orthonormal,
-    ``max|V^H M V - I| <= MASS_ORTHONORMAL_TOL``; only then are the
-    eigenvalues of the overlap the parities of the cluster's modes.  A
-    cluster that breaks it raises ``NumericalError`` rather than being
-    labelled.
+    There a transverse mirror acts at every k as the signed permutation it
+    induces on the kept DOFs, and commutes with the pencil if it commutes
+    with K and M.  Both are checked, so the pencil splits exactly into the
+    blocks ``S^T (K, M) S``; a break raises ``NumericalError``.  With Y, Z
+    those permutations, a basis vector is ``(1 + a Y)(1 + b Z) e_j``,
+    normalized, for the first index j of each orbit of {1, Y, Z, YZ} where
+    it does not vanish: at most four nonzeros, orthogonal to all others.
     """
-    n_modes = modes.shape[1]
-    labels = [np.empty(n_modes, dtype="<U5") for _ in range(2)]
-    clusters = []
-    start = 0
-    for i in range(1, n_modes + 1):
-        if i == n_modes or freqs_ghz[i] - freqs_ghz[i - 1] > DEGENERACY_TOL_GHZ:
-            clusters.append(slice(start, i))
-            start = i
-    m_modes = m_mat @ modes
-    for cluster in clusters:
-        err = _mass_gram_error(modes[:, cluster], m_modes[:, cluster])
-        if err > MASS_ORTHONORMAL_TOL:
+    keep = cell.dofs[0]
+    # A non-real Bloch phase exercises every phase of P Q.
+    bloch = _phase_basis(cell.k_mat.shape[0], cell.dofs, 0.5)
+    basis = bloch @ _real_form(cell, bloch)
+    reduced = []
+    for perm, axis, name in ((maps.perm_y, 1, "y"), (maps.perm_z, 2, "z")):
+        mirror = _signed_mirror(perm, axis)
+        for mat in (cell.k_mat, cell.m_mat):
+            defect = sparse_norm(mirror @ mat @ mirror.T - mat) / sparse_norm(mat)
+            if defect > REAL_FORM_TOL:
+                raise NumericalError(
+                    f"the operators are not symmetric under the {name} mirror "
+                    f"(relative defect {defect:.2e}); its parity sectors "
+                    "would drop their couplings"
+                )
+        reduced.append(mirror[keep][:, keep].tocsc())
+        if abs(mirror @ basis - basis @ reduced[-1]).max() > REAL_FORM_TOL:
             raise NumericalError(
-                f"modes {cluster.start}..{cluster.stop - 1} are not "
-                f"mass-orthonormal (max |V^H M V - I| = {err:.3g}); "
-                "their parities are undefined"
+                f"the {name} mirror does not map the real Bloch basis onto itself"
             )
-    reflected = [
-        _reflect_modes(modes, maps.perm_y, 1),
-        _reflect_modes(modes, maps.perm_z, 2),
-    ]
-    for cluster in clusters:
-        herms = []
-        for mirrored in reflected:
-            overlap = m_modes[:, cluster].conj().T @ mirrored[:, cluster]
-            herms.append(0.5 * (overlap + overlap.conj().T))
-        # The mirrors commute, so one basis of the cluster diagonalizes
-        # both; the weights 1 and 2 give the four parity pairs the distinct
-        # eigenvalues +-1 +-2, so each basis vector is one mode's pair.
-        _, basis = np.linalg.eigh(herms[0] + 2.0 * herms[1])
-        basis = basis[:, ::-1]
-        for which, herm in enumerate(herms):
-            parities = np.einsum("im,ij,jm->m", basis.conj(), herm, basis).real
-            for local, p in enumerate(parities):
-                if p > PARITY_THRESHOLD:
-                    lab = "even"
-                elif p < -PARITY_THRESHOLD:
-                    lab = "odd"
-                else:
-                    lab = "mixed"
-                labels[which][cluster.start + local] = lab
-    return labels[0], labels[1]
+    mirror_y, mirror_z = reduced
+    eye = sp.identity(keep.size, format="csc")
+    cols = np.arange(keep.size)
+    y_of, z_of = mirror_y.indices, mirror_z.indices
+    first = np.flatnonzero(cols == np.minimum.reduce([cols, y_of, z_of, y_of[z_of]]))
+    bases = []
+    for a in (1.0, -1.0):
+        for b in (1.0, -1.0):
+            span = ((eye + a * mirror_y) @ (eye + b * mirror_z)).tocsc()[:, first]
+            span.eliminate_zeros()
+            norms = np.sqrt(np.asarray(span.multiply(span).sum(axis=0)).ravel())
+            live = norms > 0
+            bases.append((span[:, live] @ sp.diags(1.0 / norms[live])).tocsc())
+    return bases
 
 
-def classify_symmetry(
-    mode: np.ndarray,
-    mesh: Mesh,
-    m_mat: sp.spmatrix,
-    *,
-    maps: ReflectionMaps | None = None,
-) -> tuple[str, str]:
-    """Parity labels of a single mode under the y and z mirrors.
+def classify_parities(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(parity_y, parity_z)``, 'even'/'odd', of modes found in ``sectors``.
 
-    The mode need not be normalized; it is scaled to unit mass norm before
-    the mirror overlaps are evaluated.
+    A sector index points into ``_parity_sectors``: ``index & 2`` is set
+    for the sectors odd under the y mirror, ``index & 1`` for odd under z.
     """
-    if maps is None:
-        maps = reflection_maps(mesh)
-    modes = np.asarray(mode, dtype=complex).reshape(-1, 1)
-    norm = math.sqrt(abs((modes[:, 0].conj() @ (m_mat @ modes[:, 0])).real))
-    if norm == 0.0:
-        raise ClassificationError("cannot classify an identically zero mode")
-    par_y, par_z = classify_parities(modes / norm, np.zeros(1), m_mat, maps)
-    return str(par_y[0]), str(par_z[0])
+    sectors = np.asarray(sectors)
+    return np.where(sectors & 2, "odd", "even"), np.where(sectors & 1, "odd", "even")
+
+
+def _solve_sectors(
+    problem: BlochProblem, sectors: list[sp.csc_matrix], n_modes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest ``n_modes`` of a real Bloch pencil, solved sector by sector.
+
+    Returns ascending frequencies (GHz), the sector index of each and the
+    mass-orthonormal vectors in the reduced basis of ``problem``.  Every
+    sector is asked for ``n_modes`` (or all of its modes), so the lowest
+    ``n_modes`` of the merged list are the pencil's lowest, whatever their
+    parities.
+    """
+    freqs, vecs, found_in = [], [], []
+    for index, basis in enumerate(sectors):
+        found, vectors = solve_reduced(
+            (basis.T @ problem.stiffness @ basis).tocsr(),
+            (basis.T @ problem.mass @ basis).tocsr(),
+            min(n_modes, basis.shape[1]),
+        )
+        freqs.append(found)
+        vecs.append(basis @ vectors)
+        found_in.append(np.full(found.size, index))
+    freqs = np.concatenate(freqs)
+    order = np.argsort(freqs, kind="stable")[:n_modes]
+    return freqs[order], np.concatenate(found_in)[order], np.hstack(vecs)[:, order]
 
 
 @dataclass
 class BandStructure:
-    """Band frequencies (GHz) over a reduced k path, with optional parities."""
+    """Band frequencies (GHz) over a reduced k path, with mirror parities."""
 
     k_points: np.ndarray  # (nk,) in units of pi/period
     frequencies_ghz: np.ndarray  # (nk, n_modes), ascending per row
-    parity_y: np.ndarray | None = None  # (nk, n_modes) of 'even'/'odd'/'mixed'
+    parity_y: np.ndarray | None = None  # (nk, n_modes) of 'even'/'odd'
     parity_z: np.ndarray | None = None
     n_dofs_reduced: int = 0
 
@@ -583,55 +604,37 @@ def band_diagram(
     material: Material,
     k_points: np.ndarray | None = None,
     n_modes: int = 30,
-    *,
-    classify: bool = True,
-    dense_cutoff: int = 600,
 ) -> BandStructure:
-    """Compute the lowest ``n_modes`` bands along a reduced k path.
+    """Lowest ``n_modes`` bands and their mirror parities along a k path.
 
-    Parameters
-    ----------
-    mesh, material
-        Geometry and medium; the mesh must have matched periodic faces.
-    k_points : array or None
-        Reduced wavenumbers in [0, 1]; defaults to 20 uniform points.
-    n_modes : int
-        Number of bands per k point.
-    classify : bool
-        Attach mirror-parity labels (requires a mirror-symmetric mesh).
-
-    Returns
-    -------
-    BandStructure
+    ``k_points`` are reduced wavenumbers in [0, 1] (default: 20 uniform
+    points).  The mesh must have matched periodic faces and be
+    mirror-symmetric about its three mid-planes.  At each k the real Bloch
+    pencil of ``make_bloch_problem`` is split into the four sectors of the
+    y and z mirrors (``_parity_sectors``), each solved on its own, and a
+    band's parities are those of its sector.  The mirror matches, index
+    sets and sector bases are built once per call, not per k.
+    ``n_dofs_reduced`` is the size of the whole reduced pencil.
     """
     if k_points is None:
         k_points = default_k_path()
     k_points = np.asarray(k_points, dtype=float)
     k_mat, m_mat = assemble(mesh, material)
-    maps = reflection_maps(mesh) if classify else None
-
-    def solve_one(k_red: float):
-        problem = make_bloch_problem(mesh, k_red, k_mat, m_mat)
-        freqs, full = solve_bands(problem, n_modes, dense_cutoff=dense_cutoff)
-        if maps is None:
-            return freqs, None, None, problem.n_dofs
-        par_y, par_z = classify_parities(full, freqs, m_mat, maps)
-        return freqs, par_y, par_z, problem.n_dofs
-
-    results = [solve_one(k) for k in k_points]
-
-    freqs = np.vstack([r[0] for r in results])
-    parity_y = parity_z = None
-    if classify:
-        parity_y = np.vstack([r[1] for r in results])
-        parity_z = np.vstack([r[2] for r in results])
-    return BandStructure(
-        k_points=k_points,
-        frequencies_ghz=freqs,
-        parity_y=parity_y,
-        parity_z=parity_z,
-        n_dofs_reduced=results[0][3],
-    )
+    cell = _bloch_cell(mesh, k_mat, m_mat)
+    sectors = _parity_sectors(cell, reflection_maps(mesh))
+    n_reduced = cell.dofs[0].size
+    if not 1 <= n_modes <= n_reduced:
+        raise InvalidParameterError(
+            f"n_modes must be between 1 and the reduced size {n_reduced}, "
+            f"got {n_modes}"
+        )
+    freqs, labels = [], []
+    for k in k_points:
+        found, found_in, _ = _solve_sectors(_bloch_problem(cell, k), sectors, n_modes)
+        freqs.append(found)
+        labels.append(classify_parities(found_in))
+    parity_y, parity_z = (np.vstack(column) for column in zip(*labels))
+    return BandStructure(k_points, np.vstack(freqs), parity_y, parity_z, n_reduced)
 
 
 def total_mass(m_mat: sp.spmatrix) -> float:

@@ -36,7 +36,7 @@ class SamplingError(PhonogapError, RuntimeError):
 
 
 class ClassificationError(PhonogapError, RuntimeError):
-    """Mode-symmetry classification is unsupported for the given mesh."""
+    """The mesh lacks the y/z mirror symmetry that band parities rest on."""
 
 
 class ExtractionError(PhonogapError, RuntimeError):

@@ -214,7 +214,7 @@ def parameter_sweep(
     for value in sorted(float(v) for v in values_nm):
         params = base.replace(**{param: value})
         mesh = build_unit_cell_mesh(params, resolution)
-        bands = band_diagram(mesh, material, k_points, n_modes, classify=False)
+        bands = band_diagram(mesh, material, k_points, n_modes)
         gap = primary_gap(find_complete_gaps(bands, f_max_ghz), window_ghz)
         if gap is None:
             points.append(SweepPoint(value, math.nan, 0.0))

@@ -32,13 +32,12 @@ def reference_operators(reference_mesh):
 
 @pytest.fixture(scope="session")
 def reference_bands(reference_mesh):
-    """Classified bands of the default cell, dense enough for DOS work."""
+    """Bands and parities of the default cell, dense enough for DOS work."""
     return elastics.band_diagram(
         reference_mesh,
         DIAMOND,
         np.linspace(0.0, 1.0, 17),
         n_modes=24,
-        classify=True,
     )
 
 

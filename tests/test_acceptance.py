@@ -48,9 +48,7 @@ REFINEMENT = [(10, 8, 4), (13, 10, 5), (16, 12, 6)]
 
 def gap_pipeline(params, resolution, n_kpoints=16, n_modes=30):
     mesh = build_unit_cell_mesh(params, resolution)
-    bands = band_diagram(
-        mesh, DIAMOND, default_k_path(n_kpoints), n_modes, classify=False
-    )
+    bands = band_diagram(mesh, DIAMOND, default_k_path(n_kpoints), n_modes)
     return bands, find_complete_gaps(bands, 100.0)
 
 
@@ -75,9 +73,7 @@ def refinement_study():
 @pytest.fixture(scope="module")
 def coarse_gap():
     mesh = build_unit_cell_mesh(UnitCellParams(), COARSE_RES)
-    bands = band_diagram(
-        mesh, DIAMOND, default_k_path(12), 30, classify=False
-    )
+    bands = band_diagram(mesh, DIAMOND, default_k_path(12), 30)
     gap = primary_gap(find_complete_gaps(bands, 100.0), (30.0, 100.0))
     assert gap is not None
     return gap
@@ -114,9 +110,7 @@ class TestDosDepletion:
 
     def test_gap_region_is_depleted(self):
         mesh = build_unit_cell_mesh(UnitCellParams(), COARSE_RES)
-        bands = band_diagram(
-            mesh, DIAMOND, default_k_path(40), 30, classify=False
-        )
+        bands = band_diagram(mesh, DIAMOND, default_k_path(40), 30)
         gap = primary_gap(find_complete_gaps(bands, 100.0), (30.0, 100.0))
         dos = compute_dos(bands, self.BROADENING)
         grid, rho = dos.frequency_ghz, dos.dos_per_ghz
@@ -135,9 +129,7 @@ class TestDosDepletion:
 
     def test_uniform_beam_keeps_states_in_the_gap_band(self):
         mesh = build_nanobeam_mesh(90.0, 70.0, 129.6, (5, 4, 4))
-        bands = band_diagram(
-            mesh, DIAMOND, default_k_path(64), 16, classify=False
-        )
+        bands = band_diagram(mesh, DIAMOND, default_k_path(64), 16)
         # Four branches emerge from zero frequency: compression, torsion,
         # and two flexural polarizations.
         gamma = bands.frequencies_ghz[0]
@@ -173,9 +165,7 @@ class TestFabricationTolerance:
             mesh = build_unit_cell_mesh(
                 base.replace(**{param: value}), COARSE_RES
             )
-            bands = band_diagram(
-                mesh, DIAMOND, default_k_path(12), 30, classify=False
-            )
+            bands = band_diagram(mesh, DIAMOND, default_k_path(12), 30)
             gap = primary_gap(find_complete_gaps(bands, 100.0), (30.0, 100.0))
             assert gap is not None
             shift = abs(gap.center_ghz - coarse_gap.center_ghz)

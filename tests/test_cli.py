@@ -150,7 +150,7 @@ class TestBands:
         freqs = [float(r[2]) for r in rows]
         assert freqs == sorted(freqs)
         labels = {r[3] for r in rows} | {r[4] for r in rows}
-        assert labels <= {"even", "odd", "mixed"}
+        assert labels <= {"even", "odd"}
 
 
 class TestDos:

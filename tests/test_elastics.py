@@ -1,4 +1,4 @@
-"""Elastodynamics tests: assembly oracles, Bloch reduction, parity labels.
+"""Elastodynamics tests: assembly oracles, Bloch reduction, parity sectors.
 
 The stiffness/mass oracle below re-derives the element matrices from first
 principles (chain rule written out via linear solves, dense Gauss grid) so
@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.spatial import cKDTree
 
 from phonogap import elastics
 from phonogap.elastics import (
     band_diagram,
     bloch_basis,
-    classify_symmetry,
     make_bloch_problem,
     reduce_bloch,
     reflection_maps,
@@ -372,6 +372,11 @@ def bench_cell():
     return mesh, k_mat, m_mat
 
 
+@pytest.fixture(scope="module", params=["nanobeam", "10,8,4"])
+def symmetric_mesh(request, nanobeam_mesh, bench_cell):
+    return nanobeam_mesh if request.param == "nanobeam" else bench_cell[0]
+
+
 class TestRealForm:
     """``make_bloch_problem`` returns the real form of the complex pencil.
 
@@ -399,6 +404,7 @@ class TestRealForm:
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.floats(-1.0, 1.0))
+    @example(k=6.8e-11)  # true entries ~ pi k of the largest must survive
     def test_real_pencil_matches_complex_reduction_any_k(self, small_cell, k):
         mesh, k_mat, m_mat = small_cell
         problem = make_bloch_problem(mesh, k, k_mat, m_mat)
@@ -512,65 +518,80 @@ class TestArpackGuard:
         np.testing.assert_allclose(freqs, [1.0, 2.0])
 
 
+def mirror_overlaps(modes, mesh, m_mat):
+    """Mass overlaps ``u^H M R u / u^H M u`` of full-space fields with their
+    mirror images ``R u`` across the y and z mid-planes.
+
+    The parity oracle, written independently of the sector bases: +1 for an
+    even field, -1 for an odd one, anything between for a blend.
+    """
+    nodes = mesh.nodes
+    m_modes = m_mat @ modes
+    norms = np.einsum("ij,ij->j", modes.conj(), m_modes).real
+    overlaps = []
+    for axis in (1, 2):
+        flipped = nodes.copy()
+        flipped[:, axis] = nodes[:, axis].min() + nodes[:, axis].max() - nodes[:, axis]
+        dist, perm = cKDTree(nodes).query(flipped)
+        assert dist.max() < 1e-6 * mesh.period_m
+        field = modes.reshape(mesh.n_nodes, 3, -1)[perm]
+        field[:, axis] *= -1.0
+        mirrored = field.reshape(modes.shape)
+        overlaps.append(np.einsum("ij,ij->j", m_modes.conj(), mirrored).real / norms)
+    return overlaps
+
+
+def sector_modes(mesh, k_points, n_modes):
+    """``band_diagram``'s sector solve, k by k, with full-space modes."""
+    k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
+    cell = elastics._bloch_cell(mesh, k_mat, m_mat)
+    sectors = elastics._parity_sectors(cell, reflection_maps(mesh))
+    for k in k_points:
+        problem = elastics._bloch_problem(cell, k)
+        freqs, found_in, vecs = elastics._solve_sectors(problem, sectors, n_modes)
+        par_y, par_z = elastics.classify_parities(found_in)
+        yield freqs, par_y, par_z, problem.basis @ vecs, m_mat
+
+
+def mid_plane_node(mesh):
+    """A node off the y and z mid-planes on the x mid-plane, which the
+    x-mirror maps onto itself."""
+    x, y, z = mesh.nodes.T
+    on = np.isclose(x, 0.5 * mesh.period_m) & (y > 0) & (z > z.mean())
+    return int(np.flatnonzero(on)[0])
+
+
 class TestParity:
     def test_constructed_fields(self, nanobeam_mesh):
+        # The oracle itself: +-1 on fields of definite parity, 0 on a blend.
         _, m_mat = elastics.assemble(nanobeam_mesh, DIAMOND)
-        maps = reflection_maps(nanobeam_mesh)
         n = nanobeam_mesh.n_dofs
         y = nanobeam_mesh.nodes[:, 1]
         z_mid = nanobeam_mesh.nodes[:, 2] - nanobeam_mesh.nodes[:, 2].mean()
-
-        # u = (0, y, 0): arrows point away from the y mirror plane on both
-        # sides -- invariant under the vector-field reflection.
-        stretch = np.zeros(n, dtype=complex)
-        stretch[1::3] = y
-        assert classify_symmetry(stretch, nanobeam_mesh, m_mat, maps=maps) == (
-            "even",
-            "even",
-        )
-
-        # A uniform y translation flips sign under the y mirror.
-        shift_y = np.zeros(n, dtype=complex)
-        shift_y[1::3] = 1.0
-        assert classify_symmetry(shift_y, nanobeam_mesh, m_mat, maps=maps) == (
-            "odd",
-            "even",
-        )
-
-        shift_z = np.zeros(n, dtype=complex)
-        shift_z[2::3] = 1.0
-        assert classify_symmetry(shift_z, nanobeam_mesh, m_mat, maps=maps) == (
-            "even",
-            "odd",
-        )
-
-        # An equal mixture of both translations overlaps neither parity.
-        blend = (shift_y + shift_z) / math.sqrt(2.0)
-        labels = classify_symmetry(blend, nanobeam_mesh, m_mat, maps=maps)
-        assert labels == ("mixed", "mixed")
-
-        thickness_stretch = np.zeros(n, dtype=complex)
-        thickness_stretch[2::3] = z_mid
-        assert classify_symmetry(
-            thickness_stretch, nanobeam_mesh, m_mat, maps=maps
-        ) == ("even", "even")
+        fields = np.zeros((n, 5))
+        fields[1::3, 0] = y  # points away from the y plane on both sides
+        fields[1::3, 1] = 1.0  # a y translation flips under the y mirror
+        fields[2::3, 2] = 1.0
+        fields[:, 3] = (fields[:, 1] + fields[:, 2]) / math.sqrt(2.0)
+        fields[2::3, 4] = z_mid
+        overlaps = mirror_overlaps(fields, nanobeam_mesh, m_mat)
+        np.testing.assert_allclose(overlaps[0], [1, -1, 1, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(overlaps[1], [1, 1, -1, 0, 1], atol=1e-12)
 
     def test_reflection_is_involution(self, reference_mesh):
         maps = reflection_maps(reference_mesh)
-        rng = np.random.default_rng(3)
-        modes = rng.normal(size=(reference_mesh.n_dofs, 3)) + 1j * rng.normal(
-            size=(reference_mesh.n_dofs, 3)
-        )
-        for perm, axis in ((maps.perm_y, 1), (maps.perm_z, 2)):
-            twice = elastics._reflect_modes(
-                elastics._reflect_modes(modes, perm, axis), perm, axis
-            )
-            np.testing.assert_array_equal(twice, modes)
+        perms = [elastics._mirror_perm(reference_mesh, 0), maps.perm_y, maps.perm_z]
+        mirrors = [elastics._signed_mirror(p, axis) for axis, p in enumerate(perms)]
+        eye = sp.identity(reference_mesh.n_dofs)
+        for i, first in enumerate(mirrors):
+            assert abs(first @ first - eye).max() == 0
+            for second in mirrors[i + 1:]:
+                assert abs(first @ second - second @ first).max() == 0
 
     def test_asymmetric_mesh_rejected(self, nanobeam_mesh):
+        # Only the y and z mirrors break: the node's x-mirror image is itself.
         nodes = nanobeam_mesh.nodes.copy()
-        off_plane = np.flatnonzero(nodes[:, 1] > 0)[0]
-        nodes[off_plane, 1] *= 1.5
+        nodes[mid_plane_node(nanobeam_mesh), 1] *= 1.5
         crooked = Mesh(
             nodes=nodes,
             elements=nanobeam_mesh.elements,
@@ -581,45 +602,74 @@ class TestParity:
         )
         with pytest.raises(ClassificationError):
             reflection_maps(crooked)
+        with pytest.raises(ClassificationError):
+            band_diagram(crooked, DIAMOND, [0.5], 6)
 
-    def test_non_orthonormal_cluster_rejected(self, nanobeam_mesh):
-        # Two unit-norm fields at one frequency that overlap by 1/sqrt(2):
-        # the overlap eigenvalues would not be parities, so no label may be
-        # returned for them.
-        _, m_mat = elastics.assemble(nanobeam_mesh, DIAMOND)
-        maps = reflection_maps(nanobeam_mesh)
-        n = nanobeam_mesh.n_dofs
-        shift_y = np.zeros(n, dtype=complex)
-        shift_y[1::3] = 1.0
-        shift_z = np.zeros(n, dtype=complex)
-        shift_z[2::3] = 1.0
-        modes = np.column_stack([shift_y, shift_y + shift_z])
-        norms = np.sqrt(np.einsum("ij,ij->j", modes.conj(), m_mat @ modes).real)
-        modes /= norms
-        with pytest.raises(NumericalError):
-            elastics.classify_parities(modes, np.zeros(2), m_mat, maps)
-        # With the overlap removed (a translation has the same mass norm in
-        # every direction) the cluster classifies cleanly.
-        modes[:, 1] = shift_z / norms[0]
-        par_y, par_z = elastics.classify_parities(modes, np.zeros(2), m_mat, maps)
-        assert sorted(par_y) == ["even", "odd"]
-        assert sorted(par_z) == ["even", "odd"]
+    def test_y_asymmetric_stiffness_rejected(self, nanobeam_mesh, monkeypatch):
+        # One stiffened DOF on the x mid-plane keeps the real form but breaks
+        # the y and z mirrors: the sectors would drop its couplings.
+        k_mat, m_mat = elastics.assemble(nanobeam_mesh, DIAMOND)
+        dof = 3 * mid_plane_node(nanobeam_mesh) + 1
+        lumpy = k_mat.tolil()
+        lumpy[dof, dof] += 1e-6 * abs(k_mat.diagonal()).max()
+        monkeypatch.setattr(elastics, "assemble",
+                            lambda mesh, material: (lumpy.tocsr(), m_mat))
+        with pytest.raises(NumericalError, match="y mirror"):
+            band_diagram(nanobeam_mesh, DIAMOND, [0.5], 6)
 
-    def test_gamma_labels_match_dense_solve(self, reference_mesh,
-                                            reference_operators):
-        k_mat, m_mat = reference_operators
-        maps = reflection_maps(reference_mesh)
-        problem = make_bloch_problem(reference_mesh, 0.0, k_mat, m_mat)
-        sparse = solve_bands(problem, 24)
-        dense = solve_bands(problem, 24, dense_cutoff=10_000)
-        labels = [
-            elastics.classify_parities(modes, freqs, m_mat, maps)
-            for freqs, modes in (sparse, dense)
-        ]
-        for which in range(2):
-            np.testing.assert_array_equal(
-                labels[0][which][:12], labels[1][which][:12]
-            )
+    def test_sector_bases_are_sparse_orthonormal_eigenbases(self, small_cell):
+        mesh, k_mat, m_mat = small_cell
+        cell = elastics._bloch_cell(mesh, k_mat, m_mat)
+        maps = reflection_maps(mesh)
+        bases = elastics._parity_sectors(cell, maps)
+        keep = cell.dofs[0]
+        whole = sp.hstack(bases)
+        assert whole.shape == (keep.size, keep.size)
+        np.testing.assert_allclose((whole.T @ whole).toarray(), np.eye(keep.size),
+                                   atol=1e-15)
+        assert np.diff(whole.tocsc().indptr).max() <= 4
+        mirrors = [elastics._signed_mirror(perm, axis)[keep][:, keep]
+                   for axis, perm in ((1, maps.perm_y), (2, maps.perm_z))]
+        for index, basis in enumerate(bases):
+            assert basis.shape[1] > 0
+            labels = elastics.classify_parities([index])
+            for mirror, label in zip(mirrors, labels):
+                sign = 1.0 if label[0] == "even" else -1.0
+                assert abs(mirror @ basis - sign * basis).max() < 1e-15
+
+    def test_mirror_matches_run_once_per_band_diagram(self, small_cell,
+                                                      monkeypatch):
+        calls = []
+        original = elastics._mirror_perm
+
+        def counted(mesh, axis):
+            calls.append(axis)
+            return original(mesh, axis)
+
+        monkeypatch.setattr(elastics, "_mirror_perm", counted)
+        mesh, _, _ = small_cell
+        for k_points in ([0.5], [0.0, 0.3, 0.6, 0.8, 1.0]):
+            calls.clear()
+            band_diagram(mesh, DIAMOND, k_points, 6)
+            assert sorted(calls) == [0, 1, 2]
+
+    def test_gamma_labels_match_dense_solve(self, reference_mesh, monkeypatch):
+        # Some k = 0 sectors of this mesh take the shift-invert path; solved
+        # densely instead they give the same bands and labels.
+        (sparse,) = sector_modes(reference_mesh, [0.0], 24)
+        solve = elastics.solve_reduced
+        monkeypatch.setattr(
+            elastics, "solve_reduced",
+            lambda k_red, m_red, n: solve(k_red, m_red, n, dense_cutoff=10_000),
+        )
+        (dense,) = sector_modes(reference_mesh, [0.0], 24)
+        assert relative_errors(sparse[0], dense[0]).max() < 1e-9
+        above = dense[0] > 1e-3  # 1 MHz
+        for which in (1, 2):
+            np.testing.assert_array_equal(sparse[which][above], dense[which][above])
+        # Inside the zero-frequency rigid cluster only the order may differ.
+        assert (sorted(zip(sparse[1][~above], sparse[2][~above]))
+                == sorted(zip(dense[1][~above], dense[2][~above])))
 
     def test_gamma_rigid_cluster_pairs_belong_to_one_mode(self,
                                                           reference_bands):
@@ -635,12 +685,25 @@ class TestParity:
     def test_reference_bands_have_clean_labels(self, reference_bands):
         bands = reference_bands
         assert bands.parity_y.shape == bands.frequencies_ghz.shape
-        assert set(np.unique(bands.parity_y)) <= {"even", "odd", "mixed"}
-        assert set(np.unique(bands.parity_z)) <= {"even", "odd", "mixed"}
-        # The physically meaningful low bands must classify cleanly: in a
-        # mirror-symmetric cell every eigenmode carries a definite parity.
-        assert not np.any(bands.parity_y[:, :12] == "mixed")
-        assert not np.any(bands.parity_z[:, :12] == "mixed")
+        assert bands.parity_z.shape == bands.frequencies_ghz.shape
+        assert set(np.unique(bands.parity_y)) == {"even", "odd"}
+        assert set(np.unique(bands.parity_z)) == {"even", "odd"}
+
+    def test_labels_match_mirror_overlaps(self, symmetric_mesh):
+        # Every mode band_diagram returns at k = 0, 1/2 and 1 is even or odd
+        # under each mirror as its label says, to 1e-8.
+        mesh = symmetric_mesh
+        k_points = [0.0, 0.5, 1.0]
+        bands = band_diagram(mesh, DIAMOND, k_points, 26)
+        for row, (freqs, par_y, par_z, modes, m_mat) in enumerate(
+                sector_modes(mesh, k_points, 26)):
+            np.testing.assert_array_equal(freqs, bands.frequencies_ghz[row])
+            np.testing.assert_array_equal(par_y, bands.parity_y[row])
+            np.testing.assert_array_equal(par_z, bands.parity_z[row])
+            for labels, overlap in zip((par_y, par_z),
+                                       mirror_overlaps(modes, mesh, m_mat)):
+                expected = np.where(labels == "even", 1.0, -1.0)
+                np.testing.assert_allclose(overlap, expected, rtol=0, atol=1e-8)
 
 
 class TestBandDiagram:
@@ -654,10 +717,29 @@ class TestBandDiagram:
 
     def test_single_point_diagram(self, small_cell):
         mesh, _, _ = small_cell
-        bands = band_diagram(mesh, DIAMOND, np.array([0.5]), n_modes=6,
-                             classify=False)
+        bands = band_diagram(mesh, DIAMOND, np.array([0.5]), n_modes=6)
         assert bands.frequencies_ghz.shape == (1, 6)
-        assert bands.parity_y is None
+        assert bands.parity_y.shape == bands.parity_z.shape == (1, 6)
+
+    def test_bands_match_dense_pencil(self, symmetric_mesh):
+        # The merged sector solves against dense eigh of the whole real
+        # pencil, at k = 0, 1/2, 0.7021 and 1; bands from 1 GHz up to 1e-9.
+        mesh = symmetric_mesh
+        k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
+        k_points = [0.0, 0.5, 0.7021, 1.0]
+        bands = band_diagram(mesh, DIAMOND, k_points, 26)
+        for k, freqs in zip(k_points, bands.frequencies_ghz):
+            problem = make_bloch_problem(mesh, k, k_mat, m_mat)
+            assert bands.n_dofs_reduced == problem.n_dofs
+            ref = dense_frequencies_ghz(problem.stiffness, problem.mass, 26)
+            above = ref >= 1.0
+            assert np.all(np.abs(freqs - ref)[above] <= 1e-9 * ref[above])
+            assert relative_errors(freqs, ref).max() < 1e-9
+
+    def test_too_many_modes_rejected(self, small_cell):
+        mesh, _, _ = small_cell
+        with pytest.raises(InvalidParameterError, match="n_modes"):
+            band_diagram(mesh, DIAMOND, [0.5], 10_000)
 
     def test_default_path_covers_zone_edge(self):
         path = elastics.default_k_path()

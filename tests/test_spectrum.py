@@ -236,7 +236,7 @@ class TestParameterSweep:
             k_points=self.K_POINTS,
         )
         mesh = build_unit_cell_mesh(base, self.RESOLUTION)
-        bands = band_diagram(mesh, DIAMOND, self.K_POINTS, 26, classify=False)
+        bands = band_diagram(mesh, DIAMOND, self.K_POINTS, 26)
         gap = primary_gap(find_complete_gaps(bands, 100.0), (30.0, 100.0))
         assert points == [SweepPoint(base.t, gap.center_ghz, gap.width_ghz)]
 
