@@ -1,12 +1,14 @@
 """Command-line front end for the band-structure and relaxation pipeline.
 
-The band subcommands (bands, dos, gap, sweep, fig1b) take one JSON config
-plus one flag per ``RunConfig`` field (flags win); the others take only
-their own flags, and the fits record the SHA-256 of each file they read in
-place of its path.  That request lands as ``config.json`` in
-``<out_dir>/<subcommand>-<run_id>/``, the run ID being a short hash of the
-request without ``out_dir``: identical inputs reuse identical paths and
-never collide with other runs.
+Each band subcommand (bands, dos, gap, sweep, fig1b) reads the subset of
+``RunConfig`` fields that ``BAND_COMMANDS`` names for it (``phonogap <cmd>
+--help`` lists them) and takes them from one JSON config plus one flag per
+field (flags win); a config-file key the command does not read is an error.
+The other subcommands take only their own flags, and the fits record the
+SHA-256 of each file they read in place of its path.  That request lands as
+``config.json`` in ``<out_dir>/<subcommand>-<run_id>/``, the run ID being a
+short hash of the request without ``out_dir``: identical inputs reuse
+identical paths and never collide with other runs.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 failure (no gap coverage, non-convergent fit, ...).
@@ -18,17 +20,19 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dynamics import LevelSystem, PulseSequence, simulate_sequence, thermalization_curve
-from .elastics import band_diagram, default_k_path
+from .elastics import BandStructure, band_diagram, default_k_path
 from .errors import ConfigError, InvalidParameterError, PhonogapError
 from .fitkit import fit_circle, fit_ellipse, fit_recovery, fit_tether_width
 from .geometry import (
@@ -70,7 +74,7 @@ class RunConfig:
     c44_gpa: float = 578.0
     rho_kgm3: float = 3515.0
     resolution: tuple[int, int, int] = (10, 8, 4)
-    n_kpoints: int = 20
+    n_kpoints: int = 48
     n_modes: int = 26
     broadening_ghz: float = 0.5
     f_max_ghz: float = 100.0
@@ -138,9 +142,10 @@ class RunConfig:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+    def from_dict(cls, data: dict, fields: tuple[str, ...] | None = None
+                  ) -> "RunConfig":
+        known = fields or [f.name for f in dataclasses.fields(cls)]
+        unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged = {**data}
@@ -152,19 +157,28 @@ class RunConfig:
             )
         return cls(**merged)
 
-    @property
-    def run_id(self) -> str:
-        return run_id(self.to_dict())
 
-    def resolved_out_dir(self) -> Path:
-        return _out_root(self.out_dir)
+#: ``RunConfig`` fields by what reads them.  Every band command reads the
+#: cell, the material, the mesh and k sampling, and the output root.
+_SHARED = (
+    "w_nm", "h_nm", "a_nm", "t_nm", "r_nm", "d_nm",
+    "c11_gpa", "c12_gpa", "c44_gpa", "rho_kgm3",
+    "resolution", "n_kpoints", "n_modes", "out_dir",
+)
+#: The commands that solve one diagram can take the nanobeam instead.
+_ONE_DIAGRAM = ("structure", "beam_width_nm", "beam_thickness_nm", *_SHARED)
+_WINDOW = ("f_max_ghz", "window_lo_ghz", "window_hi_ghz")
+_REFERENCE = ("reference_center_ghz", "reference_width_ghz",
+              "center_tolerance_pct", "width_tolerance_pct")
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Defaults, then the config file, then flag overrides (flags win)."""
+def load_config(path: str | None, overrides: dict,
+                fields: tuple[str, ...] | None = None) -> RunConfig:
+    """Defaults, then the config file, then flag overrides (flags win).
+    Every key must be among ``fields``, the ones the command reads."""
     data = {} if path is None else _read_json_object(path, "config file")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    config = RunConfig.from_dict(data)
+    config = RunConfig.from_dict(data, fields)
     config.validate()
     return config
 
@@ -239,20 +253,15 @@ _FLAG_SPECS: dict[str, dict] = {
 }
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser,
+                      fields: tuple[str, ...]) -> None:
     group = parser.add_argument_group("configuration overrides")
     group.add_argument("--config", metavar="FILE", help="JSON config file")
-    for field in dataclasses.fields(RunConfig):
-        spec = {"type": type(field.default), **_FLAG_SPECS.get(field.name, {})}
+    for name in fields:
+        spec = {"type": type(getattr(RunConfig, name)), **_FLAG_SPECS.get(name, {})}
         group.add_argument(
-            f"--{field.name.replace('_', '-')}", dest=field.name, default=None,
-            **spec,
+            f"--{name.replace('_', '-')}", dest=name, default=None, **spec
         )
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
-    return load_config(args.config, overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,23 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phononic-crystal bands, rates, and fitting pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, band in BAND_COMMANDS.items():
+        _add_config_flags(sub.add_parser(name, help=band.help), band.fields)
 
-    def command(name: str, help_text: str, *, config: bool = True):
+    def command(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
-        if config:
-            _add_config_flags(p)
-        else:
-            p.add_argument("--out-dir", default="", help="artifact root "
-                           f"(default ${OUT_DIR_ENV}, else ./runs)")
+        p.add_argument("--out-dir", default="", help="artifact root "
+                       f"(default ${OUT_DIR_ENV}, else ./runs)")
         return p
 
-    command("bands", "band structure along the reduced k path")
-    command("dos", "Gaussian-broadened phonon density of states")
-    command("gap", "complete-gap report with reference comparison")
-    command("sweep", "gap center/width vs one geometry parameter")
-    command("fig1b", "bands + DOS CSVs and a two-panel gnuplot script")
-
-    p = command("rates", "phonon-induced orbital relaxation rates", config=False)
+    p = command("rates", "phonon-induced orbital relaxation rates")
     p.add_argument("--delta-ghz", type=float, required=True,
                    help="orbital splitting in GHz")
     temps = p.add_mutually_exclusive_group(required=True)
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=("plain_frequency", "angular"),
                    default="plain_frequency")
 
-    p = command("pumpprobe", "simulated two-pulse recovery curve", config=False)
+    p = command("pumpprobe", "simulated two-pulse recovery curve")
     p.add_argument("--t1-ns", type=float, help="orbital lifetime; implies "
                    "equal up/down rates")
     p.add_argument("--gamma-up-mhz", type=float)
@@ -308,12 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the full trace at this delay")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
 
-    p = command("fit-t1", "fit a recovery curve CSV (tau_ns, ratio[, sigma])",
-                config=False)
+    p = command("fit-t1", "fit a recovery curve CSV (tau_ns, ratio[, sigma])")
     p.add_argument("--input", required=True, metavar="FILE")
 
-    p = command("fit-temp", "power-law fits of rate vs temperature CSV",
-                config=False)
+    p = command("fit-temp", "power-law fits of rate vs temperature CSV")
     p.add_argument("--input", required=True, metavar="FILE",
                    help="CSV with temperature_K, rate_MHz, sigma_MHz")
     p.add_argument("--models", type=str, default="1,3,5,7",
@@ -321,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float,
                    help="fit only points at or below this temperature")
 
-    p = command("fit-geom", "fabricated-geometry statistics from contours",
-                config=False)
+    p = command("fit-geom", "fabricated-geometry statistics from contours")
     p.add_argument("--manifest", required=True, metavar="FILE",
                    help="JSON manifest: contours: [{path, role}, ...]")
 
@@ -337,12 +336,19 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _artifact_dir(command: str, request: dict) -> Path:
-    """Make ``<out_dir>/<command>-<run_id>/`` and record the request in it."""
+def _write_artifacts(command: str, request: dict, files: dict[str, str]) -> int:
+    """Make ``<out_dir>/<command>-<run_id>/``, record the request in it as
+    ``config.json``, write ``files`` (name -> contents) beside it, and
+    return exit code 0.  Commands compute every file first, so a failed run
+    leaves no directory."""
     directory = _out_root(request["out_dir"]) / f"{command}-{run_id(request)}"
     directory.mkdir(parents=True, exist_ok=True)
-    _write_json(directory / "config.json", request)
-    return directory
+    (directory / "config.json").write_text(_json_text(request), encoding="utf-8")
+    for name, text in files.items():
+        path = directory / name
+        path.write_text(text, encoding="utf-8", newline="")
+        print(f"wrote {path}")
+    return 0
 
 
 def _sha256(path: str | Path) -> str:
@@ -365,42 +371,19 @@ def _request(args: argparse.Namespace, *input_paths: str | Path) -> dict:
     return request
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_text(header: list[str], rows) -> str:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_bands_csv(path: Path, bands) -> None:
-    _write_csv(
-        path,
-        ["k_reduced", "band_index", "frequency_GHz", "parity_y", "parity_z"],
-        (
-            [_fmt(k), str(j), _fmt(bands.frequencies_ghz[i, j]),
-             bands.parity_y[i, j], bands.parity_z[i, j]]
-            for i, k in enumerate(bands.k_points)
-            for j in range(bands.n_bands)
-        ),
-    )
-
-
-def _write_dos_csv(path: Path, dos) -> None:
-    _write_csv(
-        path,
-        ["frequency_GHz", "dos_per_GHz"],
-        ([_fmt(f), _fmt(d)] for f, d in zip(dos.frequency_ghz, dos.dos_per_ghz)),
-    )
-
-
-def _note(path: Path) -> None:
-    print(f"wrote {path}")
+GAP_HEADER = ["param_value_nm", "center_GHz", "width_GHz"]
 
 
 def gap_row(value_nm: float, center_ghz: float, width_ghz: float) -> list[str]:
@@ -409,56 +392,42 @@ def gap_row(value_nm: float, center_ghz: float, width_ghz: float) -> list[str]:
     return [_fmt(value_nm), _fmt(center_ghz), _fmt(width_ghz)]
 
 
-def _compute_bands(config: RunConfig):
-    if config.structure == "nanobeam":
-        mesh = build_nanobeam_mesh(
-            config.beam_width_nm,
-            config.beam_thickness_nm,
-            config.a_nm,
-            config.resolution,
-        )
-    else:
-        mesh = build_unit_cell_mesh(config.cell_params(), config.resolution)
-    return band_diagram(
-        mesh,
-        config.material(),
-        default_k_path(config.n_kpoints),
-        config.n_modes,
-    )
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# band subcommands
+
+#: An artifact writer: file name -> contents, computed from the resolved
+#: config and the solved diagram before any directory exists.
+Writer = Callable[[RunConfig, BandStructure], dict[str, str]]
 
 
-def cmd_bands(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    bands = _compute_bands(config)
-    out = _artifact_dir("bands", config.to_dict())
-    path = out / "bands.csv"
-    _write_bands_csv(path, bands)
-    _note(path)
-    return 0
+def _bands_csv(config: RunConfig, bands: BandStructure) -> dict[str, str]:
+    return {"bands.csv": _csv_text(
+        ["k_reduced", "band_index", "frequency_GHz", "parity_y", "parity_z"],
+        (
+            [_fmt(k), str(j), _fmt(bands.frequencies_ghz[i, j]),
+             bands.parity_y[i, j], bands.parity_z[i, j]]
+            for i, k in enumerate(bands.k_points)
+            for j in range(bands.n_bands)
+        ),
+    )}
 
 
-def cmd_dos(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    bands = _compute_bands(config)
+def _dos_csv(config: RunConfig, bands: BandStructure) -> dict[str, str]:
     dos = compute_dos(bands, config.broadening_ghz)
-    out = _artifact_dir("dos", config.to_dict())
-    path = out / "dos.csv"
-    _write_dos_csv(path, dos)
-    _note(path)
-    return 0
+    return {"dos.csv": _csv_text(
+        ["frequency_GHz", "dos_per_GHz"],
+        ([_fmt(f), _fmt(d)] for f, d in zip(dos.frequency_ghz, dos.dos_per_ghz)),
+    )}
 
 
-def _gap_report(config: RunConfig, bands) -> dict:
+def _gap_files(config: RunConfig, bands: BandStructure) -> dict[str, str]:
+    """``gap.csv`` and ``gap.json``; prints the comparison summary."""
     gaps = find_complete_gaps(bands, config.f_max_ghz)
     window = (config.window_lo_ghz, config.window_hi_ghz)
     in_window = [g for g in gaps if window[0] <= g.center_ghz <= window[1]]
     gap = primary_gap(gaps, window)
     report: dict = {
-        "run_id": config.run_id,
+        "run_id": run_id(_band_request("gap", config)),
         "n_gaps_in_window": len(in_window),
         "n_dofs_reduced": bands.n_dofs_reduced,
         "reference_center_ghz": config.reference_center_ghz,
@@ -484,27 +453,13 @@ def _gap_report(config: RunConfig, bands) -> dict:
             "center_within_tolerance": bool(center_dev <= config.center_tolerance_pct),
             "width_within_tolerance": bool(width_dev <= config.width_tolerance_pct),
         }
-    return report
-
-
-def cmd_gap(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    bands = _compute_bands(config)
-    report = _gap_report(config, bands)
     gap = report["gap"]
-    out = _artifact_dir("gap", config.to_dict())
     value_nm = getattr(config.cell_params(), config.sweep_param)
     if gap is None:
         row = gap_row(value_nm, math.nan, 0.0)
-    else:
-        row = gap_row(value_nm, gap["center_ghz"], gap["width_ghz"])
-    csv_path = out / "gap.csv"
-    _write_csv(csv_path, ["param_value_nm", "center_GHz", "width_GHz"], [row])
-    json_path = out / "gap.json"
-    _write_json(json_path, report)
-    if gap is None:
         print("no complete gap inside the window")
     else:
+        row = gap_row(value_nm, gap["center_ghz"], gap["width_ghz"])
         comp = report["comparison"]
         print(
             f"gap {gap['f_lo_ghz']:.2f}-{gap['f_hi_ghz']:.2f} GHz "
@@ -518,35 +473,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
             f"({'within' if comp['width_within_tolerance'] else 'OUTSIDE'} "
             f"{config.width_tolerance_pct:g}%)"
         )
-    _note(csv_path)
-    _note(json_path)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    if config.structure != "pnc":
-        raise ConfigError("sweep requires the periodic-cell structure")
-    points = parameter_sweep(
-        config.cell_params(),
-        config.sweep_param,
-        config.sweep_values_nm,
-        material=config.material(),
-        resolution=config.resolution,
-        k_points=default_k_path(config.n_kpoints),
-        n_modes=config.n_modes,
-        f_max_ghz=config.f_max_ghz,
-        window_ghz=(config.window_lo_ghz, config.window_hi_ghz),
-    )
-    out = _artifact_dir("sweep", config.to_dict())
-    path = out / "sweep.csv"
-    _write_csv(
-        path,
-        ["param_value_nm", "center_GHz", "width_GHz"],
-        (gap_row(p.value_nm, p.center_ghz, p.width_ghz) for p in points),
-    )
-    _note(path)
-    return 0
+    return {"gap.csv": _csv_text(GAP_HEADER, [row]),
+            "gap.json": _json_text(report)}
 
 
 _GNUPLOT_TEMPLATE = """\
@@ -570,17 +498,13 @@ unset multiplot
 """
 
 
-def cmd_fig1b(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    bands = _compute_bands(config)
-    dos = compute_dos(bands, config.broadening_ghz)
+def _fig1b_gp(config: RunConfig, bands: BandStructure) -> dict[str, str]:
+    """The two-panel plot script over ``bands.csv`` and ``dos.csv``, with the
+    primary gap shaded."""
     gap = primary_gap(
         find_complete_gaps(bands, config.f_max_ghz),
         (config.window_lo_ghz, config.window_hi_ghz),
     )
-    out = _artifact_dir("fig1b", config.to_dict())
-    _write_bands_csv(out / "bands.csv", bands)
-    _write_dos_csv(out / "dos.csv", dos)
     if gap is None:
         shading = ""
     else:
@@ -589,13 +513,99 @@ def cmd_fig1b(args: argparse.Namespace) -> int:
             f"to graph 1, first {_fmt(gap.f_hi_ghz)} "
             "behind fillcolor rgb \"#d9d9d9\" fillstyle solid noborder\n"
         )
-    script = _GNUPLOT_TEMPLATE.format(
+    return {"fig1b.gp": _GNUPLOT_TEMPLATE.format(
         f_max=_fmt(config.f_max_ghz), shading=shading
+    )}
+
+
+class BandCommand(NamedTuple):
+    """A band command's help line, the ``RunConfig`` fields it reads (its
+    flags and config-file keys, and what its ``config.json`` and run ID
+    record), and the writers ``run_band_command`` runs on its diagram."""
+
+    help: str
+    fields: tuple[str, ...]
+    writers: tuple[Writer, ...]
+
+
+BAND_COMMANDS = {
+    "bands": BandCommand("band structure along the reduced k path",
+                         _ONE_DIAGRAM, (_bands_csv,)),
+    "dos": BandCommand("Gaussian-broadened phonon density of states",
+                       (*_ONE_DIAGRAM, "broadening_ghz"), (_dos_csv,)),
+    # sweep_param names the cell value in the gap.csv row.
+    "gap": BandCommand("complete-gap report with reference comparison",
+                       (*_ONE_DIAGRAM, *_WINDOW, *_REFERENCE, "sweep_param"),
+                       (_gap_files,)),
+    # One periodic-cell diagram per value, solved by cmd_sweep.
+    "sweep": BandCommand("gap center/width vs one geometry parameter",
+                         (*_SHARED, *_WINDOW, "sweep_param", "sweep_values_nm"),
+                         ()),
+    "fig1b": BandCommand("bands + DOS CSVs and a two-panel gnuplot script",
+                         (*_ONE_DIAGRAM, "broadening_ghz", *_WINDOW),
+                         (_bands_csv, _dos_csv, _fig1b_gp)),
+}
+
+
+def _band_config(args: argparse.Namespace) -> RunConfig:
+    fields = BAND_COMMANDS[args.command].fields
+    overrides = {name: getattr(args, name) for name in fields}
+    return load_config(args.config, overrides, fields)
+
+
+def _band_request(command: str, config: RunConfig) -> dict:
+    """The fields ``command`` reads, as its ``config.json`` records them."""
+    resolved = config.to_dict()
+    return {name: resolved[name] for name in BAND_COMMANDS[command].fields}
+
+
+def run_band_command(args: argparse.Namespace) -> int:
+    """Validate the config, solve its band diagram once, compute every
+    artifact, and only then make the run's directory: a run that exits 2 or
+    3 leaves none."""
+    config = _band_config(args)
+    if config.structure == "nanobeam":
+        mesh = build_nanobeam_mesh(
+            config.beam_width_nm,
+            config.beam_thickness_nm,
+            config.a_nm,
+            config.resolution,
+        )
+    else:
+        mesh = build_unit_cell_mesh(config.cell_params(), config.resolution)
+    bands = band_diagram(
+        mesh,
+        config.material(),
+        default_k_path(config.n_kpoints),
+        config.n_modes,
     )
-    (out / "fig1b.gp").write_text(script, encoding="utf-8")
-    for name in ("bands.csv", "dos.csv", "fig1b.gp"):
-        _note(out / name)
-    return 0
+    files: dict[str, str] = {}
+    for writer in BAND_COMMANDS[args.command].writers:
+        files.update(writer(config, bands))
+    return _write_artifacts(args.command, _band_request(args.command, config),
+                            files)
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    config = _band_config(args)
+    points = parameter_sweep(
+        config.cell_params(),
+        config.sweep_param,
+        config.sweep_values_nm,
+        material=config.material(),
+        resolution=config.resolution,
+        k_points=default_k_path(config.n_kpoints),
+        n_modes=config.n_modes,
+        f_max_ghz=config.f_max_ghz,
+        window_ghz=(config.window_lo_ghz, config.window_hi_ghz),
+    )
+    rows = (gap_row(p.value_nm, p.center_ghz, p.width_ghz) for p in points)
+    return _write_artifacts(args.command, _band_request(args.command, config),
+                            {"sweep.csv": _csv_text(GAP_HEADER, rows)})
+
+
+# ---------------------------------------------------------------------------
+# other subcommands
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
@@ -618,16 +628,11 @@ def cmd_rates(args: argparse.Namespace) -> int:
             _fmt(rates.gamma_raman_mhz),
             _fmt(rates.t1_ns),
         ])
-    out = _artifact_dir("rates", _request(args))
-    path = out / "rates.csv"
-    _write_csv(
-        path,
+    return _write_artifacts("rates", _request(args), {"rates.csv": _csv_text(
         ["temperature_K", "gamma_up_MHz", "gamma_down_MHz",
          "gamma_raman_MHz", "t1_ns"],
         rows,
-    )
-    _note(path)
-    return 0
+    )})
 
 
 def _pumpprobe_system(args: argparse.Namespace) -> LevelSystem:
@@ -665,27 +670,20 @@ def cmd_pumpprobe(args: argparse.Namespace) -> int:
         noise=args.noise,
         seed=args.seed,
     )
-    out = _artifact_dir("pumpprobe", _request(args))
-    path = out / "pumpprobe.csv"
-    _write_csv(
-        path,
+    files = {"pumpprobe.csv": _csv_text(
         ["tau_ns", "ratio"],
         ([_fmt(t), _fmt(r)] for t, r in zip(taus, ratios)),
-    )
-    _note(path)
+    )}
     if args.dump_trace_ns is not None:
         sequence = PulseSequence(
             delay_ns=args.dump_trace_ns, width_ns=args.pulse_width_ns
         )
         trace = simulate_sequence(system, sequence)
-        trace_path = out / "trace.csv"
-        _write_csv(
-            trace_path,
+        files["trace.csv"] = _csv_text(
             ["time_ns", "signal"],
             ([_fmt(t), _fmt(s)] for t, s in zip(trace.times_ns, trace.signal)),
         )
-        _note(trace_path)
-    return 0
+    return _write_artifacts("pumpprobe", _request(args), files)
 
 
 def _read_csv_columns(path: str, required: tuple[str, ...],
@@ -726,12 +724,8 @@ def cmd_fit_t1(args: argparse.Namespace) -> int:
         "dof": fit.dof,
         "n_iterations": fit.n_iterations,
     }
-    out = _artifact_dir("fit-t1", request)
-    path = out / "fit_t1.json"
-    _write_json(path, report)
     print(f"T1 = {report['t1_ns']:.3f} +/- {report['t1_err_ns']:.3f} ns")
-    _note(path)
-    return 0
+    return _write_artifacts("fit-t1", request, {"fit_t1.json": _json_text(report)})
 
 
 def cmd_fit_temp(args: argparse.Namespace) -> int:
@@ -769,20 +763,17 @@ def cmd_fit_temp(args: argparse.Namespace) -> int:
     grid = np.linspace(data.temperatures_k[0], data.temperatures_k[-1], 200)
     header = ["temperature_K"] + [f"rate_p{f.exponent}_MHz" for f in ranked]
     curves = np.column_stack([grid] + [f.predict(grid) for f in ranked])
-    out = _artifact_dir("fit-temp", request)
-    json_path = out / "fit_temp.json"
-    csv_path = out / "fit_temp_curves.csv"
-    _write_json(json_path, report)
-    _write_csv(csv_path, header, ([_fmt(v) for v in row] for row in curves))
     best = ranked[0]
     print(
         f"best exponent {best.exponent}: A = {best.a_mhz:.4g} +/- "
         f"{best.a_err_mhz:.2g} MHz, B = {best.b_mhz:.4g} +/- "
         f"{best.b_err_mhz:.2g} MHz/K^{best.exponent}"
     )
-    _note(json_path)
-    _note(csv_path)
-    return 0
+    return _write_artifacts("fit-temp", request, {
+        "fit_temp.json": _json_text(report),
+        "fit_temp_curves.csv": _csv_text(
+            header, ([_fmt(v) for v in row] for row in curves)),
+    })
 
 
 _GEOM_ROLES = ("block", "corner", "tether-edge")
@@ -851,19 +842,18 @@ def cmd_fit_geom(args: argparse.Namespace) -> int:
         rows.append([name, _fmt(float(arr.mean())), _fmt(sd)])
     if not rows:
         raise ConfigError("manifest produced no fitted parameters")
-    out = _artifact_dir("fit-geom", _request(args, args.manifest, *paths))
-    path = out / "fit_geom.csv"
-    _write_csv(path, ["parameter", "average_nm", "sd_nm"], rows)
-    _note(path)
-    return 0
+    return _write_artifacts(
+        "fit-geom", _request(args, args.manifest, *paths),
+        {"fit_geom.csv": _csv_text(["parameter", "average_nm", "sd_nm"], rows)},
+    )
 
 
 _COMMANDS = {
-    "bands": cmd_bands,
-    "dos": cmd_dos,
-    "gap": cmd_gap,
+    "bands": run_band_command,
+    "dos": run_band_command,
+    "gap": run_band_command,
     "sweep": cmd_sweep,
-    "fig1b": cmd_fig1b,
+    "fig1b": run_band_command,
     "rates": cmd_rates,
     "pumpprobe": cmd_pumpprobe,
     "fit-t1": cmd_fit_t1,

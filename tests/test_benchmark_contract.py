@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonogap import elastics
+from phonogap import cli, elastics
 from phonogap.geometry import DIAMOND, UnitCellParams, build_unit_cell_mesh
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +92,21 @@ def test_traced_child_misses_nothing(traced_fig1b):
     for key in ("frequencies_ghz", "parity_y", "parity_z"):
         assert np.shape(bands[key]) == shape
     assert set(np.ravel(bands["parity_y"] + bands["parity_z"])) == {"even", "odd"}
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.BAND_WORKLOADS))
+def test_band_config_keys_are_read(tmp_path, workload):
+    """The benchmark's per-cell config files parse for the command each band
+    workload runs, and fig1b also takes the broadening the fixture above
+    adds.  Parsing only: no band diagram is solved."""
+    spec = workloads.make_spec(workload, 601)
+    config = workloads.band_config(spec, 0)
+    if spec["command"] == "fig1b":
+        config["broadening_ghz"] = 3.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    args = cli.build_parser().parse_args([spec["command"], "--config", str(path)])
+    assert cli._band_config(args).resolution == tuple(spec["resolution"])
 
 
 def test_reference_call_forms():

@@ -15,9 +15,27 @@ from phonogap.rates import KB_OVER_H_GHZ_PER_K
 COARSE = ("--resolution", "8,6,4", "--n-kpoints", "8", "--n-modes", "24")
 NANOBEAM = (
     "--structure", "nanobeam", "--resolution", "5,4,4", "--n-kpoints", "12",
-    "--n-modes", "14", "--f-max-ghz", "60", "--window-hi-ghz", "60",
-    "--broadening-ghz", "3",
+    "--n-modes", "14",
 )
+NANOBEAM_DOS = (*NANOBEAM, "--broadening-ghz", "3")
+NANOBEAM_FIG1B = (*NANOBEAM_DOS, "--f-max-ghz", "60", "--window-hi-ghz", "60")
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+FIG1B_FILES = ("bands.csv", "dos.csv", "fig1b.gp")
+#: Band runs that several tests read: argv without ``--out-dir``, and the
+#: artifacts whose numbers ``tests/data/golden/<name>/`` holds
+#: (``tests/regenerate_golden.py`` rewrites them).
+RUNS = {
+    "gap": (("gap", *COARSE), ("gap.csv", "gap.json")),
+    "sweep": (("sweep", *COARSE), ("sweep.csv",)),
+    "fig1b": (("fig1b", *COARSE, "--broadening-ghz", "3"), FIG1B_FILES),
+    "fig1b-nanobeam": (("fig1b", *NANOBEAM_FIG1B), FIG1B_FILES),
+    "dos-nanobeam": (("dos", *NANOBEAM_DOS), ("dos.csv",)),
+    "bands-single-k": (
+        ("bands", "--resolution", "6,5,4", "--n-kpoints", "1", "--n-modes", "6"),
+        ("bands.csv",),
+    ),
+}
 
 
 def read_csv(path):
@@ -33,11 +51,19 @@ def only_dir(root, prefix):
 
 
 @pytest.fixture(scope="module")
-def gap_sweep_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("gapsweep")
-    assert cli.main(["gap", *COARSE, "--out-dir", str(out)]) == 0
-    assert cli.main(["sweep", *COARSE, "--out-dir", str(out)]) == 0
-    return only_dir(out, "gap"), only_dir(out, "sweep")
+def band_run(tmp_path_factory):
+    """Artifact directory of a ``RUNS`` entry, run at most once per module."""
+    dirs = {}
+
+    def run(name):
+        if name not in dirs:
+            argv = RUNS[name][0]
+            out = tmp_path_factory.mktemp(name)
+            assert cli.main([*argv, "--out-dir", str(out)]) == 0
+            dirs[name] = only_dir(out, argv[0])
+        return dirs[name]
+
+    return run
 
 
 class TestConfig:
@@ -60,13 +86,13 @@ class TestConfig:
             cli.RunConfig.from_dict({"threads": 2})
 
     def test_run_id_is_stable_and_sensitive(self):
-        a = cli.RunConfig()
-        b = cli.RunConfig()
-        c = cli.RunConfig(w_nm=95.8)
-        assert a.run_id == b.run_id
-        assert len(a.run_id) == 10
-        assert int(a.run_id, 16) >= 0
-        assert a.run_id != c.run_id
+        request = cli._band_request("gap", cli.RunConfig())
+        a = cli.run_id(request)
+        assert a == cli.run_id(dict(request))
+        assert len(a) == 10
+        assert int(a, 16) >= 0
+        assert a != cli.run_id({**request, "w_nm": 95.8})
+        assert a == cli.run_id({**request, "out_dir": "elsewhere"})
 
     def test_validation_catches_bad_values(self):
         with pytest.raises(ConfigError, match="structure"):
@@ -77,9 +103,14 @@ class TestConfig:
             cli.RunConfig(window_lo_ghz=50.0, window_hi_ghz=40.0).validate()
 
     def test_out_dir_env_fallback(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env-out"))
-        assert cli.RunConfig().resolved_out_dir() == tmp_path / "env-out"
-        assert cli.RunConfig(out_dir="x").resolved_out_dir().name == "x"
+        request = cli._band_request("bands", cli.RunConfig())
+        name = f"bands-{cli.run_id(request)}"
+        cli._write_artifacts("bands", request, {})
+        assert (tmp_path / "env-out" / name / "config.json").is_file()
+        cli._write_artifacts("bands", {**request, "out_dir": "x"}, {})
+        assert (tmp_path / "x" / name / "config.json").is_file()
 
 
 class TestDispatch:
@@ -98,11 +129,32 @@ class TestDispatch:
         assert cli.main(["gap", "--help"]) == 0
         text = capsys.readouterr().out
         assert "--w-nm" in text and "--config" in text
+        assert "--reference-width-ghz" in text and "--broadening-ghz" not in text
+        assert cli.main(["bands", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--w-nm" in text and "--f-max-ghz" not in text
+        assert cli.main(["sweep", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--sweep-values-nm" in text and "--structure" not in text
+
+    def test_field_the_command_does_not_read_exits_2(self, tmp_path, capsys):
+        out = ["--out-dir", str(tmp_path)]
+        assert cli.main(["bands", "--broadening-ghz", "1", *out]) == 2
+        path = tmp_path / "broadened.json"
+        path.write_text(json.dumps({"broadening_ghz": 1.0}))
+        assert cli.main(["bands", "--config", str(path), *out]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bands-*"))
 
     def test_invalid_geometry_exits_2(self, tmp_path, capsys):
         code = cli.main(["bands", "--w-nm", "-4", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bands-*"))
+
+    @pytest.mark.parametrize("command", ["dos", "fig1b"])
+    def test_documented_defaults_run(self, tmp_path, command):
+        assert cli.main([command, "--out-dir", str(tmp_path)]) == 0
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = cli.main(["gap", "--config", str(tmp_path / "nope.json")])
@@ -134,13 +186,8 @@ class TestDispatch:
 
 
 class TestBands:
-    def test_single_k_point_csv(self, tmp_path):
-        code = cli.main([
-            "bands", "--resolution", "6,5,4", "--n-kpoints", "1",
-            "--n-modes", "6", "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        header, rows = read_csv(only_dir(tmp_path, "bands") / "bands.csv")
+    def test_single_k_point_csv(self, band_run):
+        header, rows = read_csv(band_run("bands-single-k") / "bands.csv")
         assert header == [
             "k_reduced", "band_index", "frequency_GHz", "parity_y", "parity_z"
         ]
@@ -154,9 +201,8 @@ class TestBands:
 
 
 class TestDos:
-    def test_nanobeam_dos_csv(self, tmp_path):
-        assert cli.main(["dos", *NANOBEAM, "--out-dir", str(tmp_path)]) == 0
-        header, rows = read_csv(only_dir(tmp_path, "dos") / "dos.csv")
+    def test_nanobeam_dos_csv(self, band_run):
+        header, rows = read_csv(band_run("dos-nanobeam") / "dos.csv")
         assert header == ["frequency_GHz", "dos_per_GHz"]
         dos = np.array([float(r[1]) for r in rows])
         assert np.all(dos >= 0)
@@ -169,11 +215,12 @@ class TestDos:
         ])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dos-*"))
 
 
 class TestGap:
-    def test_report_contents(self, gap_sweep_run):
-        gap_dir, _ = gap_sweep_run
+    def test_report_contents(self, band_run):
+        gap_dir = band_run("gap")
         report = json.loads((gap_dir / "gap.json").read_text())
         gap = report["gap"]
         assert gap is not None
@@ -189,42 +236,41 @@ class TestGap:
         assert comp["width_within_tolerance"] is True
         assert comp["center_deviation_pct"] < 15.0
 
-    def test_artifacts_namespaced_by_run_id(self, gap_sweep_run):
-        gap_dir, _ = gap_sweep_run
+    def test_artifacts_namespaced_by_run_id(self, band_run):
+        gap_dir = band_run("gap")
         report = json.loads((gap_dir / "gap.json").read_text())
         assert gap_dir.name == f"gap-{report['run_id']}"
-        config = cli.RunConfig.from_dict(
-            json.loads((gap_dir / "config.json").read_text())
-        )
-        assert config.run_id == report["run_id"]
-        assert config.resolution == (8, 6, 4)
+        request = json.loads((gap_dir / "config.json").read_text())
+        assert set(request) == set(cli.BAND_COMMANDS["gap"].fields)
+        assert cli.run_id(request) == report["run_id"]
+        assert cli.RunConfig.from_dict(request).resolution == (8, 6, 4)
 
-    def test_gap_csv_schema(self, gap_sweep_run):
-        gap_dir, _ = gap_sweep_run
+    def test_gap_csv_schema(self, band_run):
+        gap_dir = band_run("gap")
         header, rows = read_csv(gap_dir / "gap.csv")
         assert header == ["param_value_nm", "center_GHz", "width_GHz"]
         assert len(rows) == 1
         assert rows[0][0] == "22.1"
 
-    def test_sweep_middle_row_matches_gap_run_exactly(self, gap_sweep_run):
-        gap_dir, sweep_dir = gap_sweep_run
+    def test_sweep_middle_row_matches_gap_run_exactly(self, band_run):
+        gap_dir, sweep_dir = band_run("gap"), band_run("sweep")
         gap_line = (gap_dir / "gap.csv").read_text().splitlines()[1]
         sweep_lines = (sweep_dir / "sweep.csv").read_text().splitlines()
         assert sweep_lines[2] == gap_line
 
-    def test_sweep_rows_sorted_by_value(self, gap_sweep_run):
-        _, sweep_dir = gap_sweep_run
+    def test_sweep_rows_sorted_by_value(self, band_run):
+        sweep_dir = band_run("sweep")
         header, rows = read_csv(sweep_dir / "sweep.csv")
         assert header == ["param_value_nm", "center_GHz", "width_GHz"]
         values = [float(r[0]) for r in rows]
         assert values == sorted(values) == [19.1, 22.1, 25.1]
 
-    def test_config_has_no_seed(self, gap_sweep_run):
-        gap_dir, _ = gap_sweep_run
+    def test_config_has_no_seed(self, band_run):
+        gap_dir = band_run("gap")
         assert "seed" not in json.loads((gap_dir / "config.json").read_text())
 
-    def test_rerun_is_byte_identical(self, gap_sweep_run, tmp_path):
-        gap_dir, _ = gap_sweep_run
+    def test_rerun_is_byte_identical(self, band_run, tmp_path):
+        gap_dir = band_run("gap")
         assert cli.main(["gap", *COARSE, "--out-dir", str(tmp_path)]) == 0
         again = only_dir(tmp_path, "gap")
         assert again.name == gap_dir.name
@@ -235,13 +281,9 @@ class TestGap:
 
 
 class TestFig1b:
-    def test_bundle_shades_detected_gap(self, gap_sweep_run, tmp_path):
-        gap_dir, _ = gap_sweep_run
-        code = cli.main([
-            "fig1b", *COARSE, "--broadening-ghz", "3", "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        bundle = only_dir(tmp_path, "fig1b")
+    def test_bundle_shades_detected_gap(self, band_run):
+        gap_dir = band_run("gap")
+        bundle = band_run("fig1b")
         assert (bundle / "bands.csv").exists()
         assert (bundle / "dos.csv").exists()
         script = (bundle / "fig1b.gp").read_text()
@@ -254,20 +296,117 @@ class TestFig1b:
         assert abs(lo - report["gap"]["f_lo_ghz"]) < 1e-8
         assert abs(hi - report["gap"]["f_hi_ghz"]) < 1e-8
 
-    def test_nanobeam_bundle_has_no_shading(self, tmp_path):
-        assert cli.main(["fig1b", *NANOBEAM, "--out-dir", str(tmp_path)]) == 0
-        script = (only_dir(tmp_path, "fig1b") / "fig1b.gp").read_text()
+    def test_nanobeam_bundle_has_no_shading(self, band_run):
+        script = (band_run("fig1b-nanobeam") / "fig1b.gp").read_text()
         assert "set object" not in script
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        for out in (out_a, out_b):
-            assert cli.main(["fig1b", *NANOBEAM, "--out-dir", str(out)]) == 0
-        dir_a = only_dir(out_a, "fig1b")
-        dir_b = only_dir(out_b, "fig1b")
-        for name in ("bands.csv", "dos.csv", "fig1b.gp"):
+    def test_rerun_is_byte_identical(self, band_run, tmp_path):
+        dir_a = band_run("fig1b-nanobeam")
+        assert cli.main(["fig1b", *NANOBEAM_FIG1B, "--out-dir", str(tmp_path)]) == 0
+        dir_b = only_dir(tmp_path, "fig1b")
+        assert dir_b.name == dir_a.name
+        for name in FIG1B_FILES:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def same_frequency(value, golden):
+    """The rule of ``relative_errors`` in ``test_elastics.py``: frequencies
+    agree to 1e-9 on the eigenvalues, |f^2 - g^2| <= 2e-9 max(g, 1 GHz)^2,
+    which is 1e-9 relative at or above 1 GHz; two modes under 1 MHz are
+    both numerical zeros.  The k = 0 rigid modes are zero up to the square
+    root of eigenvalue round-off, and read 0 to 2.5e-5 GHz depending on the
+    BLAS thread count."""
+    if math.isnan(golden):
+        return math.isnan(value)
+    if value < 1e-3 and golden < 1e-3:
+        return True
+    return abs(value**2 - golden**2) <= 2e-9 * max(golden, 1.0) ** 2
+
+
+def assert_csv_matches(actual, golden):
+    header, rows = read_csv(actual)
+    golden_header, golden_rows = read_csv(golden)
+    assert header == golden_header
+    assert len(rows) == len(golden_rows)
+    for col, name in enumerate(header):
+        got = [row[col] for row in rows]
+        want = [row[col] for row in golden_rows]
+        if name == "dos_per_GHz":
+            # Not a frequency: a 1e-9 relative shift of every band moves the
+            # broadened curve by far less than 1e-6 of its peak.
+            peak = max(float(v) for v in want)
+            assert np.allclose(np.array(got, float), np.array(want, float),
+                               rtol=0, atol=1e-6 * peak), name
+        elif name.endswith("_GHz"):
+            bad = [i for i, (g, w) in enumerate(zip(got, want))
+                   if not same_frequency(float(g), float(w))]
+            assert not bad, (name, bad[:5])
+        elif not name.startswith("parity"):
+            assert got == want, name
+    if "parity_y" in header:
+        assert_parities_match(rows, golden_rows)
+
+
+def assert_parities_match(rows, golden_rows):
+    """Per k point, bands whose golden frequencies agree (same rule as the
+    frequencies) form a cluster, and each cluster carries the same
+    multiset of (parity_y, parity_z) labels."""
+    def clusters(table):
+        out, current = [], [table[0]]
+        for prev, row in zip(table, table[1:]):
+            if row[0] == prev[0] and same_frequency(float(row[2]), float(prev[2])):
+                current.append(row)
+            else:
+                out.append(current)
+                current = [row]
+        return out + [current]
+
+    golden_clusters = clusters(golden_rows)
+    start = 0
+    for cluster in golden_clusters:
+        mine = rows[start:start + len(cluster)]
+        start += len(cluster)
+        assert sorted(r[3:5] for r in mine) == sorted(r[3:5] for r in cluster), (
+            cluster[0][:2]
+        )
+
+
+def assert_json_matches(actual, golden):
+    if isinstance(golden, dict):
+        assert isinstance(actual, dict) and sorted(actual) == sorted(golden)
+        for key in golden:
+            if key.endswith("_ghz") and isinstance(golden[key], float):
+                assert same_frequency(actual[key], golden[key]), key
+            elif key.endswith("_pct") and isinstance(golden[key], float):
+                assert abs(actual[key] - golden[key]) <= 1e-6, key
+            else:
+                assert_json_matches(actual[key], golden[key])
+    else:
+        assert type(actual) is type(golden) and actual == golden
+
+
+NUMBER = re.compile(r"\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+@pytest.mark.parametrize("name,artifact", [
+    (name, artifact) for name, (_, artifacts) in RUNS.items()
+    for artifact in artifacts
+])
+def test_matches_golden(band_run, name, artifact):
+    """Numeric artifacts agree with the ones in ``tests/data/golden``."""
+    actual = band_run(name) / artifact
+    golden = GOLDEN / name / artifact
+    if artifact.endswith(".csv"):
+        assert_csv_matches(actual, golden)
+    elif artifact.endswith(".json"):
+        report = json.loads(actual.read_text())
+        del report["run_id"]
+        assert_json_matches(report, json.loads(golden.read_text()))
+    else:
+        text, want = actual.read_text(), golden.read_text()
+        assert NUMBER.sub("#", text) == NUMBER.sub("#", want)
+        for got, expected in zip(NUMBER.findall(text), NUMBER.findall(want)):
+            assert same_frequency(float(got), float(expected)), expected
 
 
 class TestRates:
