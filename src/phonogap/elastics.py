@@ -11,19 +11,28 @@ symmetry at every k with T^2 = 1.  In a basis of T-invariant vectors the
 pencil is real symmetric (Wigner's time-reversal argument), which buys a
 real LU and ARPACK's symmetric Lanczos driver.  ``make_bloch_problem``
 returns the pencil in that basis; ``bloch_basis`` and ``reduce_bloch`` give
-the plain complex form it is built from.
+the plain complex form.
+
+In the symmetric gauge, where the reduced master-face DOFs carry the phase
+e^{-i theta} and their slave images e^{i theta} (theta = pi k / 2), T acts
+on the reduced DOFs the same way at every k, so one unitary Q makes every
+pencil real, and the real pencil is a short cosine/sine series in theta
+(a Bloch-reduced pencil is a trigonometric polynomial in the phase;
+Hussein, Proc. R. Soc. A 465, 2825 (2009)).  Its sparse real terms are
+built once per mesh; a k then costs one weighted sum of stored arrays.
 
 The transverse mirrors Y (y -> -y) and Z (z -> -z) commute with each other,
 with X and with the pencil, and in that real basis they are signed
-permutations, the same at every k.  ``band_diagram`` therefore splits each
-pencil into the four sectors of their joint eigenvalues and solves each on
-its own; a band's mirror parities are those of its sector, exact by
-construction (the standard symmetry reduction; Bossavit, Comput. Methods
-Appl. Mech. Eng. 56, 167 (1986)).
+permutations, the same at every k.  ``band_diagram`` therefore splits the
+series into the four sectors of their joint eigenvalues, once per call, and
+at each k solves each sector on its own; a band's mirror parities are those
+of its sector, exact by construction (the standard symmetry reduction;
+Bossavit, Comput. Methods Appl. Mech. Eng. 56, 167 (1986)).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,7 +49,7 @@ from .geometry import GAUSS_GRADIENTS_2, GAUSS_SHAPES_2, Material, Mesh
 GHZ = 1e9
 _EIGSH_SEED = 20240817  # fixed ARPACK start vector => reproducible iterates
 
-#: Eigenvalues in [-FREQ_FLOOR_RAD2, 0) are treated as numerically zero.
+#: Eigenvalues of magnitude below this (1 MHz) are numerically zero.
 FREQ_FLOOR_RAD2 = (2 * math.pi * 1e-3 * GHZ) ** 2
 
 #: Largest entry of |V^H M V - I| accepted for a mass-orthonormal basis.
@@ -51,10 +60,11 @@ MASS_ORTHONORMAL_TOL = 1e-8
 #: holds the y and z mirror symmetry of the operators and the real basis.
 REAL_FORM_TOL = 1e-12
 
-#: Real-form entries at or below this, relative to the largest, are the
-#: rounding residue of exact cancellations (at most ~1.2e-16 on the mesh
-#: ladder) and are dropped.  Entries that are small because k is (they scale
-#: with sin(pi k)) must stay, so it sits far below ``REAL_FORM_TOL``.
+#: Entries of a real pencil's series terms at or below this, relative to
+#: the largest, are the rounding residue of exact cancellations (at most
+#: ~1.2e-16 on the mesh ladder) and are dropped.  The terms do not depend
+#: on k: an entry that is small because k is, is an O(1) term entry times
+#: sin(pi k / 2), so no cut at one k can drop it.
 RESIDUE_TOL = 1e-14
 
 #: Eigenvalue scale (rad/s)^2 of 1 GHz; residuals of near-zero modes are
@@ -127,10 +137,11 @@ def assemble(mesh: Mesh, material: Material) -> tuple[sp.csr_matrix, sp.csr_matr
     return k_mat, m_mat
 
 
-def _periodic_dofs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kept DOFs (all off the slave face), and the rows and columns of the
-    Bloch basis: each kept DOF in its own column, then each slave DOF in
-    the column of its master."""
+def _periodic_dofs(mesh: Mesh) -> tuple[np.ndarray, ...]:
+    """Kept DOFs (all off the slave face), and the rows, columns and face
+    (0 inside the cell, 1 master, 2 slave) of the Bloch basis's nonzeros:
+    each kept DOF in its own column, then each slave DOF in the column of
+    its master."""
     n = mesh.n_dofs
     comp = np.arange(3)
     slave = (3 * mesh.slave_nodes[:, None] + comp).ravel()
@@ -138,19 +149,27 @@ def _periodic_dofs(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keep = np.setdiff1d(np.arange(n), slave)
     col_of = np.full(n, -1, dtype=np.int64)
     col_of[keep] = np.arange(keep.size)
-    return keep, np.concatenate([keep, slave]), col_of[np.concatenate([keep, master])]
+    face = np.zeros(n, dtype=np.int64)
+    face[master], face[slave] = 1, 2
+    rows = np.concatenate([keep, slave])
+    return keep, rows, col_of[np.concatenate([keep, master])], face[rows]
 
 
-def _phase_basis(n_dofs: int, dofs: tuple, k_reduced: float) -> sp.csr_matrix:
-    """``bloch_basis`` from the index sets of ``_periodic_dofs``."""
+def _phase_basis(n_dofs: int, dofs: tuple, phases: tuple) -> sp.csr_matrix:
+    """Bloch basis from the index sets of ``_periodic_dofs``, with
+    ``phases[f]`` on the rows of face f."""
+    keep, rows, cols, face = dofs
+    vals = np.asarray(phases, dtype=complex)[face]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, keep.size)).tocsr()
+
+
+def _half_phase(k_reduced: float) -> float:
+    """theta = pi k / 2, half the Bloch phase across the period."""
     if not math.isfinite(k_reduced) or not (-1.0 <= k_reduced <= 1.0):
         raise InvalidParameterError(
             f"reduced wavenumber must lie in [-1, 1], got {k_reduced!r}"
         )
-    keep, rows, cols = dofs
-    vals = np.ones(rows.size, dtype=complex)
-    vals[keep.size :] = np.exp(1j * math.pi * k_reduced)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, keep.size)).tocsr()
+    return 0.5 * math.pi * k_reduced
 
 
 def bloch_basis(mesh: Mesh, k_reduced: float) -> sp.csr_matrix:
@@ -161,7 +180,8 @@ def bloch_basis(mesh: Mesh, k_reduced: float) -> sp.csr_matrix:
     that time-reversal pairs (k, -k) can be compared directly.  The slave-face
     phase is ``exp(i pi k_reduced)``.
     """
-    return _phase_basis(mesh.n_dofs, _periodic_dofs(mesh), k_reduced)
+    phase = cmath.exp(2j * _half_phase(k_reduced))
+    return _phase_basis(mesh.n_dofs, _periodic_dofs(mesh), (1.0, 1.0, phase))
 
 
 def reduce_bloch(
@@ -224,41 +244,86 @@ def _signed_mirror(perm: np.ndarray, axis: int) -> sp.csr_matrix:
     )
 
 
+def _on_one_pattern(terms: list[sp.spmatrix]) -> tuple[np.ndarray, ...]:
+    """``(indices, indptr, coefficients)`` of real sparse ``terms`` on the
+    CSR pattern of their union; row t of the coefficients holds term t.
+
+    Entries at or below ``RESIDUE_TOL`` of the largest are dropped first.
+    """
+    terms = [sp.csr_matrix(term, copy=True) for term in terms]
+    floor = RESIDUE_TOL * max(abs(term.data).max(initial=0.0) for term in terms)
+    for term in terms:
+        term.data[np.abs(term.data) <= floor] = 0.0
+        term.eliminate_zeros()
+    union = sum(abs(term) for term in terms).tocsr()
+    union.sort_indices()
+    rows, cols = union.nonzero()
+    coefs = np.vstack([np.asarray(term[rows, cols]).ravel() for term in terms])
+    return union.indices, union.indptr, coefs
+
+
 @dataclass
-class _BlochCell:
-    """What the real Bloch pencils of one mesh share at every k."""
+class _Series:
+    """A real symmetric pencil ``sum_t w_t(theta) (K_t, M_t)`` in
+    theta = pi k / 2, with the weights 1, cos(theta), sin(theta),
+    cos(2 theta), sin(2 theta) of the terms kept.
 
-    k_mat: sp.spmatrix
-    m_mat: sp.spmatrix
-    dofs: tuple  # (keep, rows, cols) from _periodic_dofs
-    x_mirror: sp.csr_matrix
+    Each operator's terms share one CSR pattern, so the pencil at a k is a
+    weighted sum of coefficient rows wrapped around that pattern.
+    """
 
+    size: int
+    patterns: tuple  # (indices, indptr) of K, then of M
+    coefs: tuple  # (n_terms, nnz) arrays of K, then of M
 
-def _bloch_cell(mesh: Mesh, k_mat: sp.spmatrix, m_mat: sp.spmatrix) -> _BlochCell:
-    perm = _mirror_perm(mesh, 0)
-    if perm is None:
-        raise NumericalError(
-            "mesh is not mirror-symmetric along the beam axis; "
-            "the real Bloch form needs it"
+    @classmethod
+    def from_terms(cls, stiffness: list, mass: list) -> _Series:
+        packed = [_on_one_pattern(terms) for terms in (stiffness, mass)]
+        return cls(
+            stiffness[0].shape[0],
+            tuple(pack[:2] for pack in packed),
+            tuple(pack[2] for pack in packed),
         )
-    return _BlochCell(k_mat, m_mat, _periodic_dofs(mesh), _signed_mirror(perm, 0))
+
+    def at(self, k_reduced: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        theta = _half_phase(k_reduced)
+        waves = [f(n * theta) for n in (1, 2) for f in (math.cos, math.sin)]
+        weights = np.array([1.0, *waves])[: self.coefs[0].shape[0]]
+        shape = (self.size, self.size)
+        return tuple(
+            sp.csr_matrix((weights @ coefs, indices, indptr), shape=shape)
+            for (indices, indptr), coefs in zip(self.patterns, self.coefs)
+        )
+
+    def project(self, basis: sp.spmatrix) -> _Series:
+        """The series of ``basis^T (K, M) basis``."""
+        shape = (self.size, self.size)
+        stiffness, mass = (
+            [basis.T @ sp.csr_matrix((row, *pattern), shape=shape) @ basis
+             for row in coefs]
+            for pattern, coefs in zip(self.patterns, self.coefs)
+        )
+        return _Series.from_terms(stiffness, mass)
 
 
-def _real_form(cell: _BlochCell, basis: sp.csr_matrix) -> sp.csr_matrix:
+def _real_form(x_mirror: sp.csr_matrix, dofs: tuple) -> sp.csr_matrix:
     """Unitary Q whose columns are T-invariant reduced vectors.
 
     In reduced coordinates T is ``v -> T_r conj(v)`` with
     ``T_r = R X conj(P)``, where P is the Bloch basis, X the signed x-mirror
-    and R keeps the rows of the reduced DOFs.  T_r sends DOF j to one DOF
-    pi(j) times a phase d_j.  A pair (i, pi(i)) gets the columns
-    (e_i + d_i e_pi(i))/sqrt2 and i(e_i - d_i e_pi(i))/sqrt2 in places i and
-    pi(i); a fixed point i gets exp(i arg(d_i)/2) e_i.  With T^2 = 1,
-    ``Q^H A Q`` is real for every Hermitian A that commutes with T.
+    and R keeps the rows of the reduced DOFs.  In the symmetric gauge of
+    ``make_bloch_problem`` T_r is the same at every k, so P is taken at
+    k = 0.  T_r sends DOF j to one DOF pi(j) times a sign d_j.  A pair
+    (i, pi(i)) gets the columns (e_i + d_i e_pi(i))/sqrt2 and
+    i(e_i - d_i e_pi(i))/sqrt2 in places i and pi(i); a fixed point i gets
+    e_i, or i e_i where d_i = -1.  With T^2 = 1, ``Q^H A Q`` is real for
+    every Hermitian A that commutes with T.
     """
-    t_red = (cell.x_mirror @ basis.conj())[cell.dofs[0]].tocsc()
+    basis = _phase_basis(x_mirror.shape[0], dofs, (1.0, 1.0, 1.0))
+    t_red = (x_mirror @ basis)[dofs[0]].tocsc()
     m = basis.shape[1]
     cols = np.arange(m)
-    pi, d = t_red.indices, t_red.data
+    pi, d = t_red.indices, t_red.data.real
     if t_red.nnz != m or np.any(pi[pi] != cols):
         raise NumericalError(
             "the x-mirror does not map the Bloch space onto itself; "
@@ -276,39 +341,93 @@ def _real_form(cell: _BlochCell, basis: sp.csr_matrix) -> sp.csr_matrix:
             root_half * d_lo,
             np.full(lo.size, 1j * root_half),
             -1j * root_half * d_lo,
-            np.exp(0.5j * np.angle(d[fixed])),
+            np.where(d[fixed] > 0, 1.0, 1j),
         ]
     )
     return sp.csr_matrix((vals, (rows, where)), shape=(m, m))
 
 
-def _bloch_problem(cell: _BlochCell, k_reduced: float) -> BlochProblem:
-    """``make_bloch_problem`` with the k-independent work done beforehand."""
-    bloch = _phase_basis(cell.k_mat.shape[0], cell.dofs, k_reduced)
-    unitary = _real_form(cell, bloch)
-    bloch_h, unitary_h = bloch.getH().tocsr(), unitary.getH().tocsr()
-    pencil = []
-    for mat in (cell.k_mat, cell.m_mat):
-        mat = (unitary_h @ ((bloch_h @ (mat @ bloch)) @ unitary)).tocsr()
-        drift = np.linalg.norm(mat.data.imag) / np.linalg.norm(mat.data)
-        if drift > REAL_FORM_TOL:
-            raise NumericalError(
-                f"the Bloch pencil is not real in the x-mirror basis "
-                f"(relative imaginary part {drift:.2e}); "
-                "the operators are not x-mirror symmetric"
-            )
-        # Entries that cancel exactly come out as ~1e-16 residue; keeping
-        # them would nearly double the pencil's nonzeros.
-        values = mat.data.real.copy()
-        values[np.abs(values) <= RESIDUE_TOL * np.abs(values).max()] = 0.0
-        real = sp.csr_matrix((values, mat.indices, mat.indptr), shape=mat.shape)
-        real.eliminate_zeros()
-        pencil.append(real)
-    return BlochProblem(
-        k_reduced=k_reduced,
-        stiffness=pencil[0],
-        mass=pencil[1],
-        basis=(bloch @ unitary).tocsr(),
+def _real_series_terms(
+    mat: sp.spmatrix, faces: list[sp.csr_matrix], unitary: sp.csr_matrix
+) -> list[sp.csr_matrix]:
+    """Real terms ``C_0, C_1, D_1, C_2, D_2`` of ``Q^H P'^H A P' Q``.
+
+    With ``P' = E_0 + e^{-i theta} E_1 + e^{i theta} E_2`` (E_f the part of
+    the basis on face f), the block ``E_f^T A E_g`` carries the phase
+    ``e^{i n theta}``, n = s_g - s_f with s = (0, -1, 1).  Summed by n into
+    B_n, the pencil is ``B_0 + sum_n e^{i n theta} B_n + e^{-i n theta} B_n^H``,
+    i.e. ``C_0 + sum_n cos(n theta) C_n + sin(n theta) D_n`` with
+    ``C_0 = B_0``, ``C_n = B_n + B_n^H`` and ``D_n = i (B_n - B_n^H)``.
+    Their imaginary parts are checked against ``REAL_FORM_TOL`` and dropped.
+    """
+    shifts = (0, -1, 1)
+    blocks = [0, 0, 0]
+    for f, left in enumerate(faces):
+        for g, right in enumerate(faces):
+            if shifts[g] >= shifts[f]:
+                blocks[shifts[g] - shifts[f]] += left.T @ mat @ right
+    unitary_h = unitary.getH().tocsr()
+    blocks = [unitary_h @ sp.csr_matrix(block) @ unitary for block in blocks]
+    terms = [blocks[0]]
+    for block in blocks[1:]:
+        terms += [block + block.getH(), 1j * (block - block.getH())]
+    imag = math.hypot(*(np.linalg.norm(term.data.imag) for term in terms))
+    drift = imag / math.hypot(*(np.linalg.norm(term.data) for term in terms))
+    if drift > REAL_FORM_TOL:
+        raise NumericalError(
+            f"the Bloch pencil is not real in the x-mirror basis "
+            f"(relative imaginary part {drift:.2e}); "
+            "the operators are not x-mirror symmetric"
+        )
+    return [0.5 * (term + term.T).real.tocsr() for term in terms]
+
+
+@dataclass
+class _BlochOperator:
+    """The real Bloch pencil of one mesh, at every k (``make_bloch_problem``)."""
+
+    k_mat: sp.spmatrix
+    m_mat: sp.spmatrix
+    dofs: tuple  # from _periodic_dofs
+    unitary: sp.csr_matrix  # Q, from _real_form
+    pencil: _Series  # Q^H P'^H (K, M) P' Q
+
+    def basis(self, k_reduced: float) -> sp.csr_matrix:
+        """``P'(k) Q``: reduced vectors to full nodal DOFs."""
+        phase = cmath.exp(1j * _half_phase(k_reduced))
+        bloch = _phase_basis(
+            self.k_mat.shape[0], self.dofs, (1.0, phase.conjugate(), phase)
+        )
+        return (bloch @ self.unitary).tocsr()
+
+
+def _bloch_operator(
+    mesh: Mesh, k_mat: sp.spmatrix, m_mat: sp.spmatrix
+) -> _BlochOperator:
+    perm = _mirror_perm(mesh, 0)
+    if perm is None:
+        raise NumericalError(
+            "mesh is not mirror-symmetric along the beam axis; "
+            "the real Bloch form needs it"
+        )
+    dofs = _periodic_dofs(mesh)
+    unitary = _real_form(_signed_mirror(perm, 0), dofs)
+    keep, rows, cols, face = dofs
+    faces = [
+        sp.csr_matrix(
+            (np.ones(on.sum()), (rows[on], cols[on])), shape=(mesh.n_dofs, keep.size)
+        )
+        for on in (face == f for f in range(3))
+    ]
+    stiffness, mass = (
+        _real_series_terms(mat, faces, unitary) for mat in (k_mat, m_mat)
+    )
+    if not any(term.nnz for term in stiffness[3:] + mass[3:]):
+        # The cos(2 theta), sin(2 theta) terms couple master to slave DOFs
+        # directly; only an element touching both faces makes them.
+        stiffness, mass = stiffness[:3], mass[:3]
+    return _BlochOperator(
+        k_mat, m_mat, dofs, unitary, _Series.from_terms(stiffness, mass)
     )
 
 
@@ -320,21 +439,32 @@ def make_bloch_problem(
 ) -> BlochProblem:
     """Tie the slave face to the master face at one wavenumber, in real form.
 
-    The basis is ``P Q``: P is ``bloch_basis(mesh, k_reduced)`` and Q the
-    unitary map onto T-invariant vectors (see ``_real_form``).  The pencil
-    ``Q^H P^H (K, M) P Q``, as ``reduce_bloch`` would give it for ``P Q``,
-    is real up to rounding; its imaginary part is checked against
-    ``REAL_FORM_TOL`` and dropped.  A larger one means that ``k_mat`` or
-    ``m_mat`` break the x-mirror, and raises ``NumericalError``.  Real
-    entries below ``RESIDUE_TOL`` of the largest are the rounding residue
-    of exact cancellations and are dropped too.  Full-space modes are
-    ``basis @ vectors``, complex Bloch waves as from the plain reduction.
+    The basis is ``P' Q``.  P' is ``bloch_basis(mesh, k_reduced)`` in the
+    symmetric gauge: the reduced master-face DOFs carry the phase
+    ``e^{-i theta}`` and their slave images ``e^{i theta}``, theta =
+    pi k / 2, so the slave face is still ``e^{i pi k}`` times the master
+    face.  Q is the unitary map onto T-invariant vectors (see
+    ``_real_form``); in this gauge it does not depend on k.  The pencil
+    ``Q^H P'^H (K, M) P' Q``, as ``reduce_bloch`` would give it for
+    ``P' Q``, is real up to rounding, and is the series
+    ``C_0 + sum_n cos(n theta) C_n + sin(n theta) D_n`` (n = 1, and n = 2
+    where an element touches both periodic faces) whose real sparse terms
+    are built once per mesh (``_bloch_operator``).  Their imaginary part is
+    checked against ``REAL_FORM_TOL`` and dropped; a larger one means that
+    ``k_mat`` or ``m_mat`` break the x-mirror, and raises
+    ``NumericalError``.  Term entries below ``RESIDUE_TOL`` of the largest
+    are the rounding residue of exact cancellations and are dropped too.
+    Full-space modes are ``basis @ vectors``, complex Bloch waves as from
+    the plain reduction; the gauge changes the pencil's entries, not its
+    eigenvalues.
     """
-    return _bloch_problem(_bloch_cell(mesh, k_mat, m_mat), k_reduced)
+    operator = _bloch_operator(mesh, k_mat, m_mat)
+    stiffness, mass = operator.pencil.at(k_reduced)
+    return BlochProblem(k_reduced, stiffness, mass, operator.basis(k_reduced))
 
 
 def _frequencies_ghz(eigvals: np.ndarray) -> np.ndarray:
-    """Convert eigenvalues (rad/s)^2 to GHz, clamping numeric zeros."""
+    """Convert eigenvalues (rad/s)^2 to GHz; numerical zeros give 0.0."""
     vals = np.asarray(eigvals, dtype=float).copy()
     bad = vals < -FREQ_FLOOR_RAD2
     if np.any(bad):
@@ -343,7 +473,7 @@ def _frequencies_ghz(eigvals: np.ndarray) -> np.ndarray:
             f"eigensolve produced a significantly negative eigenvalue "
             f"(|f| ~ {worst:.3g} GHz); the system is ill-conditioned"
         )
-    vals[vals < 0] = 0.0
+    vals[np.abs(vals) < FREQ_FLOOR_RAD2] = 0.0
     return np.sqrt(vals) / (2 * math.pi * GHZ)
 
 
@@ -491,9 +621,11 @@ def reflection_maps(mesh: Mesh) -> ReflectionMaps:
     return ReflectionMaps(perm_y=perms[0], perm_z=perms[1])
 
 
-def _parity_sectors(cell: _BlochCell, maps: ReflectionMaps) -> list[sp.csc_matrix]:
+def _parity_sectors(
+    operator: _BlochOperator, maps: ReflectionMaps
+) -> list[sp.csc_matrix]:
     """Bases S of the (y, z) mirror-parity sectors (even, even), (even, odd),
-    (odd, even) and (odd, odd) in the real Bloch basis ``P Q``.
+    (odd, even) and (odd, odd) in the real Bloch basis ``P' Q``.
 
     There a transverse mirror acts at every k as the signed permutation it
     induces on the kept DOFs, and commutes with the pencil if it commutes
@@ -503,14 +635,13 @@ def _parity_sectors(cell: _BlochCell, maps: ReflectionMaps) -> list[sp.csc_matri
     normalized, for the first index j of each orbit of {1, Y, Z, YZ} where
     it does not vanish: at most four nonzeros, orthogonal to all others.
     """
-    keep = cell.dofs[0]
-    # A non-real Bloch phase exercises every phase of P Q.
-    bloch = _phase_basis(cell.k_mat.shape[0], cell.dofs, 0.5)
-    basis = bloch @ _real_form(cell, bloch)
+    keep = operator.dofs[0]
+    # A non-real Bloch phase exercises every phase of P' Q.
+    basis = operator.basis(0.5)
     reduced = []
     for perm, axis, name in ((maps.perm_y, 1, "y"), (maps.perm_z, 2, "z")):
         mirror = _signed_mirror(perm, axis)
-        for mat in (cell.k_mat, cell.m_mat):
+        for mat in (operator.k_mat, operator.m_mat):
             defect = sparse_norm(mirror @ mat @ mirror.T - mat) / sparse_norm(mat)
             if defect > REAL_FORM_TOL:
                 raise NumericalError(
@@ -550,22 +681,21 @@ def classify_parities(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_sectors(
-    problem: BlochProblem, sectors: list[sp.csc_matrix], n_modes: int
+    sectors: list[tuple[sp.csc_matrix, _Series]], k_reduced: float, n_modes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lowest ``n_modes`` of a real Bloch pencil, solved sector by sector.
+    """Lowest ``n_modes`` of a real Bloch pencil at one k, solved sector by
+    sector; ``sectors`` pairs each basis S of ``_parity_sectors`` with the
+    series of ``S^T (K, M) S``.
 
     Returns ascending frequencies (GHz), the sector index of each and the
-    mass-orthonormal vectors in the reduced basis of ``problem``.  Every
-    sector is asked for ``n_modes`` (or all of its modes), so the lowest
-    ``n_modes`` of the merged list are the pencil's lowest, whatever their
-    parities.
+    mass-orthonormal vectors in the whole reduced basis.  Every sector is
+    asked for ``n_modes`` (or all of its modes), so the lowest ``n_modes``
+    of the merged list are the pencil's lowest, whatever their parities.
     """
     freqs, vecs, found_in = [], [], []
-    for index, basis in enumerate(sectors):
+    for index, (basis, pencil) in enumerate(sectors):
         found, vectors = solve_reduced(
-            (basis.T @ problem.stiffness @ basis).tocsr(),
-            (basis.T @ problem.mass @ basis).tocsr(),
-            min(n_modes, basis.shape[1]),
+            *pencil.at(k_reduced), min(n_modes, basis.shape[1])
         )
         freqs.append(found)
         vecs.append(basis @ vectors)
@@ -609,28 +739,31 @@ def band_diagram(
 
     ``k_points`` are reduced wavenumbers in [0, 1] (default: 20 uniform
     points).  The mesh must have matched periodic faces and be
-    mirror-symmetric about its three mid-planes.  At each k the real Bloch
-    pencil of ``make_bloch_problem`` is split into the four sectors of the
-    y and z mirrors (``_parity_sectors``), each solved on its own, and a
-    band's parities are those of its sector.  The mirror matches, index
-    sets and sector bases are built once per call, not per k.
+    mirror-symmetric about its three mid-planes.  The real Bloch pencil of
+    ``make_bloch_problem``, as its series in k, is split once per call into
+    the four sectors of the y and z mirrors (``_parity_sectors``).  At each
+    k every sector's pencil is evaluated from its series and solved on its
+    own, and a band's parities are those of its sector.
     ``n_dofs_reduced`` is the size of the whole reduced pencil.
     """
     if k_points is None:
         k_points = default_k_path()
     k_points = np.asarray(k_points, dtype=float)
     k_mat, m_mat = assemble(mesh, material)
-    cell = _bloch_cell(mesh, k_mat, m_mat)
-    sectors = _parity_sectors(cell, reflection_maps(mesh))
-    n_reduced = cell.dofs[0].size
+    operator = _bloch_operator(mesh, k_mat, m_mat)
+    n_reduced = operator.dofs[0].size
     if not 1 <= n_modes <= n_reduced:
         raise InvalidParameterError(
             f"n_modes must be between 1 and the reduced size {n_reduced}, "
             f"got {n_modes}"
         )
+    sectors = [
+        (basis, operator.pencil.project(basis))
+        for basis in _parity_sectors(operator, reflection_maps(mesh))
+    ]
     freqs, labels = [], []
     for k in k_points:
-        found, found_in, _ = _solve_sectors(_bloch_problem(cell, k), sectors, n_modes)
+        found, found_in, _ = _solve_sectors(sectors, k, n_modes)
         freqs.append(found)
         labels.append(classify_parities(found_in))
     parity_y, parity_z = (np.vstack(column) for column in zip(*labels))

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +201,29 @@ class TestBands:
         assert freqs == sorted(freqs)
         labels = {r[3] for r in rows} | {r[4] for r in rows}
         assert labels <= {"even", "odd"}
+
+    def test_csv_independent_of_blas_threads(self, tmp_path):
+        # The four k = 0 rigid modes are numerical zeros: they print 0 and
+        # list in sector order, whatever rounding the thread count brings.
+        src = Path(cli.__file__).resolve().parents[1]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(src), *filter(None, [env.get("PYTHONPATH")])]
+            )
+            out = tmp_path / threads
+            done = subprocess.run(
+                [sys.executable, "-m", "phonogap", *RUNS["bands-single-k"][0],
+                 "--out-dir", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append((only_dir(out, "bands") / "bands.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = outputs[0].decode().splitlines()[1:5]
+        assert [row.split(",")[2] for row in rows] == ["0"] * 4
 
 
 class TestDos:

@@ -207,9 +207,11 @@ def small_cell():
 class TestBlochReduction:
     @pytest.mark.parametrize("bad", [1.5, -1.01, math.nan, math.inf])
     def test_rejects_wavenumber_outside_zone(self, small_cell, bad):
-        mesh, _, _ = small_cell
+        mesh, k_mat, m_mat = small_cell
         with pytest.raises(InvalidParameterError):
             bloch_basis(mesh, bad)
+        with pytest.raises(InvalidParameterError):
+            make_bloch_problem(mesh, bad, k_mat, m_mat)
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.floats(-1.0, 1.0))
@@ -474,6 +476,82 @@ class TestRealForm:
             make_bloch_problem(crooked, 0.3, k_mat, m_mat)
 
 
+def gauged_basis(mesh, k):
+    """``bloch_basis`` in the symmetric gauge: each reduced master-face
+    column times e^{-i pi k / 2}, so its slave image carries e^{i pi k / 2}."""
+    comp = np.arange(3)
+    master = (3 * mesh.master_nodes[:, None] + comp).ravel()
+    slave = (3 * mesh.slave_nodes[:, None] + comp).ravel()
+    keep = np.setdiff1d(np.arange(mesh.n_dofs), slave)
+    gauge = np.where(np.isin(keep, master), np.exp(-0.5j * math.pi * k), 1.0)
+    return bloch_basis(mesh, k) @ sp.diags(gauge)
+
+
+@pytest.fixture(scope="module")
+def nanobeam_one_x():
+    """A nanobeam one element long, whose elements touch both periodic faces."""
+    mesh = build_nanobeam_mesh(90.0, 70.0, 129.6, (1, 4, 3))
+    k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
+    return mesh, k_mat, m_mat
+
+
+@pytest.fixture(scope="module", params=["10,8,4", "5,4,4", "nanobeam-1,4,3"])
+def bloch_operator(request, bench_cell, small_cell, nanobeam_one_x):
+    """A mesh, its operators, its Bloch operator and its sector series."""
+    mesh, k_mat, m_mat = {"10,8,4": bench_cell, "5,4,4": small_cell,
+                          "nanobeam-1,4,3": nanobeam_one_x}[request.param]
+    operator = elastics._bloch_operator(mesh, k_mat, m_mat)
+    return mesh, k_mat, m_mat, operator, sector_series(operator, mesh)
+
+
+def assert_series_matches_projection(bloch_operator, k):
+    """The series at k against ``S^T Q^H P'(k)^H (K, M) P'(k) Q S`` projected
+    directly, for the whole pencil and each sector, to 1e-12 relative."""
+    mesh, k_mat, m_mat, operator, sectors = bloch_operator
+    direct = reduce_bloch(k_mat, m_mat, gauged_basis(mesh, k) @ operator.unitary)
+    whole = sp.identity(direct[0].shape[0], format="csc")
+    for basis, series in [(whole, operator.pencil), *sectors]:
+        for exact, summed in zip(direct, series.at(k)):
+            exact = basis.T @ exact @ basis
+            assert summed.dtype == np.float64
+            assert spla.norm(exact - summed) <= 1e-12 * spla.norm(exact)
+
+
+class TestBlochOperator:
+    """The once-per-mesh series of the real pencil, against projecting the
+    gauged Bloch basis at each k."""
+
+    @pytest.mark.parametrize("k", [0.0, 6.8e-11, 0.5, 0.7021, 1.0])
+    def test_series_matches_projection(self, bloch_operator, k):
+        assert_series_matches_projection(bloch_operator, k)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.floats(-1.0, 1.0))
+    def test_series_matches_projection_any_k(self, bloch_operator, k):
+        assert_series_matches_projection(bloch_operator, k)
+
+    def test_second_harmonic_only_where_elements_span_the_period(
+            self, bloch_operator):
+        # cos(2 theta) and sin(2 theta) couple master to slave DOFs
+        # directly: only the one-element-long nanobeam has them.
+        mesh, _, _, operator, sectors = bloch_operator
+        n_terms = 5 if mesh.grid_shape[0] == 1 else 3
+        for series in [operator.pencil, *(pencil for _, pencil in sectors)]:
+            assert [coefs.shape[0] for coefs in series.coefs] == [n_terms] * 2
+        if n_terms == 5:
+            assert np.abs(operator.pencil.coefs[0][3:]).max() > 0
+
+    def test_one_element_nanobeam_bands_match_dense_eigh(self, nanobeam_one_x):
+        mesh, k_mat, m_mat = nanobeam_one_x
+        k_points = [0.0, 0.5, 0.7021, 1.0]
+        bands = band_diagram(mesh, DIAMOND, k_points, 26)
+        for k, freqs in zip(k_points, bands.frequencies_ghz):
+            ref = dense_frequencies_ghz(
+                *reduce_bloch(k_mat, m_mat, bloch_basis(mesh, k)), 26
+            )
+            assert relative_errors(freqs, ref).max() < 1e-9
+
+
 class TestArpackGuard:
     @staticmethod
     def loosen_top_mode(monkeypatch, real_eigsh):
@@ -544,13 +622,18 @@ def mirror_overlaps(modes, mesh, m_mat):
 def sector_modes(mesh, k_points, n_modes):
     """``band_diagram``'s sector solve, k by k, with full-space modes."""
     k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
-    cell = elastics._bloch_cell(mesh, k_mat, m_mat)
-    sectors = elastics._parity_sectors(cell, reflection_maps(mesh))
+    operator = elastics._bloch_operator(mesh, k_mat, m_mat)
+    sectors = sector_series(operator, mesh)
     for k in k_points:
-        problem = elastics._bloch_problem(cell, k)
-        freqs, found_in, vecs = elastics._solve_sectors(problem, sectors, n_modes)
+        freqs, found_in, vecs = elastics._solve_sectors(sectors, k, n_modes)
         par_y, par_z = elastics.classify_parities(found_in)
-        yield freqs, par_y, par_z, problem.basis @ vecs, m_mat
+        yield freqs, par_y, par_z, operator.basis(k) @ vecs, m_mat
+
+
+def sector_series(operator, mesh):
+    """Each sector basis of ``band_diagram`` with its pencil's series."""
+    return [(basis, operator.pencil.project(basis))
+            for basis in elastics._parity_sectors(operator, reflection_maps(mesh))]
 
 
 def mid_plane_node(mesh):
@@ -619,10 +702,10 @@ class TestParity:
 
     def test_sector_bases_are_sparse_orthonormal_eigenbases(self, small_cell):
         mesh, k_mat, m_mat = small_cell
-        cell = elastics._bloch_cell(mesh, k_mat, m_mat)
+        operator = elastics._bloch_operator(mesh, k_mat, m_mat)
         maps = reflection_maps(mesh)
-        bases = elastics._parity_sectors(cell, maps)
-        keep = cell.dofs[0]
+        bases = elastics._parity_sectors(operator, maps)
+        keep = operator.dofs[0]
         whole = sp.hstack(bases)
         assert whole.shape == (keep.size, keep.size)
         np.testing.assert_allclose((whole.T @ whole).toarray(), np.eye(keep.size),
@@ -652,6 +735,22 @@ class TestParity:
             calls.clear()
             band_diagram(mesh, DIAMOND, k_points, 6)
             assert sorted(calls) == [0, 1, 2]
+
+    def test_real_form_runs_once_per_band_diagram(self, small_cell,
+                                                  monkeypatch):
+        calls = []
+        original = elastics._real_form
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(elastics, "_real_form", counted)
+        mesh, _, _ = small_cell
+        for k_points in ([0.5], [0.0, 0.3, 0.6, 0.8, 1.0]):
+            calls.clear()
+            band_diagram(mesh, DIAMOND, k_points, 6)
+            assert len(calls) == 1
 
     def test_gamma_labels_match_dense_solve(self, reference_mesh, monkeypatch):
         # Some k = 0 sectors of this mesh take the shift-invert path; solved
