@@ -127,6 +127,14 @@ class RunConfig:
             raise ConfigError("f_max_ghz must be positive")
         if not self.window_lo_ghz < self.window_hi_ghz:
             raise ConfigError("gap window must have window_lo_ghz < window_hi_ghz")
+        if not (self.reference_center_ghz > 0 and self.reference_width_ghz > 0):
+            raise ConfigError(
+                "reference_center_ghz and reference_width_ghz must be positive"
+            )
+        if not (self.center_tolerance_pct >= 0 and self.width_tolerance_pct >= 0):
+            raise ConfigError(
+                "center_tolerance_pct and width_tolerance_pct must be >= 0"
+            )
         if self.sweep_param not in SWEEPABLE_PARAMS:
             raise ConfigError(
                 f"sweep_param must be one of {SWEEPABLE_PARAMS}, got "
@@ -148,14 +156,34 @@ class RunConfig:
         unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = {**data}
-        if "resolution" in merged:
-            merged["resolution"] = tuple(int(n) for n in merged["resolution"])
-        if "sweep_values_nm" in merged:
-            merged["sweep_values_nm"] = tuple(
-                float(v) for v in merged["sweep_values_nm"]
-            )
-        return cls(**merged)
+        return cls(**{name: _field_value(name, value)
+                      for name, value in data.items()})
+
+
+def _field_value(name: str, value):
+    """``value`` as the ``RunConfig`` field ``name`` holds it; a value of
+    the wrong type raises ``ConfigError`` before anything is built."""
+    def number(v) -> bool:  # bool is not a number here
+        return type(v) in (int, float) and math.isfinite(v)
+
+    kind = type(getattr(RunConfig, name))
+    listed = isinstance(value, (list, tuple))
+    if name == "resolution":
+        want = "three integers"
+        ok = listed and len(value) == 3 and all(type(n) is int for n in value)
+    elif kind is tuple:
+        want, ok = "a list of numbers", listed and all(map(number, value))
+    else:
+        want, ok = {str: ("a string", isinstance(value, str)),
+                    int: ("an integer", type(value) is int),
+                    float: ("a finite number", number(value))}[kind]
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    if kind is float:  # 90 and 90.0 are one input, with one run ID
+        return float(value)
+    if name == "sweep_values_nm":
+        return tuple(float(v) for v in value)
+    return tuple(value) if kind is tuple else value
 
 
 #: ``RunConfig`` fields by what reads them.  Every band command reads the
@@ -708,6 +736,8 @@ def _read_csv_columns(path: str, required: tuple[str, ...],
             out[col] = np.array([float(r[col]) for r in rows])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{path}: non-numeric value in {col}") from err
+        if not np.all(np.isfinite(out[col])):
+            raise ConfigError(f"{path}: non-finite value in {col}")
     return out
 
 

@@ -9,25 +9,23 @@ the axial mirror X (x -> period - x).  X maps a Bloch wave at k to one at -k
 and complex conjugation maps it back, so T = X o conj is an antiunitary
 symmetry at every k with T^2 = 1.  In a basis of T-invariant vectors the
 pencil is real symmetric (Wigner's time-reversal argument), which buys a
-real LU and ARPACK's symmetric Lanczos driver.  ``make_bloch_problem``
-returns the pencil in that basis; ``bloch_basis`` and ``reduce_bloch`` give
-the plain complex form.
+real LU and ARPACK's symmetric Lanczos driver.
 
 In the symmetric gauge, where the reduced master-face DOFs carry the phase
-e^{-i theta} and their slave images e^{i theta} (theta = pi k / 2), T acts
-on the reduced DOFs the same way at every k, so one unitary Q makes every
-pencil real, and the real pencil is a short cosine/sine series in theta
-(a Bloch-reduced pencil is a trigonometric polynomial in the phase;
-Hussein, Proc. R. Soc. A 465, 2825 (2009)).  Its sparse real terms are
-built once per mesh; a k then costs one weighted sum of stored arrays.
-
-The transverse mirrors Y (y -> -y) and Z (z -> -z) commute with each other,
-with X and with the pencil, and in that real basis they are signed
-permutations, the same at every k.  ``band_diagram`` therefore splits the
-series into the four sectors of their joint eigenvalues, once per call, and
-at each k solves each sector on its own; a band's mirror parities are those
-of its sector, exact by construction (the standard symmetry reduction;
-Bossavit, Comput. Methods Appl. Mech. Eng. 56, 167 (1986)).
+e^{-i theta} and their slave images e^{i theta} (theta = pi k / 2), the
+pencil is a short cosine/sine series in theta whose face blocks are built
+once per mesh (a Bloch-reduced pencil is a trigonometric polynomial in the
+phase; Hussein, Proc. R. Soc. A 465, 2825 (2009)).  There X and the
+transverse mirrors Y (y -> -y) and Z (z -> -z) act on the reduced DOFs as
+commuting signed-permutation involutions, the same at every k, and one
+construction serves all three: their orthonormal joint +-1 eigenbasis, one
+vector per orbit.  The +1 eigenbasis of X beside i times its -1 eigenbasis
+is T-invariant (``make_bloch_problem``); taken within one joint eigenspace
+of Y and Z it spans one parity sector.  ``band_diagram`` reduces the pencil
+to the real series of each of the four sectors once per call and at each k
+solves each sector on its own, so a band's mirror parities are those of its
+sector, exact by construction (the standard symmetry reduction; Bossavit,
+Comput. Methods Appl. Mech. Eng. 56, 167 (1986)).
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ MASS_ORTHONORMAL_TOL = 1e-8
 
 #: Largest imaginary part, relative to the whole pencil, that the real form
 #: may drop; more means the cell is not x-mirror symmetric.  The same bound
-#: holds the y and z mirror symmetry of the operators and the real basis.
+#: holds the y and z mirror symmetry of the operators and the Bloch basis.
 REAL_FORM_TOL = 1e-12
 
 #: Entries of a real pencil's series terms at or below this, relative to
@@ -137,32 +135,6 @@ def assemble(mesh: Mesh, material: Material) -> tuple[sp.csr_matrix, sp.csr_matr
     return k_mat, m_mat
 
 
-def _periodic_dofs(mesh: Mesh) -> tuple[np.ndarray, ...]:
-    """Kept DOFs (all off the slave face), and the rows, columns and face
-    (0 inside the cell, 1 master, 2 slave) of the Bloch basis's nonzeros:
-    each kept DOF in its own column, then each slave DOF in the column of
-    its master."""
-    n = mesh.n_dofs
-    comp = np.arange(3)
-    slave = (3 * mesh.slave_nodes[:, None] + comp).ravel()
-    master = (3 * mesh.master_nodes[:, None] + comp).ravel()
-    keep = np.setdiff1d(np.arange(n), slave)
-    col_of = np.full(n, -1, dtype=np.int64)
-    col_of[keep] = np.arange(keep.size)
-    face = np.zeros(n, dtype=np.int64)
-    face[master], face[slave] = 1, 2
-    rows = np.concatenate([keep, slave])
-    return keep, rows, col_of[np.concatenate([keep, master])], face[rows]
-
-
-def _phase_basis(n_dofs: int, dofs: tuple, phases: tuple) -> sp.csr_matrix:
-    """Bloch basis from the index sets of ``_periodic_dofs``, with
-    ``phases[f]`` on the rows of face f."""
-    keep, rows, cols, face = dofs
-    vals = np.asarray(phases, dtype=complex)[face]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_dofs, keep.size)).tocsr()
-
-
 def _half_phase(k_reduced: float) -> float:
     """theta = pi k / 2, half the Bloch phase across the period."""
     if not math.isfinite(k_reduced) or not (-1.0 <= k_reduced <= 1.0):
@@ -170,31 +142,6 @@ def _half_phase(k_reduced: float) -> float:
             f"reduced wavenumber must lie in [-1, 1], got {k_reduced!r}"
         )
     return 0.5 * math.pi * k_reduced
-
-
-def bloch_basis(mesh: Mesh, k_reduced: float) -> sp.csr_matrix:
-    """Reduction basis P with slave-face DOFs tied to phase * master DOFs.
-
-    ``k_reduced`` is the axial Bloch wavenumber in units of pi/period; the
-    irreducible zone is [0, 1] and negative values down to -1 are accepted so
-    that time-reversal pairs (k, -k) can be compared directly.  The slave-face
-    phase is ``exp(i pi k_reduced)``.
-    """
-    phase = cmath.exp(2j * _half_phase(k_reduced))
-    return _phase_basis(mesh.n_dofs, _periodic_dofs(mesh), (1.0, 1.0, phase))
-
-
-def reduce_bloch(
-    k_mat: sp.spmatrix, m_mat: sp.spmatrix, basis: sp.csr_matrix
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Project (K, M) onto the Bloch-reduced space; results are Hermitian."""
-    ph = basis.getH()
-    k_red = (ph @ (k_mat @ basis)).tocsr()
-    m_red = (ph @ (m_mat @ basis)).tocsr()
-    # Symmetrize away the last bits of floating-point asymmetry.
-    k_red = (k_red + k_red.getH()) * 0.5
-    m_red = (m_red + m_red.getH()) * 0.5
-    return k_red, m_red
 
 
 @dataclass
@@ -295,110 +242,114 @@ class _Series:
             for (indices, indptr), coefs in zip(self.patterns, self.coefs)
         )
 
-    def project(self, basis: sp.spmatrix) -> _Series:
-        """The series of ``basis^T (K, M) basis``."""
-        shape = (self.size, self.size)
-        stiffness, mass = (
-            [basis.T @ sp.csr_matrix((row, *pattern), shape=shape) @ basis
-             for row in coefs]
-            for pattern, coefs in zip(self.patterns, self.coefs)
-        )
-        return _Series.from_terms(stiffness, mass)
 
+def _joint_eigenbasis(mirrors: tuple, signs: tuple) -> sp.csc_matrix:
+    """Orthonormal real basis of the vectors v with ``G v = s v`` for every
+    mirror G and its sign s.
 
-def _real_form(x_mirror: sp.csr_matrix, dofs: tuple) -> sp.csr_matrix:
-    """Unitary Q whose columns are T-invariant reduced vectors.
-
-    In reduced coordinates T is ``v -> T_r conj(v)`` with
-    ``T_r = R X conj(P)``, where P is the Bloch basis, X the signed x-mirror
-    and R keeps the rows of the reduced DOFs.  In the symmetric gauge of
-    ``make_bloch_problem`` T_r is the same at every k, so P is taken at
-    k = 0.  T_r sends DOF j to one DOF pi(j) times a sign d_j.  A pair
-    (i, pi(i)) gets the columns (e_i + d_i e_pi(i))/sqrt2 and
-    i(e_i - d_i e_pi(i))/sqrt2 in places i and pi(i); a fixed point i gets
-    e_i, or i e_i where d_i = -1.  With T^2 = 1, ``Q^H A Q`` is real for
-    every Hermitian A that commutes with T.
+    The mirrors are commuting signed-permutation involutions in CSC form,
+    one entry per column.  A basis vector is ``prod_G (1 + s G) e_j``,
+    normalized, for the first index j of each orbit of the group they
+    generate, where it does not vanish.  It lives on its orbit, so the
+    vectors are orthogonal to one another, each has at most
+    ``2 ** len(mirrors)`` nonzeros, and over all sign choices they span
+    the whole space.
     """
-    basis = _phase_basis(x_mirror.shape[0], dofs, (1.0, 1.0, 1.0))
-    t_red = (x_mirror @ basis)[dofs[0]].tocsc()
-    m = basis.shape[1]
-    cols = np.arange(m)
-    pi, d = t_red.indices, t_red.data.real
-    if t_red.nnz != m or np.any(pi[pi] != cols):
-        raise NumericalError(
-            "the x-mirror does not map the Bloch space onto itself; "
-            "the periodic faces do not match the mirror"
-        )
-    first = cols < pi
-    fixed = cols == pi
-    lo, hi, d_lo = cols[first], pi[first], d[first]
-    root_half = math.sqrt(0.5)
-    rows = np.concatenate([lo, hi, lo, hi, cols[fixed]])
-    where = np.concatenate([lo, lo, hi, hi, cols[fixed]])
-    vals = np.concatenate(
-        [
-            np.full(lo.size, root_half, dtype=complex),
-            root_half * d_lo,
-            np.full(lo.size, 1j * root_half),
-            -1j * root_half * d_lo,
-            np.where(d[fixed] > 0, 1.0, 1j),
-        ]
+    size = mirrors[0].shape[0]
+    orbits = [np.arange(size)]
+    for mirror in mirrors:
+        orbits += [mirror.indices[image] for image in orbits]
+    first = np.flatnonzero(orbits[0] == np.minimum.reduce(orbits))
+    span = sp.identity(size, format="csc")[:, first]
+    for mirror, sign in zip(mirrors, signs):
+        span = span + sign * (mirror @ span)
+    span = span.tocsc()
+    span.eliminate_zeros()
+    norms = np.sqrt(np.asarray(span.multiply(span).sum(axis=0)).ravel())
+    live = norms > 0
+    return (span[:, live] @ sp.diags(1.0 / norms[live])).tocsc()
+
+
+def _real_form(
+    x_mirror: sp.csc_matrix, mirrors: tuple = (), signs: tuple = ()
+) -> sp.csc_matrix:
+    """Unitary U onto the T-invariant reduced vectors, within the joint
+    eigenspace of further ``mirrors`` with ``signs``.
+
+    In reduced coordinates T is ``v -> T_r conj(v)``, T_r the reduced
+    x-mirror (``_BlochOperator.x_mirror``).  U is the +1 eigenbasis of T_r
+    beside i times its -1 eigenbasis (``_joint_eigenbasis``), so
+    ``T_r conj(U) = U``, and with T^2 = 1 ``U^H A U`` is real for every
+    Hermitian A that commutes with T.  With no mirrors U spans the whole
+    reduced space; with the reduced y and z mirrors and their signs it
+    spans one parity sector.
+    """
+    even, odd = (
+        _joint_eigenbasis((x_mirror, *mirrors), (sign, *signs))
+        for sign in (1.0, -1.0)
     )
-    return sp.csr_matrix((vals, (rows, where)), shape=(m, m))
+    return sp.hstack([even, 1j * odd], format="csc")
 
 
-def _real_series_terms(
-    mat: sp.spmatrix, faces: list[sp.csr_matrix], unitary: sp.csr_matrix
-) -> list[sp.csr_matrix]:
-    """Real terms ``C_0, C_1, D_1, C_2, D_2`` of ``Q^H P'^H A P' Q``.
-
-    With ``P' = E_0 + e^{-i theta} E_1 + e^{i theta} E_2`` (E_f the part of
-    the basis on face f), the block ``E_f^T A E_g`` carries the phase
-    ``e^{i n theta}``, n = s_g - s_f with s = (0, -1, 1).  Summed by n into
-    B_n, the pencil is ``B_0 + sum_n e^{i n theta} B_n + e^{-i n theta} B_n^H``,
-    i.e. ``C_0 + sum_n cos(n theta) C_n + sin(n theta) D_n`` with
-    ``C_0 = B_0``, ``C_n = B_n + B_n^H`` and ``D_n = i (B_n - B_n^H)``.
-    Their imaginary parts are checked against ``REAL_FORM_TOL`` and dropped.
-    """
-    shifts = (0, -1, 1)
-    blocks = [0, 0, 0]
-    for f, left in enumerate(faces):
-        for g, right in enumerate(faces):
-            if shifts[g] >= shifts[f]:
-                blocks[shifts[g] - shifts[f]] += left.T @ mat @ right
-    unitary_h = unitary.getH().tocsr()
-    blocks = [unitary_h @ sp.csr_matrix(block) @ unitary for block in blocks]
-    terms = [blocks[0]]
-    for block in blocks[1:]:
-        terms += [block + block.getH(), 1j * (block - block.getH())]
-    imag = math.hypot(*(np.linalg.norm(term.data.imag) for term in terms))
-    drift = imag / math.hypot(*(np.linalg.norm(term.data) for term in terms))
-    if drift > REAL_FORM_TOL:
-        raise NumericalError(
-            f"the Bloch pencil is not real in the x-mirror basis "
-            f"(relative imaginary part {drift:.2e}); "
-            "the operators are not x-mirror symmetric"
-        )
-    return [0.5 * (term + term.T).real.tocsr() for term in terms]
+def _reduced_mirror(faces: tuple, mirror: sp.spmatrix) -> sp.csc_matrix:
+    """A mirror of nodal fields as it acts on the reduced DOFs: ``R X P``,
+    with P the Bloch basis at k = 0 and R keeping the reduced DOFs' rows."""
+    inside, master, slave = faces
+    return ((inside + master).T @ mirror @ (inside + master + slave)).tocsc()
 
 
 @dataclass
 class _BlochOperator:
-    """The real Bloch pencil of one mesh, at every k (``make_bloch_problem``)."""
+    """The Bloch pencil of one mesh at every k, before a real basis.
 
-    k_mat: sp.spmatrix
-    m_mat: sp.spmatrix
-    dofs: tuple  # from _periodic_dofs
-    unitary: sp.csr_matrix  # Q, from _real_form
-    pencil: _Series  # Q^H P'^H (K, M) P' Q
+    ``faces`` are E_0, E_1, E_2, the 0/1 maps from the reduced DOFs (all
+    off the slave face) to the nodal DOFs inside the cell, on the master
+    face and on the slave face.  In the symmetric gauge the Bloch basis is
+    ``P'(k) = E_0 + e^{-i theta} E_1 + e^{i theta} E_2``, theta = pi k / 2.
+    The block ``E_f^T A E_g`` of ``P'^H A P'`` carries ``e^{i n theta}``,
+    n = s_g - s_f with s = (0, -1, 1); ``blocks`` holds, for K and then M,
+    their sums B_0, B_1 and, where an element touches both periodic faces,
+    B_2.  ``x_mirror`` is T_r, the x-mirror on the reduced DOFs, a
+    signed-permutation involution the same at every k.
+    """
+
+    faces: tuple
+    blocks: tuple
+    x_mirror: sp.csc_matrix
 
     def basis(self, k_reduced: float) -> sp.csr_matrix:
-        """``P'(k) Q``: reduced vectors to full nodal DOFs."""
+        """``P'(k)``: reduced vectors to full nodal DOFs."""
         phase = cmath.exp(1j * _half_phase(k_reduced))
-        bloch = _phase_basis(
-            self.k_mat.shape[0], self.dofs, (1.0, phase.conjugate(), phase)
-        )
-        return (bloch @ self.unitary).tocsr()
+        inside, master, slave = self.faces
+        return (inside + phase.conjugate() * master + phase * slave).tocsr()
+
+    def series(self, unitary: sp.spmatrix) -> _Series:
+        """The real series of ``U^H P'^H (K, M) P' U`` for a unitary U of
+        ``_real_form``.
+
+        The pencil is ``B_0 + sum_n e^{i n theta} B_n + e^{-i n theta}
+        B_n^H``, i.e. ``C_0 + sum_n cos(n theta) C_n + sin(n theta) D_n``
+        with ``C_0 = U^H B_0 U``, ``C_n = U^H (B_n + B_n^H) U`` and
+        ``D_n = i U^H (B_n - B_n^H) U``.  Their imaginary parts are checked
+        against ``REAL_FORM_TOL`` and dropped.
+        """
+        unitary_h = unitary.getH().tocsr()
+        real = []
+        for blocks in self.blocks:
+            first, *rest = (unitary_h @ block @ unitary for block in blocks)
+            terms = [first]
+            for block in rest:
+                terms += [block + block.getH(), 1j * (block - block.getH())]
+            imag = math.hypot(*(np.linalg.norm(term.data.imag) for term in terms))
+            drift = imag / math.hypot(*(np.linalg.norm(term.data) for term in terms))
+            if drift > REAL_FORM_TOL:
+                raise NumericalError(
+                    f"the Bloch pencil is not real in the x-mirror basis "
+                    f"(relative imaginary part {drift:.2e}); "
+                    "the operators are not x-mirror symmetric"
+                )
+            real.append([0.5 * (term + term.T).real.tocsr() for term in terms])
+        return _Series.from_terms(*real)
 
 
 def _bloch_operator(
@@ -410,25 +361,42 @@ def _bloch_operator(
             "mesh is not mirror-symmetric along the beam axis; "
             "the real Bloch form needs it"
         )
-    dofs = _periodic_dofs(mesh)
-    unitary = _real_form(_signed_mirror(perm, 0), dofs)
-    keep, rows, cols, face = dofs
-    faces = [
-        sp.csr_matrix(
-            (np.ones(on.sum()), (rows[on], cols[on])), shape=(mesh.n_dofs, keep.size)
+    n = mesh.n_dofs
+    slave, master = (
+        (3 * nodes[:, None] + np.arange(3)).ravel()
+        for nodes in (mesh.slave_nodes, mesh.master_nodes)
+    )
+    keep = np.setdiff1d(np.arange(n), slave)
+    column = np.full(n, -1, dtype=np.int64)
+    column[keep] = np.arange(keep.size)
+    column[slave] = column[master]
+    inside = np.setdiff1d(keep, master)
+    faces = tuple(
+        sp.csr_matrix((np.ones(rows.size), (rows, column[rows])), shape=(n, keep.size))
+        for rows in (inside, master, slave)
+    )
+    shifts = (0, -1, 1)
+    blocks = []
+    for mat in (k_mat, m_mat):
+        summed = [0, 0, 0]
+        for f, left in enumerate(faces):
+            for g, right in enumerate(faces):
+                if shifts[g] >= shifts[f]:
+                    summed[shifts[g] - shifts[f]] += left.T @ mat @ right
+        blocks.append([sp.csr_matrix(block) for block in summed])
+    if not any(by_shift[2].nnz for by_shift in blocks):
+        # B_2 couples master to slave DOFs directly; only an element
+        # touching both faces makes it.
+        blocks = [by_shift[:2] for by_shift in blocks]
+    # An involution with one entry per column is a signed permutation.
+    x_mirror = _reduced_mirror(faces, _signed_mirror(perm, 0))
+    eye = sp.identity(keep.size)
+    if x_mirror.nnz != keep.size or abs(x_mirror @ x_mirror - eye).max() > 0:
+        raise NumericalError(
+            "the x-mirror does not map the Bloch space onto itself; "
+            "the periodic faces do not match the mirror"
         )
-        for on in (face == f for f in range(3))
-    ]
-    stiffness, mass = (
-        _real_series_terms(mat, faces, unitary) for mat in (k_mat, m_mat)
-    )
-    if not any(term.nnz for term in stiffness[3:] + mass[3:]):
-        # The cos(2 theta), sin(2 theta) terms couple master to slave DOFs
-        # directly; only an element touching both faces makes them.
-        stiffness, mass = stiffness[:3], mass[:3]
-    return _BlochOperator(
-        k_mat, m_mat, dofs, unitary, _Series.from_terms(stiffness, mass)
-    )
+    return _BlochOperator(faces, tuple(blocks), x_mirror)
 
 
 def make_bloch_problem(
@@ -439,28 +407,23 @@ def make_bloch_problem(
 ) -> BlochProblem:
     """Tie the slave face to the master face at one wavenumber, in real form.
 
-    The basis is ``P' Q``.  P' is ``bloch_basis(mesh, k_reduced)`` in the
-    symmetric gauge: the reduced master-face DOFs carry the phase
-    ``e^{-i theta}`` and their slave images ``e^{i theta}``, theta =
-    pi k / 2, so the slave face is still ``e^{i pi k}`` times the master
-    face.  Q is the unitary map onto T-invariant vectors (see
-    ``_real_form``); in this gauge it does not depend on k.  The pencil
-    ``Q^H P'^H (K, M) P' Q``, as ``reduce_bloch`` would give it for
-    ``P' Q``, is real up to rounding, and is the series
-    ``C_0 + sum_n cos(n theta) C_n + sin(n theta) D_n`` (n = 1, and n = 2
-    where an element touches both periodic faces) whose real sparse terms
-    are built once per mesh (``_bloch_operator``).  Their imaginary part is
-    checked against ``REAL_FORM_TOL`` and dropped; a larger one means that
-    ``k_mat`` or ``m_mat`` break the x-mirror, and raises
-    ``NumericalError``.  Term entries below ``RESIDUE_TOL`` of the largest
-    are the rounding residue of exact cancellations and are dropped too.
-    Full-space modes are ``basis @ vectors``, complex Bloch waves as from
-    the plain reduction; the gauge changes the pencil's entries, not its
-    eigenvalues.
+    ``k_reduced`` is the axial Bloch wavenumber in units of pi/period; the
+    irreducible zone is [0, 1], and values down to -1 are accepted so that
+    time-reversal pairs (k, -k) can be compared directly.  The basis is
+    ``P'(k) U``: P' ties each slave-face DOF to its master in the symmetric
+    gauge of ``_BlochOperator`` (the slave face is ``e^{i pi k}`` times the
+    master face), and U is ``_real_form`` of the reduced x-mirror, the same
+    at every k.  The pencil ``U^H P'^H (K, M) P' U`` is the real series of
+    ``_BlochOperator.series`` at k; ``k_mat`` or ``m_mat`` that break the
+    x-mirror raise ``NumericalError``.  Full-space modes are
+    ``basis @ vectors``, complex Bloch waves; the gauge changes the
+    pencil's entries, not its eigenvalues.
     """
     operator = _bloch_operator(mesh, k_mat, m_mat)
-    stiffness, mass = operator.pencil.at(k_reduced)
-    return BlochProblem(k_reduced, stiffness, mass, operator.basis(k_reduced))
+    unitary = _real_form(operator.x_mirror)
+    stiffness, mass = operator.series(unitary).at(k_reduced)
+    basis = (operator.basis(k_reduced) @ unitary).tocsr()
+    return BlochProblem(k_reduced, stiffness, mass, basis)
 
 
 def _frequencies_ghz(eigvals: np.ndarray) -> np.ndarray:
@@ -622,26 +585,27 @@ def reflection_maps(mesh: Mesh) -> ReflectionMaps:
 
 
 def _parity_sectors(
-    operator: _BlochOperator, maps: ReflectionMaps
+    operator: _BlochOperator,
+    maps: ReflectionMaps,
+    k_mat: sp.spmatrix,
+    m_mat: sp.spmatrix,
 ) -> list[sp.csc_matrix]:
-    """Bases S of the (y, z) mirror-parity sectors (even, even), (even, odd),
-    (odd, even) and (odd, odd) in the real Bloch basis ``P' Q``.
+    """Unitaries U of the (y, z) mirror-parity sectors (even, even),
+    (even, odd), (odd, even) and (odd, odd): ``_real_form(T_r, (Y_r, Z_r),
+    (a, b))``, at most eight nonzeros per column.
 
-    There a transverse mirror acts at every k as the signed permutation it
-    induces on the kept DOFs, and commutes with the pencil if it commutes
-    with K and M.  Both are checked, so the pencil splits exactly into the
-    blocks ``S^T (K, M) S``; a break raises ``NumericalError``.  With Y, Z
-    those permutations, a basis vector is ``(1 + a Y)(1 + b Z) e_j``,
-    normalized, for the first index j of each orbit of {1, Y, Z, YZ} where
-    it does not vanish: at most four nonzeros, orthogonal to all others.
+    A transverse mirror maps each periodic face onto itself, so on the
+    reduced DOFs it acts at every k as the signed permutation Y_r it
+    induces there (``Y P'(k) = P'(k) Y_r``), and it commutes with the
+    pencil if it commutes with K and M.  Both are checked, so the pencil
+    splits exactly into the sector blocks; a break raises ``NumericalError``.
     """
-    keep = operator.dofs[0]
-    # A non-real Bloch phase exercises every phase of P' Q.
+    # A non-real Bloch phase exercises every phase of P'.
     basis = operator.basis(0.5)
     reduced = []
     for perm, axis, name in ((maps.perm_y, 1, "y"), (maps.perm_z, 2, "z")):
         mirror = _signed_mirror(perm, axis)
-        for mat in (operator.k_mat, operator.m_mat):
+        for mat in (k_mat, m_mat):
             defect = sparse_norm(mirror @ mat @ mirror.T - mat) / sparse_norm(mat)
             if defect > REAL_FORM_TOL:
                 raise NumericalError(
@@ -649,25 +613,16 @@ def _parity_sectors(
                     f"(relative defect {defect:.2e}); its parity sectors "
                     "would drop their couplings"
                 )
-        reduced.append(mirror[keep][:, keep].tocsc())
+        reduced.append(_reduced_mirror(operator.faces, mirror))
         if abs(mirror @ basis - basis @ reduced[-1]).max() > REAL_FORM_TOL:
             raise NumericalError(
-                f"the {name} mirror does not map the real Bloch basis onto itself"
+                f"the {name} mirror does not map the Bloch basis onto itself"
             )
-    mirror_y, mirror_z = reduced
-    eye = sp.identity(keep.size, format="csc")
-    cols = np.arange(keep.size)
-    y_of, z_of = mirror_y.indices, mirror_z.indices
-    first = np.flatnonzero(cols == np.minimum.reduce([cols, y_of, z_of, y_of[z_of]]))
-    bases = []
-    for a in (1.0, -1.0):
-        for b in (1.0, -1.0):
-            span = ((eye + a * mirror_y) @ (eye + b * mirror_z)).tocsc()[:, first]
-            span.eliminate_zeros()
-            norms = np.sqrt(np.asarray(span.multiply(span).sum(axis=0)).ravel())
-            live = norms > 0
-            bases.append((span[:, live] @ sp.diags(1.0 / norms[live])).tocsc())
-    return bases
+    return [
+        _real_form(operator.x_mirror, reduced, (a, b))
+        for a in (1.0, -1.0)
+        for b in (1.0, -1.0)
+    ]
 
 
 def classify_parities(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -683,22 +638,23 @@ def classify_parities(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _solve_sectors(
     sectors: list[tuple[sp.csc_matrix, _Series]], k_reduced: float, n_modes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lowest ``n_modes`` of a real Bloch pencil at one k, solved sector by
-    sector; ``sectors`` pairs each basis S of ``_parity_sectors`` with the
-    series of ``S^T (K, M) S``.
+    """Lowest ``n_modes`` of a Bloch pencil at one k, solved sector by
+    sector; ``sectors`` pairs each unitary U of ``_parity_sectors`` with
+    the series of its real pencil.
 
     Returns ascending frequencies (GHz), the sector index of each and the
-    mass-orthonormal vectors in the whole reduced basis.  Every sector is
+    mass-orthonormal vectors ``U v`` on the reduced DOFs (complex; ``P'(k)``
+    expands them to Bloch waves).  Every sector is
     asked for ``n_modes`` (or all of its modes), so the lowest ``n_modes``
     of the merged list are the pencil's lowest, whatever their parities.
     """
     freqs, vecs, found_in = [], [], []
-    for index, (basis, pencil) in enumerate(sectors):
+    for index, (unitary, pencil) in enumerate(sectors):
         found, vectors = solve_reduced(
-            *pencil.at(k_reduced), min(n_modes, basis.shape[1])
+            *pencil.at(k_reduced), min(n_modes, unitary.shape[1])
         )
         freqs.append(found)
-        vecs.append(basis @ vectors)
+        vecs.append(unitary @ vectors)
         found_in.append(np.full(found.size, index))
     freqs = np.concatenate(freqs)
     order = np.argsort(freqs, kind="stable")[:n_modes]
@@ -739,28 +695,28 @@ def band_diagram(
 
     ``k_points`` are reduced wavenumbers in [0, 1] (default: 20 uniform
     points).  The mesh must have matched periodic faces and be
-    mirror-symmetric about its three mid-planes.  The real Bloch pencil of
-    ``make_bloch_problem``, as its series in k, is split once per call into
-    the four sectors of the y and z mirrors (``_parity_sectors``).  At each
-    k every sector's pencil is evaluated from its series and solved on its
-    own, and a band's parities are those of its sector.
-    ``n_dofs_reduced`` is the size of the whole reduced pencil.
+    mirror-symmetric about its three mid-planes.  Once per call the Bloch
+    operator is built and reduced to the real series in k of each of the
+    four sectors of the y and z mirrors (``_parity_sectors``); the whole
+    pencil of ``make_bloch_problem`` is their direct sum.  At each k every
+    sector's pencil is evaluated from its series and solved on its own, and
+    a band's parities are those of its sector.  ``n_dofs_reduced`` is the
+    size of the whole reduced pencil.
     """
     if k_points is None:
         k_points = default_k_path()
     k_points = np.asarray(k_points, dtype=float)
     k_mat, m_mat = assemble(mesh, material)
     operator = _bloch_operator(mesh, k_mat, m_mat)
-    n_reduced = operator.dofs[0].size
+    n_reduced = operator.x_mirror.shape[0]
     if not 1 <= n_modes <= n_reduced:
         raise InvalidParameterError(
             f"n_modes must be between 1 and the reduced size {n_reduced}, "
             f"got {n_modes}"
         )
-    sectors = [
-        (basis, operator.pencil.project(basis))
-        for basis in _parity_sectors(operator, reflection_maps(mesh))
-    ]
+    maps = reflection_maps(mesh)
+    sectors = [(unitary, operator.series(unitary))
+               for unitary in _parity_sectors(operator, maps, k_mat, m_mat)]
     freqs, labels = [], []
     for k in k_points:
         found, found_in, _ = _solve_sectors(sectors, k, n_modes)
@@ -768,16 +724,3 @@ def band_diagram(
         labels.append(classify_parities(found_in))
     parity_y, parity_z = (np.vstack(column) for column in zip(*labels))
     return BandStructure(k_points, np.vstack(freqs), parity_y, parity_z, n_reduced)
-
-
-def total_mass(m_mat: sp.spmatrix) -> float:
-    """Total mesh mass recovered from the mass matrix.
-
-    A uniform unit translation stores kinetic energy (1/2) m v^2, so the
-    quadratic form of the translation vector returns the exact integrated
-    density regardless of mesh distortion.
-    """
-    n = m_mat.shape[0] // 3
-    ex = np.zeros(3 * n)
-    ex[0::3] = 1.0
-    return float(ex @ (m_mat @ ex))

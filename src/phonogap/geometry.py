@@ -306,11 +306,6 @@ def _element_jacobians(corner_coords: np.ndarray) -> np.ndarray:
     return dets
 
 
-def mesh_volume(mesh: Mesh) -> float:
-    """Total solid volume in m^3 via element quadrature."""
-    return float(_element_jacobians(mesh.element_corner_coords()).sum())
-
-
 def _build_channel_mesh(
     profile_nm: Callable[[np.ndarray], np.ndarray],
     period_nm: float,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from scipy.constants import h as PLANCK_H
 from scipy.constants import k as BOLTZMANN_K
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NumericalError
@@ -30,9 +29,6 @@ RATE_CONVENTIONS = ("plain_frequency", "angular")
 #: k_B/h in GHz per kelvin: thermal energy expressed as ordinary frequency.
 KB_OVER_H_GHZ_PER_K = BOLTZMANN_K / PLANCK_H / 1e9
 
-#: Upper quadrature cutoff for the Raman integral, in units of k_B*T/h.
-RAMAN_CUTOFF = 50.0
-
 
 def thermal_exponent(delta_ghz: float, temperature_k: float) -> float:
     """The dimensionless ratio h*delta / (k_B * T)."""
@@ -41,14 +37,9 @@ def thermal_exponent(delta_ghz: float, temperature_k: float) -> float:
 
 @dataclass(frozen=True)
 class OrbitalSystem:
-    """Orbital doublet of the emitter ground state.
-
-    ``delta_es_ghz`` (excited-state splitting) is carried only for
-    bookkeeping; no rate formula uses it.
-    """
+    """Orbital doublet of the emitter ground state."""
 
     delta_gs_ghz: float
-    delta_es_ghz: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.delta_gs_ghz) and self.delta_gs_ghz > 0):
@@ -136,17 +127,12 @@ def single_phonon_rates(
 
 
 def raman_rate(
-    system: OrbitalSystem,
-    model: RateModel,
-    temperature_k: float,
-    mode: str = "closed_form",
+    system: OrbitalSystem, model: RateModel, temperature_k: float
 ) -> float:
     """Elastic two-phonon rate in MHz; scales exactly as T^3.
 
     The closed form integrates n(n+1) f^2 over all phonon frequencies
-    analytically (the integral of x^2 e^x/(e^x - 1)^2 is pi^2/3); the
-    ``numeric_integral`` mode performs the same quadrature adaptively and is
-    kept as a cross-check of the analytic reduction.
+    analytically (the integral of x^2 e^x/(e^x - 1)^2 is pi^2/3).
     """
     _check_temperature(temperature_k)
     if temperature_k == 0:
@@ -155,30 +141,7 @@ def raman_rate(
     prefactor = (
         2.0 * math.pi * model.chi_rho_sq * system.delta_gs_ghz**2 * model.scale
     )
-    if mode == "closed_form":
-        return prefactor * (math.pi**2 / 3.0) * theta**3
-
-    if mode != "numeric_integral":
-        raise InvalidParameterError(
-            f"unknown raman mode {mode!r}; choose closed_form or numeric_integral"
-        )
-
-    def occupation_weight(f_ghz: float) -> float:
-        x = f_ghz / theta
-        return f_ghz**2 / (4.0 * math.sinh(0.5 * x) ** 2)
-
-    result = quad(
-        occupation_weight,
-        0.0,
-        RAMAN_CUTOFF * theta,
-        epsabs=0.0,
-        epsrel=1e-9,
-        limit=200,
-        full_output=1,
-    )
-    if len(result) > 3:
-        raise NumericalError(f"Raman quadrature did not converge: {result[3]}")
-    return prefactor * result[0]
+    return prefactor * (math.pi**2 / 3.0) * theta**3
 
 
 def total_relaxation(

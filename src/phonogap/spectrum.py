@@ -117,15 +117,6 @@ class DosCurve:
     frequency_ghz: np.ndarray
     dos_per_ghz: np.ndarray
 
-    def integrated(self, f_lo_ghz: float, f_hi_ghz: float) -> float:
-        """Number of states between the two frequencies (trapezoid rule)."""
-        mask = (self.frequency_ghz >= f_lo_ghz) & (self.frequency_ghz <= f_hi_ghz)
-        if mask.sum() < 2:
-            raise SamplingError("fewer than two DOS samples in the window")
-        return float(
-            np.trapezoid(self.dos_per_ghz[mask], self.frequency_ghz[mask])
-        )
-
 
 def _k_weights(k_points: np.ndarray) -> np.ndarray:
     k = np.asarray(k_points, dtype=float)

@@ -1,4 +1,4 @@
-"""Rewrite ``tests/data/golden/`` from the band runs that ``RUNS`` in
+"""Rewrite ``tests/data/golden/`` from the CLI runs that ``RUNS`` in
 ``tests/test_cli.py`` names, with the package found on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/regenerate_golden.py

@@ -25,7 +25,7 @@ NANOBEAM_FIG1B = (*NANOBEAM_DOS, "--f-max-ghz", "60", "--window-hi-ghz", "60")
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FIG1B_FILES = ("bands.csv", "dos.csv", "fig1b.gp")
-#: Band runs that several tests read: argv without ``--out-dir``, and the
+#: CLI runs that several tests read: argv without ``--out-dir``, and the
 #: artifacts whose numbers ``tests/data/golden/<name>/`` holds
 #: (``tests/regenerate_golden.py`` rewrites them).
 RUNS = {
@@ -37,6 +37,19 @@ RUNS = {
     "bands-single-k": (
         ("bands", "--resolution", "6,5,4", "--n-kpoints", "1", "--n-modes", "6"),
         ("bands.csv",),
+    ),
+    "rates": (
+        ("rates", "--delta-ghz", "46", "--temp-range", "2:20:4",
+         "--chi-rho", "2e-8", "--chi-rho-sq", "1e-12"),
+        ("rates.csv",),
+    ),
+    "pumpprobe": (
+        ("pumpprobe", "--t1-ns", "34", "--taus", "0:170:5"), ("pumpprobe.csv",),
+    ),
+    "pumpprobe-noisy": (
+        ("pumpprobe", "--t1-ns", "34", "--taus", "0:170:4", "--noise", "0.02",
+         "--seed", "5"),
+        ("pumpprobe.csv",),
     ),
 }
 
@@ -54,7 +67,7 @@ def only_dir(root, prefix):
 
 
 @pytest.fixture(scope="module")
-def band_run(tmp_path_factory):
+def cli_run(tmp_path_factory):
     """Artifact directory of a ``RUNS`` entry, run at most once per module."""
     dirs = {}
 
@@ -81,6 +94,13 @@ class TestConfig:
         config = cli.load_config(str(path), {"t_nm": 25.0, "w_nm": None})
         assert config.w_nm == 90.0
         assert config.t_nm == 25.0
+
+    def test_integer_value_of_float_field_keeps_run_id(self):
+        as_int = cli.RunConfig.from_dict({"w_nm": 90, "sweep_values_nm": [20]})
+        as_float = cli.RunConfig.from_dict({"w_nm": 90.0, "sweep_values_nm": [20.0]})
+        assert as_int == as_float
+        assert cli.run_id(as_int.to_dict()) == cli.run_id(as_float.to_dict())
+        assert type(as_int.w_nm) is float
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -149,6 +169,19 @@ class TestDispatch:
         assert "unknown config key" in capsys.readouterr().err
         assert not list(tmp_path.glob("bands-*"))
 
+    @pytest.mark.parametrize("config", [
+        {"resolution": 10}, {"resolution": ["a", 8, 4]}, {"n_kpoints": "48"},
+        {"n_modes": 2.5}, {"w_nm": None},
+    ], ids=["resolution-scalar", "resolution-string", "n_kpoints-string",
+            "n_modes-float", "w_nm-null"])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, config):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["bands", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bands-*"))
+
     def test_invalid_geometry_exits_2(self, tmp_path, capsys):
         code = cli.main(["bands", "--w-nm", "-4", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -189,8 +222,8 @@ class TestDispatch:
 
 
 class TestBands:
-    def test_single_k_point_csv(self, band_run):
-        header, rows = read_csv(band_run("bands-single-k") / "bands.csv")
+    def test_single_k_point_csv(self, cli_run):
+        header, rows = read_csv(cli_run("bands-single-k") / "bands.csv")
         assert header == [
             "k_reduced", "band_index", "frequency_GHz", "parity_y", "parity_z"
         ]
@@ -227,8 +260,8 @@ class TestBands:
 
 
 class TestDos:
-    def test_nanobeam_dos_csv(self, band_run):
-        header, rows = read_csv(band_run("dos-nanobeam") / "dos.csv")
+    def test_nanobeam_dos_csv(self, cli_run):
+        header, rows = read_csv(cli_run("dos-nanobeam") / "dos.csv")
         assert header == ["frequency_GHz", "dos_per_GHz"]
         dos = np.array([float(r[1]) for r in rows])
         assert np.all(dos >= 0)
@@ -245,8 +278,8 @@ class TestDos:
 
 
 class TestGap:
-    def test_report_contents(self, band_run):
-        gap_dir = band_run("gap")
+    def test_report_contents(self, cli_run):
+        gap_dir = cli_run("gap")
         report = json.loads((gap_dir / "gap.json").read_text())
         gap = report["gap"]
         assert gap is not None
@@ -262,8 +295,8 @@ class TestGap:
         assert comp["width_within_tolerance"] is True
         assert comp["center_deviation_pct"] < 15.0
 
-    def test_artifacts_namespaced_by_run_id(self, band_run):
-        gap_dir = band_run("gap")
+    def test_artifacts_namespaced_by_run_id(self, cli_run):
+        gap_dir = cli_run("gap")
         report = json.loads((gap_dir / "gap.json").read_text())
         assert gap_dir.name == f"gap-{report['run_id']}"
         request = json.loads((gap_dir / "config.json").read_text())
@@ -271,32 +304,42 @@ class TestGap:
         assert cli.run_id(request) == report["run_id"]
         assert cli.RunConfig.from_dict(request).resolution == (8, 6, 4)
 
-    def test_gap_csv_schema(self, band_run):
-        gap_dir = band_run("gap")
+    def test_gap_csv_schema(self, cli_run):
+        gap_dir = cli_run("gap")
         header, rows = read_csv(gap_dir / "gap.csv")
         assert header == ["param_value_nm", "center_GHz", "width_GHz"]
         assert len(rows) == 1
         assert rows[0][0] == "22.1"
 
-    def test_sweep_middle_row_matches_gap_run_exactly(self, band_run):
-        gap_dir, sweep_dir = band_run("gap"), band_run("sweep")
+    def test_sweep_middle_row_matches_gap_run_exactly(self, cli_run):
+        gap_dir, sweep_dir = cli_run("gap"), cli_run("sweep")
         gap_line = (gap_dir / "gap.csv").read_text().splitlines()[1]
         sweep_lines = (sweep_dir / "sweep.csv").read_text().splitlines()
         assert sweep_lines[2] == gap_line
 
-    def test_sweep_rows_sorted_by_value(self, band_run):
-        sweep_dir = band_run("sweep")
+    def test_sweep_rows_sorted_by_value(self, cli_run):
+        sweep_dir = cli_run("sweep")
         header, rows = read_csv(sweep_dir / "sweep.csv")
         assert header == ["param_value_nm", "center_GHz", "width_GHz"]
         values = [float(r[0]) for r in rows]
         assert values == sorted(values) == [19.1, 22.1, 25.1]
 
-    def test_config_has_no_seed(self, band_run):
-        gap_dir = band_run("gap")
+    @pytest.mark.parametrize("flag,value", [
+        ("--reference-center-ghz", "0"), ("--reference-width-ghz", "-1"),
+        ("--center-tolerance-pct", "-5"), ("--width-tolerance-pct", "-1"),
+    ])
+    def test_bad_reference_exits_2(self, tmp_path, capsys, flag, value):
+        code = cli.main(["gap", *COARSE, flag, value, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("gap-*"))
+
+    def test_config_has_no_seed(self, cli_run):
+        gap_dir = cli_run("gap")
         assert "seed" not in json.loads((gap_dir / "config.json").read_text())
 
-    def test_rerun_is_byte_identical(self, band_run, tmp_path):
-        gap_dir = band_run("gap")
+    def test_rerun_is_byte_identical(self, cli_run, tmp_path):
+        gap_dir = cli_run("gap")
         assert cli.main(["gap", *COARSE, "--out-dir", str(tmp_path)]) == 0
         again = only_dir(tmp_path, "gap")
         assert again.name == gap_dir.name
@@ -307,9 +350,9 @@ class TestGap:
 
 
 class TestFig1b:
-    def test_bundle_shades_detected_gap(self, band_run):
-        gap_dir = band_run("gap")
-        bundle = band_run("fig1b")
+    def test_bundle_shades_detected_gap(self, cli_run):
+        gap_dir = cli_run("gap")
+        bundle = cli_run("fig1b")
         assert (bundle / "bands.csv").exists()
         assert (bundle / "dos.csv").exists()
         script = (bundle / "fig1b.gp").read_text()
@@ -322,12 +365,12 @@ class TestFig1b:
         assert abs(lo - report["gap"]["f_lo_ghz"]) < 1e-8
         assert abs(hi - report["gap"]["f_hi_ghz"]) < 1e-8
 
-    def test_nanobeam_bundle_has_no_shading(self, band_run):
-        script = (band_run("fig1b-nanobeam") / "fig1b.gp").read_text()
+    def test_nanobeam_bundle_has_no_shading(self, cli_run):
+        script = (cli_run("fig1b-nanobeam") / "fig1b.gp").read_text()
         assert "set object" not in script
 
-    def test_rerun_is_byte_identical(self, band_run, tmp_path):
-        dir_a = band_run("fig1b-nanobeam")
+    def test_rerun_is_byte_identical(self, cli_run, tmp_path):
+        dir_a = cli_run("fig1b-nanobeam")
         assert cli.main(["fig1b", *NANOBEAM_FIG1B, "--out-dir", str(tmp_path)]) == 0
         dir_b = only_dir(tmp_path, "fig1b")
         assert dir_b.name == dir_a.name
@@ -367,6 +410,12 @@ def assert_csv_matches(actual, golden):
             bad = [i for i, (g, w) in enumerate(zip(got, want))
                    if not same_frequency(float(g), float(w))]
             assert not bad, (name, bad[:5])
+        elif name.endswith("_MHz") or name == "t1_ns":
+            np.testing.assert_allclose(np.array(got, float), np.array(want, float),
+                                       rtol=1e-12, atol=0, err_msg=name)
+        elif name == "ratio":
+            np.testing.assert_allclose(np.array(got, float), np.array(want, float),
+                                       rtol=0, atol=1e-12, err_msg=name)
         elif not name.startswith("parity"):
             assert got == want, name
     if "parity_y" in header:
@@ -418,9 +467,9 @@ NUMBER = re.compile(r"\d+(?:\.\d*)?(?:e[-+]?\d+)?")
     (name, artifact) for name, (_, artifacts) in RUNS.items()
     for artifact in artifacts
 ])
-def test_matches_golden(band_run, name, artifact):
+def test_matches_golden(cli_run, name, artifact):
     """Numeric artifacts agree with the ones in ``tests/data/golden``."""
-    actual = band_run(name) / artifact
+    actual = cli_run(name) / artifact
     golden = GOLDEN / name / artifact
     if artifact.endswith(".csv"):
         assert_csv_matches(actual, golden)
@@ -436,14 +485,8 @@ def test_matches_golden(band_run, name, artifact):
 
 
 class TestRates:
-    def test_csv_schema_and_detailed_balance(self, tmp_path):
-        code = cli.main([
-            "rates", "--delta-ghz", "46", "--temp-range", "2:20:4",
-            "--chi-rho", "2e-8", "--chi-rho-sq", "1e-12",
-            "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        header, rows = read_csv(only_dir(tmp_path, "rates") / "rates.csv")
+    def test_csv_schema_and_detailed_balance(self, cli_run):
+        header, rows = read_csv(cli_run("rates") / "rates.csv")
         assert header == [
             "temperature_K", "gamma_up_MHz", "gamma_down_MHz",
             "gamma_raman_MHz", "t1_ns",
@@ -485,30 +528,21 @@ class TestRates:
 
 
 class TestPumpProbe:
-    def test_curve_follows_exponential_recovery(self, tmp_path):
-        code = cli.main([
-            "pumpprobe", "--t1-ns", "34", "--taus", "0:170:5",
-            "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        header, rows = read_csv(
-            only_dir(tmp_path, "pumpprobe") / "pumpprobe.csv"
-        )
+    def test_curve_follows_exponential_recovery(self, cli_run):
+        header, rows = read_csv(cli_run("pumpprobe") / "pumpprobe.csv")
         assert header == ["tau_ns", "ratio"]
         for row in rows:
             tau, ratio = map(float, row)
             assert abs(ratio - (1.0 - math.exp(-tau / 34.0))) < 0.05
 
-    def test_seeded_noise_is_reproducible(self, tmp_path):
-        args = [
-            "pumpprobe", "--t1-ns", "34", "--taus", "0:170:4",
-            "--noise", "0.02",
-        ]
-        outs = []
-        for sub, seed in (("a", "5"), ("b", "5"), ("c", "6")):
+    def test_seeded_noise_is_reproducible(self, cli_run, tmp_path):
+        argv = RUNS["pumpprobe-noisy"][0]
+        assert argv[-2:] == ("--seed", "5")
+        outs = [(cli_run("pumpprobe-noisy") / "pumpprobe.csv").read_bytes()]
+        for sub, seed in (("b", "5"), ("c", "6")):
             out = tmp_path / sub
             assert cli.main(
-                args + ["--seed", seed, "--out-dir", str(out)]
+                [*argv[:-1], seed, "--out-dir", str(out)]
             ) == 0
             outs.append(
                 (only_dir(out, "pumpprobe") / "pumpprobe.csv").read_bytes()
@@ -593,6 +627,19 @@ class TestFitT1:
         assert cli.main([
             "fit-t1", "--input", str(src), "--out-dir", str(tmp_path),
         ]) == 2
+
+    @pytest.mark.parametrize("column,text", [
+        ("ratio", "tau_ns,ratio\n10,0.2\n20,nan\n30,0.6\n"),
+        ("tau_ns", "tau_ns,ratio\n10,0.2\ninf,0.4\n30,0.6\n"),
+    ], ids=["nan-ratio", "inf-tau"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, column, text):
+        src = tmp_path / "nonfinite.csv"
+        src.write_text(text)
+        assert cli.main([
+            "fit-t1", "--input", str(src), "--out-dir", str(tmp_path),
+        ]) == 2
+        assert f"non-finite value in {column}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit-t1-*"))
 
     def test_degenerate_data_exits_3(self, tmp_path):
         src = tmp_path / "flat.csv"

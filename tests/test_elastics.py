@@ -3,7 +3,9 @@
 The stiffness/mass oracle below re-derives the element matrices from first
 principles (chain rule written out via linear solves, dense Gauss grid) so
 that any error in the production assembly's gradient mapping or quadrature
-bookkeeping shows up as a mismatch.
+bookkeeping shows up as a mismatch.  The complex Bloch reduction
+(``bloch_basis``, ``reduce_bloch``) and the total mass are written out here
+too, as references for the real sector pencils the package solves.
 """
 
 import math
@@ -20,12 +22,9 @@ from scipy.spatial import cKDTree
 from phonogap import elastics
 from phonogap.elastics import (
     band_diagram,
-    bloch_basis,
     make_bloch_problem,
-    reduce_bloch,
     reflection_maps,
     solve_bands,
-    total_mass,
 )
 from phonogap.errors import (
     ClassificationError,
@@ -41,8 +40,8 @@ from phonogap.geometry import (
     build_unit_cell_mesh,
     hex_shape_functions,
     hex_shape_gradients,
-    mesh_volume,
 )
+from test_geometry import mesh_volume
 
 
 def single_element_mesh(corners: np.ndarray) -> Mesh:
@@ -100,6 +99,48 @@ def element_matrices_oracle(coords, material, n_gauss):
                             w * rho * shape[i] * shape[j] * np.eye(3)
                         )
     return k_el, m_el
+
+
+def total_mass(m_mat) -> float:
+    """Total mesh mass recovered from the mass matrix.
+
+    A uniform unit translation stores kinetic energy (1/2) m v^2, so the
+    quadratic form of the translation vector returns the exact integrated
+    density regardless of mesh distortion.
+    """
+    ex = np.zeros(m_mat.shape[0])
+    ex[0::3] = 1.0
+    return float(ex @ (m_mat @ ex))
+
+
+def reduced_dofs(mesh: Mesh) -> np.ndarray:
+    """The DOFs that the Bloch reduction keeps: all off the slave face."""
+    slave = (3 * mesh.slave_nodes[:, None] + np.arange(3)).ravel()
+    return np.setdiff1d(np.arange(mesh.n_dofs), slave)
+
+
+def bloch_basis(mesh: Mesh, k_reduced: float) -> sp.csr_matrix:
+    """Complex reduction basis P: each kept DOF in its own column, each
+    slave DOF in its master's column times the Bloch phase e^{i pi k}."""
+    keep = reduced_dofs(mesh)
+    column = np.full(mesh.n_dofs, -1)
+    column[keep] = np.arange(keep.size)
+    slave = (3 * mesh.slave_nodes[:, None] + np.arange(3)).ravel()
+    master = (3 * mesh.master_nodes[:, None] + np.arange(3)).ravel()
+    vals = np.concatenate([np.ones(keep.size),
+                           np.full(slave.size, np.exp(1j * math.pi * k_reduced))])
+    return sp.csr_matrix(
+        (vals, (np.concatenate([keep, slave]), column[np.concatenate([keep, master])])),
+        shape=(mesh.n_dofs, keep.size),
+    )
+
+
+def reduce_bloch(k_mat, m_mat, basis):
+    """Project (K, M) onto the Bloch-reduced space; results are Hermitian."""
+    ph = basis.getH()
+    k_red = (ph @ (k_mat @ basis)).tocsr()
+    m_red = (ph @ (m_mat @ basis)).tocsr()
+    return (k_red + k_red.getH()) * 0.5, (m_red + m_red.getH()) * 0.5
 
 
 def rigid_body_fields(mesh: Mesh) -> np.ndarray:
@@ -209,15 +250,16 @@ class TestBlochReduction:
     def test_rejects_wavenumber_outside_zone(self, small_cell, bad):
         mesh, k_mat, m_mat = small_cell
         with pytest.raises(InvalidParameterError):
-            bloch_basis(mesh, bad)
-        with pytest.raises(InvalidParameterError):
             make_bloch_problem(mesh, bad, k_mat, m_mat)
+        with pytest.raises(InvalidParameterError):
+            band_diagram(mesh, DIAMOND, [bad], 6)
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.floats(-1.0, 1.0))
     def test_reduction_contract(self, small_cell, k):
         mesh, k_mat, m_mat = small_cell
-        basis = bloch_basis(mesh, k)
+        problem = make_bloch_problem(mesh, k, k_mat, m_mat)
+        basis = problem.basis
         # Expanding any reduced vector must reproduce the Bloch phase
         # relation between the periodic faces.
         rng = np.random.default_rng(0)
@@ -228,11 +270,10 @@ class TestBlochReduction:
         master = (3 * mesh.master_nodes[:, None] + np.arange(3)).ravel()
         np.testing.assert_allclose(u[slave], phase * u[master], rtol=1e-12, atol=1e-12)
 
-        k_red, m_red = reduce_bloch(k_mat, m_mat, basis)
-        for mat in (k_red, m_red):
-            herm = spla.norm(mat - mat.getH()) / spla.norm(mat)
-            assert herm < 1e-13
-        assert np.linalg.eigvalsh(m_red.toarray()).min() > 0
+        for mat in (problem.stiffness, problem.mass):
+            asym = spla.norm(mat - mat.T) / spla.norm(mat)
+            assert asym < 1e-13
+        assert np.linalg.eigvalsh(problem.mass.toarray()).min() > 0
 
     def test_time_reversal_symmetry(self, small_cell):
         mesh, k_mat, m_mat = small_cell
@@ -497,22 +538,23 @@ def nanobeam_one_x():
 
 @pytest.fixture(scope="module", params=["10,8,4", "5,4,4", "nanobeam-1,4,3"])
 def bloch_operator(request, bench_cell, small_cell, nanobeam_one_x):
-    """A mesh, its operators, its Bloch operator and its sector series."""
+    """A mesh, its operators, and the unitary and real series of its whole
+    pencil followed by those of its four sectors."""
     mesh, k_mat, m_mat = {"10,8,4": bench_cell, "5,4,4": small_cell,
                           "nanobeam-1,4,3": nanobeam_one_x}[request.param]
     operator = elastics._bloch_operator(mesh, k_mat, m_mat)
-    return mesh, k_mat, m_mat, operator, sector_series(operator, mesh)
+    whole = elastics._real_form(operator.x_mirror)
+    return mesh, k_mat, m_mat, [(whole, operator.series(whole)),
+                                *sector_series(operator, mesh, k_mat, m_mat)]
 
 
 def assert_series_matches_projection(bloch_operator, k):
-    """The series at k against ``S^T Q^H P'(k)^H (K, M) P'(k) Q S`` projected
+    """The series at k against ``U^H P'(k)^H (K, M) P'(k) U`` projected
     directly, for the whole pencil and each sector, to 1e-12 relative."""
-    mesh, k_mat, m_mat, operator, sectors = bloch_operator
-    direct = reduce_bloch(k_mat, m_mat, gauged_basis(mesh, k) @ operator.unitary)
-    whole = sp.identity(direct[0].shape[0], format="csc")
-    for basis, series in [(whole, operator.pencil), *sectors]:
+    mesh, k_mat, m_mat, pencils = bloch_operator
+    for unitary, series in pencils:
+        direct = reduce_bloch(k_mat, m_mat, gauged_basis(mesh, k) @ unitary)
         for exact, summed in zip(direct, series.at(k)):
-            exact = basis.T @ exact @ basis
             assert summed.dtype == np.float64
             assert spla.norm(exact - summed) <= 1e-12 * spla.norm(exact)
 
@@ -534,12 +576,13 @@ class TestBlochOperator:
             self, bloch_operator):
         # cos(2 theta) and sin(2 theta) couple master to slave DOFs
         # directly: only the one-element-long nanobeam has them.
-        mesh, _, _, operator, sectors = bloch_operator
+        mesh, _, _, pencils = bloch_operator
         n_terms = 5 if mesh.grid_shape[0] == 1 else 3
-        for series in [operator.pencil, *(pencil for _, pencil in sectors)]:
+        for _, series in pencils:
             assert [coefs.shape[0] for coefs in series.coefs] == [n_terms] * 2
         if n_terms == 5:
-            assert np.abs(operator.pencil.coefs[0][3:]).max() > 0
+            whole = pencils[0][1]
+            assert np.abs(whole.coefs[0][3:]).max() > 0
 
     def test_one_element_nanobeam_bands_match_dense_eigh(self, nanobeam_one_x):
         mesh, k_mat, m_mat = nanobeam_one_x
@@ -623,17 +666,18 @@ def sector_modes(mesh, k_points, n_modes):
     """``band_diagram``'s sector solve, k by k, with full-space modes."""
     k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
     operator = elastics._bloch_operator(mesh, k_mat, m_mat)
-    sectors = sector_series(operator, mesh)
+    sectors = sector_series(operator, mesh, k_mat, m_mat)
     for k in k_points:
         freqs, found_in, vecs = elastics._solve_sectors(sectors, k, n_modes)
         par_y, par_z = elastics.classify_parities(found_in)
         yield freqs, par_y, par_z, operator.basis(k) @ vecs, m_mat
 
 
-def sector_series(operator, mesh):
-    """Each sector basis of ``band_diagram`` with its pencil's series."""
-    return [(basis, operator.pencil.project(basis))
-            for basis in elastics._parity_sectors(operator, reflection_maps(mesh))]
+def sector_series(operator, mesh, k_mat, m_mat):
+    """Each sector unitary of ``band_diagram`` with its pencil's series."""
+    unitaries = elastics._parity_sectors(operator, reflection_maps(mesh),
+                                         k_mat, m_mat)
+    return [(unitary, operator.series(unitary)) for unitary in unitaries]
 
 
 def mid_plane_node(mesh):
@@ -701,24 +745,34 @@ class TestParity:
             band_diagram(nanobeam_mesh, DIAMOND, [0.5], 6)
 
     def test_sector_bases_are_sparse_orthonormal_eigenbases(self, small_cell):
+        # Each sector unitary U is orthonormal, T-invariant (T_r conj(U) =
+        # U), even or odd under the y and z mirrors as its index says, and
+        # has at most eight nonzeros per column; the four make one square
+        # unitary.  The reduced mirrors are R X P(0), from the reference P.
         mesh, k_mat, m_mat = small_cell
         operator = elastics._bloch_operator(mesh, k_mat, m_mat)
         maps = reflection_maps(mesh)
-        bases = elastics._parity_sectors(operator, maps)
-        keep = operator.dofs[0]
-        whole = sp.hstack(bases)
+        unitaries = elastics._parity_sectors(operator, maps, k_mat, m_mat)
+        keep = reduced_dofs(mesh)
+        perms = [elastics._mirror_perm(mesh, 0), maps.perm_y, maps.perm_z]
+        x_mirror, *mirrors = [
+            (elastics._signed_mirror(perm, axis) @ bloch_basis(mesh, 0.0))[keep]
+            for axis, perm in enumerate(perms)
+        ]
+        whole = sp.hstack(unitaries, format="csc")
         assert whole.shape == (keep.size, keep.size)
-        np.testing.assert_allclose((whole.T @ whole).toarray(), np.eye(keep.size),
-                                   atol=1e-15)
-        assert np.diff(whole.tocsc().indptr).max() <= 4
-        mirrors = [elastics._signed_mirror(perm, axis)[keep][:, keep]
-                   for axis, perm in ((1, maps.perm_y), (2, maps.perm_z))]
-        for index, basis in enumerate(bases):
-            assert basis.shape[1] > 0
+        np.testing.assert_allclose((whole.getH() @ whole).toarray(),
+                                   np.eye(keep.size), atol=1e-15)
+        assert np.diff(whole.indptr).max() <= 8
+        for index, unitary in enumerate(unitaries):
+            assert unitary.shape[1] > 0
+            np.testing.assert_allclose((unitary.getH() @ unitary).toarray(),
+                                       np.eye(unitary.shape[1]), atol=1e-15)
+            assert abs(x_mirror @ unitary.conj() - unitary).max() < 1e-15
             labels = elastics.classify_parities([index])
             for mirror, label in zip(mirrors, labels):
                 sign = 1.0 if label[0] == "even" else -1.0
-                assert abs(mirror @ basis - sign * basis).max() < 1e-15
+                assert abs(mirror @ unitary - sign * unitary).max() < 1e-15
 
     def test_mirror_matches_run_once_per_band_diagram(self, small_cell,
                                                       monkeypatch):
@@ -736,21 +790,32 @@ class TestParity:
             band_diagram(mesh, DIAMOND, k_points, 6)
             assert sorted(calls) == [0, 1, 2]
 
-    def test_real_form_runs_once_per_band_diagram(self, small_cell,
-                                                  monkeypatch):
-        calls = []
-        original = elastics._real_form
+    def test_one_operator_and_four_sector_series_per_band_diagram(
+            self, small_cell, monkeypatch):
+        # The Bloch operator is built once per call and reduced to exactly
+        # four series, one per sector, none of them the whole pencil.
+        builds, series_sizes = [], []
+        build, series = elastics._bloch_operator, elastics._BlochOperator.series
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
 
-        monkeypatch.setattr(elastics, "_real_form", counted)
+        def counted_series(operator, unitary):
+            series_sizes.append((unitary.shape[1], operator.x_mirror.shape[0]))
+            return series(operator, unitary)
+
+        monkeypatch.setattr(elastics, "_bloch_operator", counted_build)
+        monkeypatch.setattr(elastics._BlochOperator, "series", counted_series)
         mesh, _, _ = small_cell
         for k_points in ([0.5], [0.0, 0.3, 0.6, 0.8, 1.0]):
-            calls.clear()
+            builds.clear()
+            series_sizes.clear()
             band_diagram(mesh, DIAMOND, k_points, 6)
-            assert len(calls) == 1
+            assert len(builds) == 1
+            assert len(series_sizes) == 4
+            assert all(size < whole for size, whole in series_sizes)
+            assert sum(size for size, _ in series_sizes) == series_sizes[0][1]
 
     def test_gamma_labels_match_dense_solve(self, reference_mesh, monkeypatch):
         # Some k = 0 sectors of this mesh take the shift-invert path; solved

@@ -23,9 +23,13 @@ from phonogap.geometry import (
     build_nanobeam_mesh,
     build_unit_cell_mesh,
     half_width_profile,
-    mesh_volume,
     solve_fillet,
 )
+
+
+def mesh_volume(mesh):
+    """Total solid volume in m^3 via element quadrature."""
+    return float(_element_jacobians(mesh.element_corner_coords()).sum())
 
 
 class TestUnitCellParams:

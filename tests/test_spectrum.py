@@ -13,7 +13,6 @@ from phonogap.elastics import BandStructure, band_diagram
 from phonogap.errors import CoverageError, InvalidParameterError, SamplingError
 from phonogap.geometry import DIAMOND, UnitCellParams, build_unit_cell_mesh
 from phonogap.spectrum import (
-    DosCurve,
     Gap,
     SweepPoint,
     band_extents,
@@ -22,6 +21,14 @@ from phonogap.spectrum import (
     parameter_sweep,
     primary_gap,
 )
+
+
+def integrated(dos, f_lo_ghz, f_hi_ghz):
+    """Number of states of a ``DosCurve`` between the two frequencies
+    (trapezoid rule over its samples in the window)."""
+    mask = (dos.frequency_ghz >= f_lo_ghz) & (dos.frequency_ghz <= f_hi_ghz)
+    assert mask.sum() >= 2, "fewer than two DOS samples in the window"
+    return float(np.trapezoid(dos.dos_per_ghz[mask], dos.frequency_ghz[mask]))
 
 
 def synthetic_bands(intervals, nk=7):
@@ -176,7 +183,7 @@ class TestDos:
         assert np.trapezoid(dos.dos_per_ghz, dos.frequency_ghz) == pytest.approx(
             3.0, abs=1e-3
         )
-        assert dos.integrated(40.0, 60.0) == pytest.approx(1.0, abs=1e-3)
+        assert integrated(dos, 40.0, 60.0) == pytest.approx(1.0, abs=1e-3)
 
     def test_coarse_sampling_raises(self):
         k = np.linspace(0.0, 1.0, 5)
@@ -194,11 +201,6 @@ class TestDos:
         decreasing = BandStructure(k[::-1].copy(), np.zeros((9, 1)))
         with pytest.raises(InvalidParameterError):
             compute_dos(decreasing)
-
-    def test_integrated_needs_samples(self):
-        curve = DosCurve(np.linspace(0, 10, 11), np.ones(11))
-        with pytest.raises(SamplingError):
-            curve.integrated(3.0, 3.05)
 
     def test_reference_cell_gap_depleted(self, reference_bands):
         # Consistency between the two spectral views: inside a complete gap
