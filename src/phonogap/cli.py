@@ -31,7 +31,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import LevelSystem, PulseSequence, simulate_sequence, thermalization_curve
+from .dynamics import (
+    WINDOW_NS,
+    LevelSystem,
+    PulseSequence,
+    simulate_sequence,
+    thermalization_curve,
+)
 from .elastics import BandStructure, band_diagram, default_k_path
 from .errors import ConfigError, InvalidParameterError, PhonogapError
 from .fitkit import fit_circle, fit_ellipse, fit_recovery, fit_tether_width
@@ -58,21 +64,22 @@ STRUCTURES = ("pnc", "nanobeam")
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved pipeline configuration; every quantity carries its
-    unit in the field name."""
+    unit in the field name.  The cell and material default to
+    ``UnitCellParams`` and ``Material``."""
 
     structure: str = "pnc"
-    w_nm: float = 95.7
-    h_nm: float = 89.9
-    a_nm: float = 129.6
-    t_nm: float = 22.1
-    r_nm: float = 16.9
-    d_nm: float = 70.3
+    w_nm: float = UnitCellParams.w
+    h_nm: float = UnitCellParams.h
+    a_nm: float = UnitCellParams.a
+    t_nm: float = UnitCellParams.t
+    r_nm: float = UnitCellParams.r
+    d_nm: float = UnitCellParams.d
     beam_width_nm: float = 90.0
     beam_thickness_nm: float = 70.0
-    c11_gpa: float = 1079.0
-    c12_gpa: float = 124.0
-    c44_gpa: float = 578.0
-    rho_kgm3: float = 3515.0
+    c11_gpa: float = Material.c11_gpa
+    c12_gpa: float = Material.c12_gpa
+    c44_gpa: float = Material.c44_gpa
+    rho_kgm3: float = Material.rho_kgm3
     resolution: tuple[int, int, int] = (10, 8, 4)
     n_kpoints: int = 48
     n_modes: int = 26
@@ -326,12 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
                    "equal up/down rates")
     p.add_argument("--gamma-up-mhz", type=float)
     p.add_argument("--gamma-down-mhz", type=float)
-    p.add_argument("--omega-mhz", type=float, default=200.0)
-    p.add_argument("--beta", type=float, default=0.5)
+    p.add_argument("--omega-mhz", type=float, default=LevelSystem.omega_mhz)
+    p.add_argument("--beta", type=float, default=LevelSystem.beta)
     p.add_argument("--taus", type=_parse_grid, metavar="LO:HI:N",
                    help="pump-probe delays in ns (default 0:5*T1:13)")
-    p.add_argument("--pulse-width-ns", type=float, default=300.0)
-    p.add_argument("--window-ns", type=float, default=10.0)
+    p.add_argument("--pulse-width-ns", type=float,
+                   default=PulseSequence.width_ns)
+    p.add_argument("--window-ns", type=float, default=WINDOW_NS)
     p.add_argument("--noise", type=float, default=0.0,
                    help="Gaussian sigma added to each ratio")
     p.add_argument("--dump-trace-ns", type=float, metavar="TAU",

@@ -27,25 +27,33 @@ import scipy.linalg as sla
 
 from .errors import ExtractionError, InvalidParameterError, NumericalError
 
-DEFAULT_OPTICAL_DECAY_MHZ = 1.0e3 / 1.7  # ~588 MHz, a typical excited-state decay
+#: Excited-state decay Gamma_opt, ~588 MHz (a 1.7 ns optical lifetime).
+OPTICAL_DECAY_MHZ = 1.0e3 / 1.7
 MHZ_PER_INV_NS = 1.0e3
+
+PULSE_WIDTH_NS = 300.0
+WINDOW_NS = 10.0
+#: Dark time after the second pulse.
+TAIL_NS = 300.0
+#: Delay from a pulse edge to its leading-edge window (``extract_peak_ratio``).
+SETTLE_NS = 5.0
 
 CONSERVATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LevelSystem:
-    """Rates of the three-level pump-probe model (all in MHz)."""
+    """Rates of the three-level pump-probe model (all in MHz); the excited
+    state decays at ``OPTICAL_DECAY_MHZ``."""
 
     omega_mhz: float = 200.0
-    gamma_opt_mhz: float = DEFAULT_OPTICAL_DECAY_MHZ
     beta: float = 0.5
     gamma_up_mhz: float = 0.0
     gamma_down_mhz: float = 0.0
     initial_populations: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        for name in ("omega_mhz", "gamma_opt_mhz", "gamma_up_mhz", "gamma_down_mhz"):
+        for name in ("omega_mhz", "gamma_up_mhz", "gamma_down_mhz"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidParameterError(f"{name} must be >= 0, got {value}")
@@ -77,19 +85,17 @@ class LevelSystem:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Two square pump pulses separated by a recovery delay."""
+    """Two square pump pulses separated by a recovery delay and followed
+    by ``TAIL_NS`` of dark time."""
 
     delay_ns: float
-    width_ns: float = 300.0
-    gap_ns: float = 300.0
+    width_ns: float = PULSE_WIDTH_NS
 
     def __post_init__(self):
         if not (math.isfinite(self.width_ns) and self.width_ns > 0):
             raise InvalidParameterError("pulse width must be positive")
         if not (math.isfinite(self.delay_ns) and self.delay_ns >= 0):
             raise InvalidParameterError("pulse delay must be >= 0")
-        if self.gap_ns < 0:
-            raise InvalidParameterError("gap must be >= 0")
 
     def pulse_starts(self) -> tuple[float, float]:
         return 0.0, self.width_ns + self.delay_ns
@@ -107,7 +113,7 @@ class FluorescenceTrace:
 def generator(system: LevelSystem, pump_fraction: float = 1.0) -> np.ndarray:
     """Rate matrix in 1/ns over (p1, p2, pe); columns sum to zero."""
     omega = pump_fraction * system.omega_mhz / MHZ_PER_INV_NS
-    gamma = system.gamma_opt_mhz / MHZ_PER_INV_NS
+    gamma = OPTICAL_DECAY_MHZ / MHZ_PER_INV_NS
     up = system.gamma_up_mhz / MHZ_PER_INV_NS
     down = system.gamma_down_mhz / MHZ_PER_INV_NS
     beta = system.beta
@@ -145,7 +151,7 @@ def _segments(
     max_rate = float(np.max(np.abs(np.diag(generator(system, 1.0)))))
     dt_ns = min(1.0, 0.1 / max_rate) if max_rate > 0 else 1.0
     drives = []  # (duration, pump fraction)
-    for off in (sequence.delay_ns, sequence.gap_ns):
+    for off in (sequence.delay_ns, TAIL_NS):
         drives.append((sequence.width_ns, 1.0))
         if off > 0:
             drives.append((off, 0.0))
@@ -191,7 +197,7 @@ def simulate_sequence(
             f"excited-state population went negative ({excited.min():.2e})"
         )
     # Only round-off below zero is left; clip it so the signal is >= 0.
-    signal = system.gamma_opt_mhz * np.clip(excited, 0.0, None)
+    signal = OPTICAL_DECAY_MHZ * np.clip(excited, 0.0, None)
     return FluorescenceTrace(_sample_times(segments), signal, populations)
 
 
@@ -241,10 +247,7 @@ def _window_populations(
 
 
 def extract_peak_ratio(
-    system: LevelSystem,
-    sequence: PulseSequence,
-    window_ns: float = 10.0,
-    settle_ns: float = 5.0,
+    system: LevelSystem, sequence: PulseSequence, window_ns: float = WINDOW_NS
 ) -> float:
     """Baseline-subtracted ratio of the two leading-edge fluorescence peaks.
 
@@ -252,11 +255,11 @@ def extract_peak_ratio(
     averaged; the ratio (peak2 - stat2) / (peak1 - stat1) isolates the
     recovered population and maps to 1 - exp(-delay/T1).
 
-    The leading window opens ``settle_ns`` after the pulse edge (a few
+    The leading window opens ``SETTLE_NS`` after the pulse edge (a few
     optical lifetimes) so the turn-on rise, which is not proportional to
     the recovered population, has settled; the slower in-pulse decay then
     cancels between the two pulses.  The window then sees the populations
-    after the pump has acted for ``settle_ns``, not the recovered population
+    after the pump has acted for ``SETTLE_NS``, not the recovered population
     at the edge, so the 5 ns settle window sets a bias: noiseless ratios at
     T1 = 34 ns sit up to 0.014 off 1 - exp(-delay/T1), and their fit returns
     T1 = 34.67 ns (+2%).  With no settle time the rise makes it 37.8 ns.
@@ -264,19 +267,19 @@ def extract_peak_ratio(
     Each window mean averages the samples that ``simulate_sequence`` takes
     inside it, summed in closed form per segment, so no trace is stepped.
     """
-    if window_ns <= 0 or settle_ns < 0:
-        raise InvalidParameterError("window must be positive and settle >= 0")
+    if not (math.isfinite(window_ns) and window_ns > 0):
+        raise InvalidParameterError(f"window must be positive, got {window_ns}")
     bounds = [
         (start, start + sequence.width_ns) for start in sequence.pulse_starts()
     ]
-    if any(stop - start < settle_ns + 2 * window_ns for start, stop in bounds):
+    if any(stop - start < SETTLE_NS + 2 * window_ns for start, stop in bounds):
         raise ExtractionError("pulses are too short for the chosen window")
     windows = []
     for start, stop in bounds:
-        windows.append((start + settle_ns, start + settle_ns + window_ns))
+        windows.append((start + SETTLE_NS, start + SETTLE_NS + window_ns))
         windows.append((stop - window_ns, stop))
     means = _window_populations(system, sequence, windows)
-    peak1, stat1, peak2, stat2 = system.gamma_opt_mhz * means[:, 2]
+    peak1, stat1, peak2, stat2 = OPTICAL_DECAY_MHZ * means[:, 2]
     denom = peak1 - stat1
     if denom <= 0:
         raise ExtractionError(
@@ -288,8 +291,8 @@ def extract_peak_ratio(
 def thermalization_curve(
     system: LevelSystem,
     taus_ns,
-    width_ns: float = 300.0,
-    window_ns: float = 10.0,
+    width_ns: float = PULSE_WIDTH_NS,
+    window_ns: float = WINDOW_NS,
     noise: float = 0.0,
     seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,8 +304,8 @@ def thermalization_curve(
     taus = np.asarray(taus_ns, dtype=float)
     if taus.size == 0:
         raise InvalidParameterError("need at least one delay")
-    if noise < 0:
-        raise InvalidParameterError("noise level must be >= 0")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise InvalidParameterError(f"noise level must be finite and >= 0, got {noise}")
     ratios = np.empty(taus.size)
     for i, tau in enumerate(taus):
         sequence = PulseSequence(delay_ns=float(tau), width_ns=width_ns)

@@ -77,6 +77,9 @@ ARPACK_GUARD_MODES = 6
 #: accepted for a mode from ARPACK; a looser mode sends the solve dense.
 RESIDUAL_TOL = 1e-3
 
+#: Largest reduced size solved densely from the start.
+DENSE_MAX_DOFS = 600
+
 #: Largest reduced size that a failed sparse solve may repeat densely.
 DENSE_FALLBACK_MAX_DOFS = 6000
 
@@ -158,11 +161,11 @@ class BlochProblem:
         return self.stiffness.shape[0]
 
 
-def _mirror_perm(mesh: Mesh, axis: int, tol_rel: float = 1e-6) -> np.ndarray | None:
+def _mirror_perm(mesh: Mesh, axis: int) -> np.ndarray | None:
     """Node permutation of the mirror across the mid-plane of ``axis``.
 
     Each reflected node is matched to the nearest node; None when some
-    match is further than ``tol_rel`` of the cell's largest extent.
+    match is further than 1e-6 of the cell's largest extent.
     """
     coords = mesh.nodes
     scale = max(mesh.period_m, np.ptp(coords[:, 1]), np.ptp(coords[:, 2]))
@@ -170,7 +173,7 @@ def _mirror_perm(mesh: Mesh, axis: int, tol_rel: float = 1e-6) -> np.ndarray | N
     flipped = coords.copy()
     flipped[:, axis] = along.min() + along.max() - along
     dist, idx = cKDTree(coords).query(flipped)
-    return None if dist.max() > tol_rel * scale else idx
+    return None if dist.max() > 1e-6 * scale else idx
 
 
 def _signed_mirror(perm: np.ndarray, axis: int) -> sp.csr_matrix:
@@ -471,18 +474,15 @@ def _relative_residuals(
 
 
 def solve_reduced(
-    k_red: sp.csr_matrix,
-    m_red: sp.csr_matrix,
-    n_modes: int,
-    *,
-    dense_cutoff: int = 600,
+    k_red: sp.csr_matrix, m_red: sp.csr_matrix, n_modes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest modes of a reduced symmetric (real) or Hermitian pencil.
 
     Returns ``(frequencies_ghz, vectors)`` in the space of the arguments,
     real for a real pencil, with mass-orthonormal columns
-    (``max|V^H M V - I| <= MASS_ORTHONORMAL_TOL``).  Small systems are
-    solved densely.  Larger ones use shift-invert Lanczos (for a real pencil
+    (``max|V^H M V - I| <= MASS_ORTHONORMAL_TOL``).  Systems of up to
+    ``DENSE_MAX_DOFS`` (or three times ``n_modes``) are solved densely.
+    Larger ones use shift-invert Lanczos (for a real pencil
     a real LU and ARPACK's symmetric driver) with a deterministic start
     vector; it is asked for ``ARPACK_GUARD_MODES`` more modes than kept,
     since its highest Ritz pairs are the loosest.  ARPACK's Ritz vectors
@@ -509,7 +509,7 @@ def solve_reduced(
             k_red.toarray(), m_red.toarray(), subset_by_index=[0, n_modes - 1]
         )
 
-    if n <= max(dense_cutoff, 3 * n_modes):
+    if n <= max(DENSE_MAX_DOFS, 3 * n_modes):
         vals, vecs = dense_solve()
     else:
         # A slightly negative shift keeps the factorization well defined
@@ -546,19 +546,14 @@ def solve_reduced(
 
 
 def solve_bands(
-    problem: BlochProblem,
-    n_modes: int,
-    *,
-    dense_cutoff: int = 600,
+    problem: BlochProblem, n_modes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies (GHz) and full-space mode shapes at one wavenumber.
 
     Mode shapes are mass-orthonormal in the reduced space and expanded back
     to all nodal DOFs (slave face included) for post-processing.
     """
-    freqs, vecs = solve_reduced(
-        problem.stiffness, problem.mass, n_modes, dense_cutoff=dense_cutoff
-    )
+    freqs, vecs = solve_reduced(problem.stiffness, problem.mass, n_modes)
     return freqs, problem.basis @ vecs
 
 
@@ -636,29 +631,30 @@ def classify_parities(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_sectors(
-    sectors: list[tuple[sp.csc_matrix, _Series]], k_reduced: float, n_modes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    sectors: list[_Series], k_reduced: float, n_modes: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Lowest ``n_modes`` of a Bloch pencil at one k, solved sector by
-    sector; ``sectors`` pairs each unitary U of ``_parity_sectors`` with
-    the series of its real pencil.
+    sector; ``sectors`` holds the series of each sector's real pencil, in
+    the order of ``_parity_sectors``.
 
-    Returns ascending frequencies (GHz), the sector index of each and the
-    mass-orthonormal vectors ``U v`` on the reduced DOFs (complex; ``P'(k)``
-    expands them to Bloch waves).  Every sector is
-    asked for ``n_modes`` (or all of its modes), so the lowest ``n_modes``
-    of the merged list are the pencil's lowest, whatever their parities.
+    Returns ascending frequencies (GHz), the sector index of each and its
+    mass-orthonormal vector v in that sector's own basis (``U v`` on the
+    reduced DOFs, U the sector's unitary, and ``P'(k)`` then expands it to a
+    Bloch wave).  Every sector is asked for ``n_modes`` (or all of its
+    modes), so the lowest ``n_modes`` of the merged list are the pencil's
+    lowest, whatever their parities.
     """
     freqs, vecs, found_in = [], [], []
-    for index, (unitary, pencil) in enumerate(sectors):
+    for index, pencil in enumerate(sectors):
         found, vectors = solve_reduced(
-            *pencil.at(k_reduced), min(n_modes, unitary.shape[1])
+            *pencil.at(k_reduced), min(n_modes, pencil.size)
         )
         freqs.append(found)
-        vecs.append(unitary @ vectors)
+        vecs.extend(vectors.T)
         found_in.append(np.full(found.size, index))
     freqs = np.concatenate(freqs)
     order = np.argsort(freqs, kind="stable")[:n_modes]
-    return freqs[order], np.concatenate(found_in)[order], np.hstack(vecs)[:, order]
+    return freqs[order], np.concatenate(found_in)[order], [vecs[i] for i in order]
 
 
 @dataclass
@@ -676,35 +672,27 @@ class BandStructure:
         return self.frequencies_ghz.shape[1]
 
 
-def default_k_path(n_points: int = 20) -> np.ndarray:
+def default_k_path(n_points: int) -> np.ndarray:
     """Uniform reduced-wavenumber path over the irreducible zone [0, 1]."""
     if n_points < 1:
         raise InvalidParameterError("k path needs at least one point")
-    if n_points == 1:
-        return np.array([0.0])
     return np.linspace(0.0, 1.0, n_points)
 
 
 def band_diagram(
-    mesh: Mesh,
-    material: Material,
-    k_points: np.ndarray | None = None,
-    n_modes: int = 30,
+    mesh: Mesh, material: Material, k_points: np.ndarray, n_modes: int
 ) -> BandStructure:
     """Lowest ``n_modes`` bands and their mirror parities along a k path.
 
-    ``k_points`` are reduced wavenumbers in [0, 1] (default: 20 uniform
-    points).  The mesh must have matched periodic faces and be
-    mirror-symmetric about its three mid-planes.  Once per call the Bloch
-    operator is built and reduced to the real series in k of each of the
-    four sectors of the y and z mirrors (``_parity_sectors``); the whole
-    pencil of ``make_bloch_problem`` is their direct sum.  At each k every
-    sector's pencil is evaluated from its series and solved on its own, and
-    a band's parities are those of its sector.  ``n_dofs_reduced`` is the
-    size of the whole reduced pencil.
+    ``k_points`` are reduced wavenumbers in [0, 1].  The mesh must have
+    matched periodic faces and be mirror-symmetric about its three
+    mid-planes.  Once per call the Bloch operator is built and reduced to
+    the real series in k of each of the four sectors of the y and z mirrors
+    (``_parity_sectors``); the whole pencil of ``make_bloch_problem`` is
+    their direct sum.  At each k every sector's pencil is evaluated from its
+    series and solved on its own, and a band's parities are those of its
+    sector.  ``n_dofs_reduced`` is the size of the whole reduced pencil.
     """
-    if k_points is None:
-        k_points = default_k_path()
     k_points = np.asarray(k_points, dtype=float)
     k_mat, m_mat = assemble(mesh, material)
     operator = _bloch_operator(mesh, k_mat, m_mat)
@@ -715,7 +703,7 @@ def band_diagram(
             f"got {n_modes}"
         )
     maps = reflection_maps(mesh)
-    sectors = [(unitary, operator.series(unitary))
+    sectors = [operator.series(unitary)
                for unitary in _parity_sectors(operator, maps, k_mat, m_mat)]
     freqs, labels = [], []
     for k in k_points:

@@ -130,14 +130,14 @@ def fit_nonlinear(
     y: Sequence[float],
     sigma: Sequence[float] | None,
     init: Sequence[float],
-    max_iterations: int = MAX_ITERATIONS,
 ) -> FitResult:
     """Levenberg-Marquardt weighted least squares.
 
     Damping starts at 1e-3 on the normal-matrix diagonal and adapts by
     factors of ten.  Convergence requires a relative parameter step below
-    1e-10 or a gradient norm below 1e-12; running out of iterations raises
-    :class:`NonConvergenceError` carrying the best parameters so far.
+    1e-10 or a gradient norm below 1e-12; running out of the
+    ``MAX_ITERATIONS`` iterations raises :class:`NonConvergenceError`
+    carrying the best parameters so far.
 
     When ``sigma`` is given, the standard errors treat it as absolute
     one-sigma uncertainties; otherwise the covariance is rescaled by the
@@ -155,7 +155,6 @@ def fit_nonlinear(
         lambda p: (model.predict(x, p) - y) / sigma,
         lambda p: model.jacobian(x, p) / sigma[:, None],
         params,
-        max_iterations,
     )
     result = _finalize(model, x, sigma, params, wrss, n_iter, absolute_sigma)
     if status == "stalled":
@@ -164,12 +163,12 @@ def fit_nonlinear(
         )
     if status == "capped":
         raise NonConvergenceError(
-            f"{model.tag} fit exceeded {max_iterations} iterations", best=result
+            f"{model.tag} fit exceeded {MAX_ITERATIONS} iterations", best=result
         )
     return result
 
 
-def _levenberg_marquardt(residual, jacobian, params, max_iterations):
+def _levenberg_marquardt(residual, jacobian, params):
     """Minimize ``|residual(p)|^2`` from ``params`` by damped Gauss-Newton.
 
     Damping starts at 1e-3 on the normal-matrix diagonal, falls tenfold
@@ -178,12 +177,12 @@ def _levenberg_marquardt(residual, jacobian, params, max_iterations):
     parameters, their sum of squares, the iteration count and a status:
     ``"converged"`` (relative step below STEP_TOL or gradient norm below
     GRAD_TOL), ``"stalled"`` (damping reached 1e12 without an improving
-    step) or ``"capped"`` (``max_iterations`` steps taken).
+    step) or ``"capped"`` (``MAX_ITERATIONS`` steps taken).
     """
     resid = residual(params)
     wrss = float(resid @ resid)
     lam = 1e-3
-    for n_iter in range(1, max_iterations + 1):
+    for n_iter in range(1, MAX_ITERATIONS + 1):
         jac = jacobian(params)
         grad = jac.T @ resid
         if np.linalg.norm(grad) < GRAD_TOL:
@@ -210,7 +209,7 @@ def _levenberg_marquardt(residual, jacobian, params, max_iterations):
         lam = max(lam / 10.0, 1e-15)
         if rel_step < STEP_TOL:
             return params, wrss, n_iter, "converged"
-    return params, wrss, max_iterations, "capped"
+    return params, wrss, MAX_ITERATIONS, "capped"
 
 
 def _finalize(model, x, sigma, params, wrss, n_iter, absolute_sigma=True):
@@ -421,7 +420,7 @@ def fit_ellipse(points) -> EllipseFit:
 
     # A stall or the iteration cap still leaves the best geometry found.
     best, best_val, _, _ = _levenberg_marquardt(
-        distances, lambda g: _ellipse_jacobian(pts, g), geom, MAX_ITERATIONS
+        distances, lambda g: _ellipse_jacobian(pts, g), geom
     )
 
     cx, cy, ax, ay, phi = best
@@ -462,10 +461,7 @@ def fit_circle(points) -> CircleFit:
 
     # A stall or the iteration cap still leaves the best circle found.
     params, rss, _, _ = _levenberg_marquardt(
-        lambda p: np.hypot(x - p[0], y - p[1]) - p[2],
-        jacobian,
-        params,
-        MAX_ITERATIONS,
+        lambda p: np.hypot(x - p[0], y - p[1]) - p[2], jacobian, params
     )
     rms = math.sqrt(rss / pts.shape[0])
     return CircleFit(float(params[0]), float(params[1]), float(params[2]), rms)

@@ -144,13 +144,17 @@ class Material:
 
     def validate(self) -> None:
         c11, c12, c44 = self.c11_gpa, self.c12_gpa, self.c44_gpa
-        if self.rho_kgm3 <= 0:
-            raise InvalidParameterError("density must be positive")
-        # Positive-definiteness of the cubic stiffness tensor.
-        if c44 <= 0 or c11 <= abs(c12) or c11 + 2 * c12 <= 0:
+        if not (math.isfinite(self.rho_kgm3) and self.rho_kgm3 > 0):
             raise InvalidParameterError(
-                "cubic stiffness constants do not define a stable material: "
-                f"C11={c11}, C12={c12}, C44={c44}"
+                f"density must be finite and positive, got {self.rho_kgm3}"
+            )
+        # Positive-definiteness of the cubic stiffness tensor.
+        if not all(map(math.isfinite, (c11, c12, c44))) or (
+            c44 <= 0 or c11 <= abs(c12) or c11 + 2 * c12 <= 0
+        ):
+            raise InvalidParameterError(
+                "cubic stiffness constants must be finite and define a stable "
+                f"material: C11={c11}, C12={c12}, C44={c44}"
             )
 
     def stiffness_voigt_pa(self) -> np.ndarray:
@@ -381,10 +385,7 @@ def _validate_mesh(mesh: Mesh) -> None:
         raise MeshingError("periodic faces have mismatched node positions")
 
 
-def build_unit_cell_mesh(
-    params: UnitCellParams,
-    resolution: Sequence[int] = (16, 12, 6),
-) -> Mesh:
+def build_unit_cell_mesh(params: UnitCellParams, resolution: Sequence[int]) -> Mesh:
     """Mesh one phononic-crystal unit cell.
 
     Parameters
@@ -415,7 +416,7 @@ def build_nanobeam_mesh(
     width_nm: float,
     thickness_nm: float,
     period_nm: float,
-    resolution: Sequence[int] = (8, 8, 6),
+    resolution: Sequence[int],
 ) -> Mesh:
     """Mesh a straight rectangular beam segment of the given period.
 

@@ -153,15 +153,12 @@ def total_relaxation(
     return RateSet(temperature_k, up, down, raman)
 
 
-def crossover_temperature(
-    system: OrbitalSystem,
-    model: RateModel,
-    bracket_k: tuple[float, float] = (1.0, 100.0),
-) -> float:
+def crossover_temperature(system: OrbitalSystem, model: RateModel) -> float:
     """Temperature where the Raman contribution overtakes the one-phonon sum.
 
-    Solves 2*gamma_raman(T) = gamma_up(T) + gamma_down(T); independent of the
-    unit convention since both sides scale identically.
+    Solves 2*gamma_raman(T) = gamma_up(T) + gamma_down(T) between 1 and
+    100 K; independent of the unit convention since both sides scale
+    identically.
     """
     if model.chi_rho == 0 or model.chi_rho_sq == 0:
         raise InvalidParameterError(
@@ -174,7 +171,7 @@ def crossover_temperature(
             rates.gamma_up_mhz + rates.gamma_down_mhz
         )
 
-    lo, hi = bracket_k
+    lo, hi = 1.0, 100.0
     f_lo, f_hi = imbalance(lo), imbalance(hi)
     if f_lo * f_hi > 0:
         raise NumericalError(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .elastics import BandStructure, band_diagram
 from .errors import CoverageError, InvalidParameterError, SamplingError
-from .geometry import DIAMOND, Material, UnitCellParams, build_unit_cell_mesh
+from .geometry import Material, UnitCellParams, build_unit_cell_mesh
 
 #: Cell parameters that parameter_sweep can vary.
 SWEEPABLE_PARAMS = ("w", "h", "t", "r", "a", "d")
@@ -58,7 +58,7 @@ def band_extents(bands: BandStructure) -> np.ndarray:
     return np.stack([f.min(axis=0), f.max(axis=0)], axis=1)
 
 
-def find_complete_gaps(bands: BandStructure, f_max_ghz: float = 100.0) -> list[Gap]:
+def find_complete_gaps(bands: BandStructure, f_max_ghz: float) -> list[Gap]:
     """All complete gaps opening below ``f_max_ghz``, sorted by lower edge.
 
     Gaps are reported with their full extent even when the upper edge lies
@@ -131,18 +131,16 @@ def _k_weights(k_points: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def compute_dos(
-    bands: BandStructure,
-    broadening_ghz: float = 0.5,
-    grid_ghz: np.ndarray | None = None,
-) -> DosCurve:
+def compute_dos(bands: BandStructure, broadening_ghz: float) -> DosCurve:
     """Gaussian-broadened density of states, normalized to one state per band.
 
     Each sampled frequency contributes a Gaussian of width ``broadening_ghz``
     weighted by its trapezoidal share of the k path, so every band integrates
-    to one state.  The k sampling must resolve the band slopes: if any band
-    jumps by more than three broadening widths between adjacent k points the
-    histogram would alias, which raises :class:`SamplingError`.
+    to one state.  The curve is sampled at 1601 points from 0 GHz to five
+    widths above the highest band; tails below 0 GHz fall off it.  The k
+    sampling must resolve the band slopes: if any band jumps by more than
+    three broadening widths between adjacent k points the histogram would
+    alias, which raises :class:`SamplingError`.
     """
     if not (math.isfinite(broadening_ghz) and broadening_ghz > 0):
         raise InvalidParameterError(
@@ -159,10 +157,7 @@ def compute_dos(
             f"{3.0 * broadening_ghz:.2f} GHz; refine the k grid or broaden"
         )
 
-    if grid_ghz is None:
-        grid_ghz = np.linspace(0.0, f.max() + 5.0 * broadening_ghz, 1601)
-    grid = np.asarray(grid_ghz, dtype=float)
-
+    grid = np.linspace(0.0, f.max() + 5.0 * broadening_ghz, 1601)
     sigma = broadening_ghz
     diff = grid[:, None] - f.reshape(1, -1)
     kernel = np.exp(-0.5 * (diff / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
@@ -184,12 +179,12 @@ def parameter_sweep(
     param: str,
     values_nm: Sequence[float],
     *,
-    material: Material = DIAMOND,
-    resolution: Sequence[int] = (12, 10, 5),
-    k_points: np.ndarray | None = None,
-    n_modes: int = 26,
-    f_max_ghz: float = 100.0,
-    window_ghz: tuple[float, float] = (30.0, 100.0),
+    material: Material,
+    resolution: Sequence[int],
+    k_points: np.ndarray,
+    n_modes: int,
+    f_max_ghz: float,
+    window_ghz: tuple[float, float],
 ) -> list[SweepPoint]:
     """Primary-gap centre and width as one cell parameter varies.
 

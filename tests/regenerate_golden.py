@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python tests/regenerate_golden.py
 
-Each run's listed artifacts are copied as written, except that ``gap.json``
+Each run's listed artifacts are copied as written, except that a JSON report
 loses its ``run_id``: that is a hash of the request, not a result.
 """
 
@@ -27,7 +27,7 @@ def main() -> int:
             (GOLDEN / name).mkdir(parents=True, exist_ok=True)
             for artifact in artifacts:
                 data = (run_dir / artifact).read_bytes()
-                if artifact == "gap.json":
+                if artifact.endswith(".json"):
                     report = json.loads(data)
                     del report["run_id"]
                     data = (json.dumps(report, indent=2, sort_keys=True)

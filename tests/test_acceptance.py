@@ -151,9 +151,12 @@ class TestFabricationTolerance:
             UnitCellParams(),
             "t",
             [22.1 - 3.0, 22.1 + 3.0],
+            material=DIAMOND,
             resolution=COARSE_RES,
             k_points=default_k_path(12),
             n_modes=30,
+            f_max_ghz=100.0,
+            window_ghz=(30.0, 100.0),
         )
         for point in points:
             change = abs(point.width_ghz - coarse_gap.width_ghz)

@@ -24,6 +24,8 @@ NANOBEAM_DOS = (*NANOBEAM, "--broadening-ghz", "3")
 NANOBEAM_FIG1B = (*NANOBEAM_DOS, "--f-max-ghz", "60", "--window-hi-ghz", "60")
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+#: Committed inputs of the fit runs in ``RUNS``.
+FITS = Path(__file__).parent / "data" / "fits"
 FIG1B_FILES = ("bands.csv", "dos.csv", "fig1b.gp")
 #: CLI runs that several tests read: argv without ``--out-dir``, and the
 #: artifacts whose numbers ``tests/data/golden/<name>/`` holds
@@ -50,6 +52,22 @@ RUNS = {
         ("pumpprobe", "--t1-ns", "34", "--taus", "0:170:4", "--noise", "0.02",
          "--seed", "5"),
         ("pumpprobe.csv",),
+    ),
+    "fit-t1": (
+        ("fit-t1", "--input", str(FITS / "recovery.csv")), ("fit_t1.json",),
+    ),
+    "fit-temp": (
+        ("fit-temp", "--input", str(FITS / "rates_linear.csv")),
+        ("fit_temp.json", "fit_temp_curves.csv"),
+    ),
+    "fit-temp-t-max": (
+        ("fit-temp", "--input", str(FITS / "rates_t_max.csv"), "--models", "1,3",
+         "--t-max", "13"),
+        ("fit_temp.json", "fit_temp_curves.csv"),
+    ),
+    "fit-geom": (
+        ("fit-geom", "--manifest", str(FITS / "geom" / "manifest.json")),
+        ("fit_geom.csv",),
     ),
 }
 
@@ -392,6 +410,11 @@ def same_frequency(value, golden):
     return abs(value**2 - golden**2) <= 2e-9 * max(golden, 1.0) ** 2
 
 
+def same_float(value, golden):
+    """The fits' rule: 1e-9 relative or 1e-12 absolute."""
+    return math.isclose(value, golden, rel_tol=1e-9, abs_tol=1e-12)
+
+
 def assert_csv_matches(actual, golden):
     header, rows = read_csv(actual)
     golden_header, golden_rows = read_csv(golden)
@@ -413,6 +436,10 @@ def assert_csv_matches(actual, golden):
         elif name.endswith("_MHz") or name == "t1_ns":
             np.testing.assert_allclose(np.array(got, float), np.array(want, float),
                                        rtol=1e-12, atol=0, err_msg=name)
+        elif name.endswith("_nm"):
+            bad = [i for i, (g, w) in enumerate(zip(got, want))
+                   if not same_float(float(g), float(w))]
+            assert not bad, (name, bad[:5])
         elif name == "ratio":
             np.testing.assert_allclose(np.array(got, float), np.array(want, float),
                                        rtol=0, atol=1e-12, err_msg=name)
@@ -456,6 +483,12 @@ def assert_json_matches(actual, golden):
                 assert abs(actual[key] - golden[key]) <= 1e-6, key
             else:
                 assert_json_matches(actual[key], golden[key])
+    elif isinstance(golden, list):
+        assert isinstance(actual, list) and len(actual) == len(golden)
+        for got, want in zip(actual, golden):
+            assert_json_matches(got, want)
+    elif isinstance(golden, float):
+        assert type(actual) is float and same_float(actual, golden)
     else:
         assert type(actual) is type(golden) and actual == golden
 
@@ -572,6 +605,17 @@ class TestPumpProbe:
         assert np.all(signal >= 0)
         assert signal.max() > 0
 
+    @pytest.mark.parametrize("flag,value", [("--noise", "nan"),
+                                            ("--noise", "inf"),
+                                            ("--window-ns", "nan")])
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, flag, value):
+        assert cli.main([
+            "pumpprobe", "--t1-ns", "34", "--taus", "0:170:3", flag, value,
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_conflicting_rate_specs_exit_2(self, tmp_path):
         assert cli.main([
             "pumpprobe", "--t1-ns", "34", "--gamma-up-mhz", "10",
@@ -592,16 +636,9 @@ def write_recovery_csv(path, t1_ns=100.0):
 
 
 class TestFitT1:
-    def test_noiseless_roundtrip(self, tmp_path):
-        src = tmp_path / "rec.csv"
-        write_recovery_csv(src)
-        code = cli.main([
-            "fit-t1", "--input", str(src), "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        report = json.loads(
-            (only_dir(tmp_path, "fit-t1") / "fit_t1.json").read_text()
-        )
+    def test_noiseless_roundtrip(self, cli_run):
+        # The input is write_recovery_csv's default curve, T1 = 100 ns.
+        report = json.loads((cli_run("fit-t1") / "fit_t1.json").read_text())
         assert math.isclose(report["t1_ns"], 100.0, rel_tol=1e-6)
         assert report["n_points"] == 12
         assert report["dof"] == 11
@@ -657,15 +694,9 @@ def write_rate_csv(path, temps, rates, sigmas):
 
 
 class TestFitTemp:
-    def test_linear_data_ranks_linear_first(self, tmp_path):
-        temps = np.linspace(4.4, 30, 10)
-        src = tmp_path / "rates.csv"
-        write_rate_csv(src, temps, 1.47 + 0.68 * temps, 0.1 * np.ones(10))
-        code = cli.main([
-            "fit-temp", "--input", str(src), "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        out = only_dir(tmp_path, "fit-temp")
+    def test_linear_data_ranks_linear_first(self, cli_run):
+        # The input is 1.47 + 0.68 T MHz at 10 points over 4.4-30 K.
+        out = cli_run("fit-temp")
         report = json.loads((out / "fit_temp.json").read_text())
         assert report["best_exponent"] == 1
         assert len(report["models"]) == 4
@@ -676,22 +707,11 @@ class TestFitTemp:
         assert len(header) == 5
         assert len(rows) == 200
 
-    def test_t_max_isolates_low_temperature_regime(self, tmp_path):
-        rng = np.random.default_rng(50)
-        temps = np.linspace(4.4, 26.0, 12)
-        truth = np.where(
-            temps < 13.0, -0.35 + 0.15 * temps, 0.52 + 6.3e-4 * temps**3
-        )
-        sigmas = np.full_like(temps, 0.02)
-        src = tmp_path / "rates.csv"
-        write_rate_csv(src, temps, truth + rng.normal(0, sigmas), sigmas)
-        code = cli.main([
-            "fit-temp", "--input", str(src), "--models", "1,3",
-            "--t-max", "13", "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
+    def test_t_max_isolates_low_temperature_regime(self, cli_run):
+        # The input is -0.35 + 0.15 T MHz below 13 K and 0.52 + 6.3e-4 T^3
+        # above, at 12 points over 4.4-26 K with 0.02 MHz noise.
         report = json.loads(
-            (only_dir(tmp_path, "fit-temp") / "fit_temp.json").read_text()
+            (cli_run("fit-temp-t-max") / "fit_temp.json").read_text()
         )
         assert report["best_exponent"] == 1
         assert report["n_points"] == 5
@@ -750,13 +770,9 @@ class TestFitGeom:
         manifest.write_text(json.dumps({"contours": entries}))
         return manifest
 
-    def test_recovers_parameters_from_exact_contours(self, tmp_path):
-        manifest = self.make_manifest(tmp_path)
-        code = cli.main([
-            "fit-geom", "--manifest", str(manifest), "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        header, rows = read_csv(only_dir(tmp_path, "fit-geom") / "fit_geom.csv")
+    def test_recovers_parameters_from_exact_contours(self, cli_run):
+        # The input is make_manifest's, edges listed upper first.
+        header, rows = read_csv(cli_run("fit-geom") / "fit_geom.csv")
         assert header == ["parameter", "average_nm", "sd_nm"]
         table = {r[0]: (float(r[1]), float(r[2])) for r in rows}
         assert set(table) == {"w", "h", "r", "t"}

@@ -126,7 +126,7 @@ class TestSimulateSequence:
         trace = dynamics.simulate_sequence(
             system, PulseSequence(delay_ns=20.0)
         )
-        expected = system.gamma_opt_mhz * trace.populations[:, 2]
+        expected = dynamics.OPTICAL_DECAY_MHZ * trace.populations[:, 2]
         assert np.allclose(trace.signal, expected)
 
     def test_deterministic(self):

@@ -361,23 +361,25 @@ class TestBlochReduction:
         monkeypatch.setattr(elastics, "eigsh", dependent_eigsh)
         mesh, k_mat, m_mat = small_cell
         problem = make_bloch_problem(mesh, 0.3, k_mat, m_mat)
-        dense = solve_bands(problem, 6, dense_cutoff=10_000)[0]
-        freqs, vecs = elastics.solve_reduced(
-            problem.stiffness, problem.mass, 6, dense_cutoff=0
-        )
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 10_000)
+        dense = solve_bands(problem, 6)[0]
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 0)
+        freqs, vecs = elastics.solve_reduced(problem.stiffness, problem.mass, 6)
         np.testing.assert_array_equal(freqs, dense)
         gram = vecs.conj().T @ (problem.mass @ vecs)
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
 
         big = sp.identity(6001, dtype=complex, format="csr")
         with pytest.raises(NumericalError):
-            elastics.solve_reduced(big, big, 2, dense_cutoff=0)
+            elastics.solve_reduced(big, big, 2)
 
-    def test_dense_and_sparse_paths_agree(self, small_cell):
+    def test_dense_and_sparse_paths_agree(self, small_cell, monkeypatch):
         mesh, k_mat, m_mat = small_cell
         problem = make_bloch_problem(mesh, 0.3, k_mat, m_mat)
-        dense = solve_bands(problem, 10, dense_cutoff=10_000)[0]
-        sparse = solve_bands(problem, 10, dense_cutoff=0)[0]
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 10_000)
+        dense = solve_bands(problem, 10)[0]
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 0)
+        sparse = solve_bands(problem, 10)[0]
         np.testing.assert_allclose(sparse, dense, rtol=1e-6, atol=1e-6)
 
     def test_sparse_solve_deterministic(self, reference_mesh, reference_operators):
@@ -464,14 +466,15 @@ class TestRealForm:
 
     @pytest.mark.parametrize("real", [True, False])
     def test_solve_reduced_vectors_live_in_argument_space(self, small_cell,
-                                                          real):
+                                                          monkeypatch, real):
         mesh, k_mat, m_mat = small_cell
         if real:
             problem = make_bloch_problem(mesh, 0.41, k_mat, m_mat)
             k_red, m_red = problem.stiffness, problem.mass
         else:
             k_red, m_red = reduce_bloch(k_mat, m_mat, bloch_basis(mesh, 0.41))
-        freqs, vecs = elastics.solve_reduced(k_red, m_red, 8, dense_cutoff=0)
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 0)
+        freqs, vecs = elastics.solve_reduced(k_red, m_red, 8)
         assert vecs.shape == (k_red.shape[0], 8)
         assert np.iscomplexobj(vecs) != real
         gram = vecs.conj().T @ (m_red @ vecs)
@@ -611,12 +614,11 @@ class TestArpackGuard:
     def test_loose_top_mode_takes_dense_path(self, small_cell, monkeypatch):
         mesh, k_mat, m_mat = small_cell
         problem = make_bloch_problem(mesh, 0.3, k_mat, m_mat)
-        dense = elastics.solve_reduced(problem.stiffness, problem.mass, 6,
-                                       dense_cutoff=10_000)[0]
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 10_000)
+        dense = elastics.solve_reduced(problem.stiffness, problem.mass, 6)[0]
         self.loosen_top_mode(monkeypatch, elastics.eigsh)
-        freqs, vecs = elastics.solve_reduced(
-            problem.stiffness, problem.mass, 6, dense_cutoff=0
-        )
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 0)
+        freqs, vecs = elastics.solve_reduced(problem.stiffness, problem.mass, 6)
         np.testing.assert_array_equal(freqs, dense)
         gram = vecs.T @ (problem.mass @ vecs)
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
@@ -631,11 +633,12 @@ class TestArpackGuard:
             return lam[:k].copy(), np.eye(n, k)
 
         self.loosen_top_mode(monkeypatch, exact_eigsh)
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 0)
         with pytest.raises(NumericalError, match="residual"):
-            elastics.solve_reduced(k_red, m_red, 2, dense_cutoff=0)
+            elastics.solve_reduced(k_red, m_red, 2)
         # The same exact modes unloosened pass the postcondition.
         monkeypatch.setattr(elastics, "eigsh", exact_eigsh)
-        freqs, _ = elastics.solve_reduced(k_red, m_red, 2, dense_cutoff=0)
+        freqs, _ = elastics.solve_reduced(k_red, m_red, 2)
         np.testing.assert_allclose(freqs, [1.0, 2.0])
 
 
@@ -663,14 +666,17 @@ def mirror_overlaps(modes, mesh, m_mat):
 
 
 def sector_modes(mesh, k_points, n_modes):
-    """``band_diagram``'s sector solve, k by k, with full-space modes."""
+    """``band_diagram``'s sector solve, k by k, with full-space modes: each
+    sector vector mapped through its sector's unitary and ``P'(k)``."""
     k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
     operator = elastics._bloch_operator(mesh, k_mat, m_mat)
-    sectors = sector_series(operator, mesh, k_mat, m_mat)
+    unitaries, series = zip(*sector_series(operator, mesh, k_mat, m_mat))
     for k in k_points:
-        freqs, found_in, vecs = elastics._solve_sectors(sectors, k, n_modes)
+        freqs, found_in, vecs = elastics._solve_sectors(series, k, n_modes)
         par_y, par_z = elastics.classify_parities(found_in)
-        yield freqs, par_y, par_z, operator.basis(k) @ vecs, m_mat
+        reduced = np.column_stack(
+            [unitaries[s] @ v for s, v in zip(found_in, vecs)])
+        yield freqs, par_y, par_z, operator.basis(k) @ reduced, m_mat
 
 
 def sector_series(operator, mesh, k_mat, m_mat):
@@ -821,11 +827,7 @@ class TestParity:
         # Some k = 0 sectors of this mesh take the shift-invert path; solved
         # densely instead they give the same bands and labels.
         (sparse,) = sector_modes(reference_mesh, [0.0], 24)
-        solve = elastics.solve_reduced
-        monkeypatch.setattr(
-            elastics, "solve_reduced",
-            lambda k_red, m_red, n: solve(k_red, m_red, n, dense_cutoff=10_000),
-        )
+        monkeypatch.setattr(elastics, "DENSE_MAX_DOFS", 10_000)
         (dense,) = sector_modes(reference_mesh, [0.0], 24)
         assert relative_errors(sparse[0], dense[0]).max() < 1e-9
         above = dense[0] > 1e-3  # 1 MHz
@@ -906,7 +908,7 @@ class TestBandDiagram:
             band_diagram(mesh, DIAMOND, [0.5], 10_000)
 
     def test_default_path_covers_zone_edge(self):
-        path = elastics.default_k_path()
+        path = elastics.default_k_path(48)
         assert path[0] == 0.0
         assert path[-1] == 1.0
         assert np.all(np.diff(path) > 0)

@@ -86,15 +86,15 @@ class TestEngine:
         assert np.allclose(result.params, exact, atol=1e-9)
         assert result.n_iterations < 12
 
-    def test_iteration_cap_raises_with_best_parameters(self):
+    def test_iteration_cap_raises_with_best_parameters(self, monkeypatch):
         x = np.linspace(-10.0, 10.0, 40)
         y = fitkit.MODELS["waist"].predict(
             x, np.array([11.0, 0.6, 0.8, 2.2])
         )
+        monkeypatch.setattr(fitkit, "MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError, match="exceeded 1 ") as err:
             fitkit.fit_nonlinear(
-                fitkit.MODELS["waist"], x, y, None,
-                [9.0, -1.0, 0.5, 4.0], max_iterations=1,
+                fitkit.MODELS["waist"], x, y, None, [9.0, -1.0, 0.5, 4.0]
             )
         best = err.value.best
         assert best is not None

@@ -161,6 +161,12 @@ class TestMaterial:
         with pytest.raises(InvalidParameterError):
             Material(rho_kgm3=0.0).validate()
 
+    @pytest.mark.parametrize("field,value", [("c11_gpa", math.nan),
+                                             ("rho_kgm3", math.inf)])
+    def test_rejects_non_finite_constants(self, field, value):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            Material(**{field: value}).validate()
+
 
 class TestMesh:
     def test_element_count(self):
@@ -235,7 +241,7 @@ class TestMesh:
 
     def test_rejects_invalid_nanobeam(self):
         with pytest.raises(InvalidParameterError):
-            build_nanobeam_mesh(-90.0, 70.0, 129.6)
+            build_nanobeam_mesh(-90.0, 70.0, 129.6, (4, 4, 4))
         with pytest.raises(InvalidParameterError):
             build_nanobeam_mesh(90.0, 70.0, 129.6, (0, 4, 4))
 

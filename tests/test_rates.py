@@ -275,7 +275,7 @@ class TestCrossover:
         system = OrbitalSystem(delta_gs_ghz=60.0)
         model = RateModel(chi_rho=1e-7, chi_rho_sq=1e-20)
         with pytest.raises(NumericalError):
-            crossover_temperature(system, model, bracket_k=(1.0, 5.0))
+            crossover_temperature(system, model)
 
 
 class TestValidation:

@@ -1,5 +1,5 @@
-"""Every example script still imports and parses its arguments, and the
-pump-probe demo round-trips a lifetime end to end."""
+"""Every example script still imports and parses its arguments, and each
+one runs end to end on a small input."""
 
 import os
 import re
@@ -43,3 +43,19 @@ def test_pump_probe_demo_recovers_lifetime():
     # 34 ns: the 5 ns settle window biases every extracted ratio (see
     # ``extract_peak_ratio``), and any drift of the extraction shows here.
     assert abs(fitted - 34.67) <= 0.05
+
+
+def test_temperature_study_ranks_cubic_first_under_protection():
+    done = run_script(ROOT / "scripts" / "temperature_study.py")
+    assert done.returncode == 0, done.stderr
+    ranking = done.stdout.split("gap-protected crystal: exponent ranking")[1]
+    assert ranking.split("\n")[1].split(":")[0].strip() == "T^3"
+    assert re.search(r"protected rate at 20\.0 K vs unstructured rate at "
+                     r"4\.4 K: [0-9.]+ / [0-9.]+ MHz", done.stdout)
+
+
+def test_gap_refinement_reports_the_first_rung():
+    done = run_script(ROOT / "scripts" / "gap_refinement.py",
+                      "--levels", "1", "--n-kpoints", "4")
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"\(8, 6, 4\)(\s+[0-9.]+){5}", done.stdout), done.stdout

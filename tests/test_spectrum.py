@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from phonogap.elastics import BandStructure, band_diagram
 from phonogap.errors import CoverageError, InvalidParameterError, SamplingError
@@ -15,6 +16,7 @@ from phonogap.geometry import DIAMOND, UnitCellParams, build_unit_cell_mesh
 from phonogap.spectrum import (
     Gap,
     SweepPoint,
+    _k_weights,
     band_extents,
     compute_dos,
     find_complete_gaps,
@@ -167,8 +169,7 @@ class TestDos:
         slope = 50.0
         k = np.linspace(0.0, 1.0, 101)
         bands = BandStructure(k, (slope * k)[:, None])
-        grid = np.linspace(-5.0, 60.0, 1301)
-        dos = compute_dos(bands, broadening_ghz=0.5, grid_ghz=grid)
+        dos = compute_dos(bands, broadening_ghz=0.5)
         interior = (dos.frequency_ghz > 5.0) & (dos.frequency_ghz < 45.0)
         np.testing.assert_allclose(
             dos.dos_per_ghz[interior], 1.0 / slope, rtol=0.02
@@ -178,8 +179,7 @@ class TestDos:
         k = np.linspace(0.0, 1.0, 81)
         f = np.stack([10.0 + 20.0 * k, 45.0 + 10.0 * k**2, 70.0 + 0.0 * k], axis=1)
         bands = BandStructure(k, f)
-        grid = np.linspace(0.0, 90.0, 2001)
-        dos = compute_dos(bands, broadening_ghz=0.5, grid_ghz=grid)
+        dos = compute_dos(bands, broadening_ghz=0.5)
         assert np.trapezoid(dos.dos_per_ghz, dos.frequency_ghz) == pytest.approx(
             3.0, abs=1e-3
         )
@@ -197,10 +197,10 @@ class TestDos:
         with pytest.raises(InvalidParameterError):
             compute_dos(bands, broadening_ghz=0.0)
         with pytest.raises(SamplingError):
-            compute_dos(BandStructure(k[:1], np.zeros((1, 1))))
+            compute_dos(BandStructure(k[:1], np.zeros((1, 1))), 0.5)
         decreasing = BandStructure(k[::-1].copy(), np.zeros((9, 1)))
         with pytest.raises(InvalidParameterError):
-            compute_dos(decreasing)
+            compute_dos(decreasing, 0.5)
 
     def test_reference_cell_gap_depleted(self, reference_bands):
         # Consistency between the two spectral views: inside a complete gap
@@ -209,8 +209,7 @@ class TestDos:
         sub = BandStructure(reference_bands.k_points, f)
         step = float(np.abs(np.diff(f, axis=0)).max())
         sigma = max(0.5, step / 2.9)
-        grid = np.linspace(-6.0 * sigma, f.max() + 6.0 * sigma, 2401)
-        dos = compute_dos(sub, broadening_ghz=sigma, grid_ghz=grid)
+        dos = compute_dos(sub, broadening_ghz=sigma)
         gap = primary_gap(find_complete_gaps(sub, f_max_ghz=80.0), (30.0, 80.0))
         assert gap is not None
         assert gap.width_ghz > 10.0
@@ -218,25 +217,24 @@ class TestDos:
             np.interp(gap.center_ghz, dos.frequency_ghz, dos.dos_per_ghz)
         )
         assert centre_dos < 1e-8 * dos.dos_per_ghz.max()
-        # All sixteen bands are accounted for once the grid spans the kernel
-        # tails (including those pushed below zero by the acoustic bands).
+        # All sixteen bands are accounted for once the kernel tails below
+        # 0 GHz, which the grid does not hold, are added in closed form
+        # (the acoustic bands start at zero).
         total = np.trapezoid(dos.dos_per_ghz, dos.frequency_ghz)
-        assert total == pytest.approx(16.0, abs=0.02)
+        below = _k_weights(sub.k_points) @ ndtr(-f / sigma).sum(axis=1)
+        assert total + below == pytest.approx(16.0, abs=0.02)
 
 
 class TestParameterSweep:
     RESOLUTION = (6, 5, 4)
     K_POINTS = np.linspace(0.0, 1.0, 7)
+    SETTINGS = {"material": DIAMOND, "resolution": RESOLUTION,
+                "k_points": K_POINTS, "n_modes": 26, "f_max_ghz": 100.0,
+                "window_ghz": (30.0, 100.0)}
 
     def test_identity_point_matches_direct_pipeline(self):
         base = UnitCellParams()
-        points = parameter_sweep(
-            base,
-            "t",
-            [base.t],
-            resolution=self.RESOLUTION,
-            k_points=self.K_POINTS,
-        )
+        points = parameter_sweep(base, "t", [base.t], **self.SETTINGS)
         mesh = build_unit_cell_mesh(base, self.RESOLUTION)
         bands = band_diagram(mesh, DIAMOND, self.K_POINTS, 26)
         gap = primary_gap(find_complete_gaps(bands, 100.0), (30.0, 100.0))
@@ -245,12 +243,7 @@ class TestParameterSweep:
     def test_values_sorted_and_window_miss_is_zero_width(self):
         base = UnitCellParams()
         points = parameter_sweep(
-            base,
-            "t",
-            [24.0, 21.0],
-            resolution=self.RESOLUTION,
-            k_points=self.K_POINTS,
-            window_ghz=(5.0, 10.0),
+            base, "t", [24.0, 21.0], **{**self.SETTINGS, "window_ghz": (5.0, 10.0)}
         )
         assert [p.value_nm for p in points] == [21.0, 24.0]
         for point in points:
@@ -259,13 +252,11 @@ class TestParameterSweep:
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(InvalidParameterError):
-            parameter_sweep(UnitCellParams(), "q", [10.0])
+            parameter_sweep(UnitCellParams(), "q", [10.0], **self.SETTINGS)
 
     def test_invalid_geometry_propagates(self):
         with pytest.raises(InvalidParameterError):
-            parameter_sweep(
-                UnitCellParams(), "w", [200.0], resolution=self.RESOLUTION
-            )
+            parameter_sweep(UnitCellParams(), "w", [200.0], **self.SETTINGS)
 
 
 def test_band_extents_shape(reference_bands):
