@@ -269,13 +269,15 @@ def extract_peak_ratio(
     """
     if not (math.isfinite(window_ns) and window_ns > 0):
         raise InvalidParameterError(f"window must be positive, got {window_ns}")
-    bounds = [
-        (start, start + sequence.width_ns) for start in sequence.pulse_starts()
-    ]
-    if any(stop - start < SETTLE_NS + 2 * window_ns for start, stop in bounds):
-        raise ExtractionError("pulses are too short for the chosen window")
+    if sequence.width_ns < SETTLE_NS + 2 * window_ns:
+        raise InvalidParameterError(
+            f"pulses of {sequence.width_ns:g} ns are too short for the chosen "
+            f"window: need at least {SETTLE_NS + 2 * window_ns:g} ns "
+            f"({SETTLE_NS:g} ns settle plus two {window_ns:g} ns windows)"
+        )
     windows = []
-    for start, stop in bounds:
+    for start in sequence.pulse_starts():
+        stop = start + sequence.width_ns
         windows.append((start + SETTLE_NS, start + SETTLE_NS + window_ns))
         windows.append((stop - window_ns, stop))
     means = _window_populations(system, sequence, windows)

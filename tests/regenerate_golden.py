@@ -1,10 +1,13 @@
-"""Rewrite ``tests/data/golden/`` from the CLI runs that ``RUNS`` in
-``tests/test_cli.py`` names, with the package found on ``PYTHONPATH``:
+"""Rewrite ``tests/data/golden/<name>/`` for each run named on the command
+line, from the CLI runs that ``RUNS`` in ``tests/test_cli.py`` defines, with
+the package found on ``PYTHONPATH``:
 
-    PYTHONPATH=src python tests/regenerate_golden.py
+    PYTHONPATH=src python tests/regenerate_golden.py fit-t1 [NAME ...]
 
-Each run's listed artifacts are copied as written, except that a JSON report
-loses its ``run_id``: that is a hash of the request, not a result.
+Only the named runs' files are written, so a new or changed run leaves the
+other goldens as they are.  Each run's listed artifacts are copied as
+written, except that a JSON report loses its ``run_id``: that is a hash of
+the request, not a result.
 """
 
 import json
@@ -16,9 +19,17 @@ from phonogap import cli
 from test_cli import GOLDEN, RUNS, only_dir
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in RUNS]
+    if not names or unknown:
+        if unknown:
+            print(f"error: unknown run(s) {', '.join(unknown)}", file=sys.stderr)
+        print(f"usage: regenerate_golden.py NAME [NAME ...]\n"
+              f"runs: {' '.join(RUNS)}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (argv, artifacts) in RUNS.items():
+        for name in names:
+            argv, artifacts = RUNS[name]
             out = Path(tmp) / name
             if cli.main([*argv, "--out-dir", str(out)]) != 0:
                 print(f"error: run {name} failed", file=sys.stderr)
@@ -37,4 +48,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

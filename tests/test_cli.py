@@ -56,6 +56,12 @@ RUNS = {
     "fit-t1": (
         ("fit-t1", "--input", str(FITS / "recovery.csv")), ("fit_t1.json",),
     ),
+    # Noisy and sigma-weighted, so the error estimate and wrss sit well
+    # above the 1e-12 absolute floor of ``same_float``.
+    "fit-t1-noisy": (
+        ("fit-t1", "--input", str(FITS / "recovery_noisy.csv")),
+        ("fit_t1.json",),
+    ),
     "fit-temp": (
         ("fit-temp", "--input", str(FITS / "rates_linear.csv")),
         ("fit_temp.json", "fit_temp_curves.csv"),
@@ -614,6 +620,18 @@ class TestPumpProbe:
             "--out-dir", str(tmp_path),
         ]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,value", [("--pulse-width-ns", "20"),
+                                            ("--window-ns", "200")])
+    def test_pulses_too_short_for_window_exit_2(self, tmp_path, capsys,
+                                                flag, value):
+        # A configuration error, not a numerical failure (exit 3).
+        assert cli.main([
+            "pumpprobe", "--t1-ns", "34", flag, value,
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        assert "too short for the chosen window" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_conflicting_rate_specs_exit_2(self, tmp_path):

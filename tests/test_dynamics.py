@@ -230,8 +230,11 @@ class TestExtractPeakRatio:
     def test_window_larger_than_pulse_rejected(self):
         system = bath_system(34.0)
         seq = PulseSequence(delay_ns=50.0, width_ns=60.0)
-        with pytest.raises(ExtractionError):
+        with pytest.raises(InvalidParameterError, match="too short"):
             dynamics.extract_peak_ratio(system, seq, 40.0)
+        # The settle time and both windows fit exactly.
+        dynamics.extract_peak_ratio(
+            system, PulseSequence(delay_ns=50.0, width_ns=85.0), 40.0)
 
     def test_window_between_samples_rejected(self):
         # Samples are ~0.127 ns apart; [5, 5.001] ns holds none of them.

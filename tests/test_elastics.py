@@ -9,6 +9,7 @@ too, as references for the real sector pencils the package solves.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -665,17 +666,29 @@ def mirror_overlaps(modes, mesh, m_mat):
     return overlaps
 
 
-def sector_modes(mesh, k_points, n_modes):
-    """``band_diagram``'s sector solve, k by k, with full-space modes: each
-    sector vector mapped through its sector's unitary and ``P'(k)``."""
+def sector_modes(mesh, k_points, n_modes, guard_modes=0, expand=False):
+    """``band_diagram``'s sector solves with full-space modes: each sector
+    vector mapped through its sector's unitary and ``P'(k)``.  Each k is
+    solved directly, asking ``guard_modes`` more modes than kept, or with
+    ``expand`` by the mode expansion over the whole path."""
     k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
     operator = elastics._bloch_operator(mesh, k_mat, m_mat)
     unitaries, series = zip(*sector_series(operator, mesh, k_mat, m_mat))
-    for k in k_points:
-        freqs, found_in, vecs = elastics._solve_sectors(series, k, n_modes)
+    if expand:
+        per_k = zip(*(elastics._sector_bands(pencil, np.asarray(k_points), n_modes)
+                      for pencil in series))
+    else:
+        per_k = ([elastics._solve_sector(pencil, k, n_modes, guard_modes)
+                  for pencil in series] for k in k_points)
+    for k, solved in zip(k_points, per_k):
+        freqs, found_in = elastics._merge_sectors(
+            [found for found, _ in solved], n_modes)
         par_y, par_z = elastics.classify_parities(found_in)
+        # The merge is stable: a mode's place in its sector's list is the
+        # count of merged modes from that sector before it.
+        rank = [np.count_nonzero(found_in[:j] == s) for j, s in enumerate(found_in)]
         reduced = np.column_stack(
-            [unitaries[s] @ v for s, v in zip(found_in, vecs)])
+            [unitaries[s] @ solved[s][1][:, r] for s, r in zip(found_in, rank)])
         yield freqs, par_y, par_z, operator.basis(k) @ reduced, m_mat
 
 
@@ -872,6 +885,72 @@ class TestParity:
                 np.testing.assert_allclose(overlap, expected, rtol=0, atol=1e-8)
 
 
+#: A 12-point path: ``band_diagram`` trains its mode expansion at indices
+#: 0, 3, 6, 8 and 11 and projects the other seven.
+PATH_12 = np.linspace(0.0, 1.0, 12)
+PROJECTED_12 = (1, 2, 4, 5, 7, 9, 10)
+
+
+class TestModeExpansion:
+    def test_projected_modes_match_dense_pencil(self, symmetric_mesh):
+        # At the projected k, bands from 5 GHz up match dense eigh of the
+        # whole pencil to 1e-9 and every mode's parities are +-1 to 1e-8.
+        mesh = symmetric_mesh
+        k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
+        bands = band_diagram(mesh, DIAMOND, PATH_12, 26)
+        for row, (freqs, par_y, par_z, modes, _) in enumerate(
+                sector_modes(mesh, PATH_12, 26, expand=True)):
+            np.testing.assert_array_equal(freqs, bands.frequencies_ghz[row])
+            np.testing.assert_array_equal(par_y, bands.parity_y[row])
+            np.testing.assert_array_equal(par_z, bands.parity_z[row])
+            if row not in PROJECTED_12:
+                continue
+            problem = make_bloch_problem(mesh, PATH_12[row], k_mat, m_mat)
+            ref = dense_frequencies_ghz(problem.stiffness, problem.mass, 26)
+            above = ref >= 5.0
+            assert relative_errors(freqs, ref)[above].max() <= 1e-9
+            for labels, overlap in zip((par_y, par_z),
+                                       mirror_overlaps(modes, mesh, m_mat)):
+                expected = np.where(labels == "even", 1.0, -1.0)
+                np.testing.assert_allclose(overlap, expected, rtol=0, atol=1e-8)
+
+    def test_loose_projections_fall_back_to_direct_solves(self, bench_cell,
+                                                          monkeypatch):
+        # With no residual accepted every projected k is solved directly as
+        # the training k are, and the bands and labels are those of the
+        # direct path bit for bit.
+        mesh, _, _ = bench_cell
+        monkeypatch.setattr(elastics, "PROJECTED_RESIDUAL_TOL", 0.0)
+        bands = band_diagram(mesh, DIAMOND, PATH_12, 26)
+        for row, (freqs, par_y, par_z, _, _) in enumerate(
+                sector_modes(mesh, PATH_12, 26, elastics.ARPACK_GUARD_MODES)):
+            np.testing.assert_array_equal(freqs, bands.frequencies_ghz[row])
+            np.testing.assert_array_equal(par_y, bands.parity_y[row])
+            np.testing.assert_array_equal(par_z, bands.parity_z[row])
+
+    @pytest.mark.parametrize("n_k,per_sector,asked", [
+        (48, 5, 32), (10, 5, 32), (9, 9, 26), (5, 5, 26), (3, 3, 26), (1, 1, 26)])
+    def test_direct_solves_per_sector(self, bench_cell, monkeypatch, n_k,
+                                      per_sector, asked):
+        # Five training solves per sector, each with the guard modes, from
+        # ten points up and none more on the nominal cell; a shorter path is
+        # solved directly, once per k and sector, for the kept modes only.
+        sizes, modes = [], set()
+        solve = elastics.solve_reduced
+
+        def counted(k_red, m_red, n_modes):
+            sizes.append(k_red.shape[0])
+            modes.add(n_modes)
+            return solve(k_red, m_red, n_modes)
+
+        monkeypatch.setattr(elastics, "solve_reduced", counted)
+        mesh, _, _ = bench_cell
+        band_diagram(mesh, DIAMOND, np.linspace(0.0, 1.0, n_k), 26)
+        assert sorted(Counter(sizes).values()) == [per_sector] * 4
+        assert len(set(sizes)) == 4
+        assert modes == {asked}
+
+
 class TestBandDiagram:
     def test_shapes_and_ordering(self, reference_bands):
         bands = reference_bands
@@ -906,6 +985,11 @@ class TestBandDiagram:
         mesh, _, _ = small_cell
         with pytest.raises(InvalidParameterError, match="n_modes"):
             band_diagram(mesh, DIAMOND, [0.5], 10_000)
+
+    def test_empty_path_rejected(self, small_cell):
+        mesh, _, _ = small_cell
+        with pytest.raises(InvalidParameterError, match="k path"):
+            band_diagram(mesh, DIAMOND, [], 6)
 
     def test_default_path_covers_zone_edge(self):
         path = elastics.default_k_path(48)

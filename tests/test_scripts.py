@@ -59,3 +59,17 @@ def test_gap_refinement_reports_the_first_rung():
                       "--levels", "1", "--n-kpoints", "4")
     assert done.returncode == 0, done.stderr
     assert re.search(r"\(8, 6, 4\)(\s+[0-9.]+){5}", done.stdout), done.stdout
+
+
+def test_regenerate_golden_writes_only_named_runs(tmp_path, monkeypatch,
+                                                  capsys):
+    import regenerate_golden
+
+    monkeypatch.setattr(regenerate_golden, "GOLDEN", tmp_path)
+    assert regenerate_golden.main([]) == 2
+    assert regenerate_golden.main(["fit-t1", "no-such-run"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert regenerate_golden.main(["fit-t1"]) == 0
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*")) == ["fit-t1", "fit-t1/fit_t1.json"]
