@@ -29,7 +29,8 @@ def run_level(params, resolution, n_kpoints, n_modes):
     start = time.perf_counter()
     bands = band_diagram(mesh, DIAMOND, default_k_path(n_kpoints), n_modes)
     elapsed = time.perf_counter() - start
-    gap = primary_gap(find_complete_gaps(bands, f_max_ghz=100.0))
+    gap = primary_gap(find_complete_gaps(bands, f_max_ghz=100.0),
+                      window_ghz=(30.0, 100.0))
     return gap, elapsed
 
 

@@ -24,12 +24,7 @@ from .rates import (  # noqa: F401
     single_phonon_rates,
     total_relaxation,
 )
-from .spectrum import (  # noqa: F401
-    compute_dos,
-    find_complete_gaps,
-    parameter_sweep,
-    primary_gap,
-)
+from .spectrum import compute_dos, find_complete_gaps, primary_gap  # noqa: F401
 from .tempfit import (  # noqa: F401
     RateSeries,
     crossing_report,

@@ -48,17 +48,13 @@ from .geometry import (
     build_unit_cell_mesh,
 )
 from .rates import OrbitalSystem, RateModel, total_relaxation
-from .spectrum import (
-    SWEEPABLE_PARAMS,
-    compute_dos,
-    find_complete_gaps,
-    parameter_sweep,
-    primary_gap,
-)
+from .spectrum import Gap, compute_dos, find_complete_gaps, primary_gap
 from .tempfit import RateSeries, select_model
 
 OUT_DIR_ENV = "PHONOGAP_OUT_DIR"
 STRUCTURES = ("pnc", "nanobeam")
+#: Cell parameters ``sweep`` can vary: every ``UnitCellParams`` field.
+SWEEPABLE_PARAMS = tuple(f.name for f in dataclasses.fields(UnitCellParams))
 
 
 @dataclass(frozen=True)
@@ -419,17 +415,49 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# band subcommands
+
+
+def _solve(config: RunConfig) -> BandStructure:
+    """The config's band diagram: its nanobeam or periodic cell, meshed and
+    solved along its k path."""
+    if config.structure == "nanobeam":
+        mesh = build_nanobeam_mesh(
+            config.beam_width_nm,
+            config.beam_thickness_nm,
+            config.a_nm,
+            config.resolution,
+        )
+    else:
+        mesh = build_unit_cell_mesh(config.cell_params(), config.resolution)
+    return band_diagram(
+        mesh,
+        config.material(),
+        default_k_path(config.n_kpoints),
+        config.n_modes,
+    )
+
+
+def _gaps(config: RunConfig, bands: BandStructure) -> tuple[list[Gap], Gap | None]:
+    """The complete gaps below ``f_max_ghz``, and the primary one: the widest
+    centred in the config's window (None if none is)."""
+    gaps = find_complete_gaps(bands, config.f_max_ghz)
+    return gaps, primary_gap(gaps, (config.window_lo_ghz, config.window_hi_ghz))
+
+
 GAP_HEADER = ["param_value_nm", "center_GHz", "width_GHz"]
 
 
-def gap_row(value_nm: float, center_ghz: float, width_ghz: float) -> list[str]:
-    """One sweep-CSV row; the standalone gap report reuses this so both
-    outputs agree byte for byte."""
-    return [_fmt(value_nm), _fmt(center_ghz), _fmt(width_ghz)]
+def _gap_row(config: RunConfig, gap: Gap | None) -> list[str]:
+    """The ``GAP_HEADER`` row of one cell, which ``gap`` and each ``sweep``
+    cell write alike: the swept parameter's value, then the primary gap's
+    centre and width (NaN and 0 when no gap opens in the window)."""
+    value_nm = getattr(config, f"{config.sweep_param}_nm")
+    if gap is None:
+        return [_fmt(value_nm), _fmt(math.nan), _fmt(0.0)]
+    return [_fmt(value_nm), _fmt(gap.center_ghz), _fmt(gap.width_ghz)]
 
-
-# ---------------------------------------------------------------------------
-# band subcommands
 
 #: An artifact writer: file name -> contents, computed from the resolved
 #: config and the solved diagram before any directory exists.
@@ -458,25 +486,27 @@ def _dos_csv(config: RunConfig, bands: BandStructure) -> dict[str, str]:
 
 def _gap_files(config: RunConfig, bands: BandStructure) -> dict[str, str]:
     """``gap.csv`` and ``gap.json``; prints the comparison summary."""
-    gaps = find_complete_gaps(bands, config.f_max_ghz)
-    window = (config.window_lo_ghz, config.window_hi_ghz)
-    in_window = [g for g in gaps if window[0] <= g.center_ghz <= window[1]]
-    gap = primary_gap(gaps, window)
+    gaps, gap = _gaps(config, bands)
+    lo, hi = config.window_lo_ghz, config.window_hi_ghz
     report: dict = {
         "run_id": run_id(_band_request("gap", config)),
-        "n_gaps_in_window": len(in_window),
+        "n_gaps_in_window": len([g for g in gaps if lo <= g.center_ghz <= hi]),
         "n_dofs_reduced": bands.n_dofs_reduced,
         "reference_center_ghz": config.reference_center_ghz,
         "reference_width_ghz": config.reference_width_ghz,
         "gap": None,
     }
-    if gap is not None:
+    if gap is None:
+        print("no complete gap inside the window")
+    else:
         center_dev = 100.0 * abs(
             gap.center_ghz - config.reference_center_ghz
         ) / config.reference_center_ghz
         width_dev = 100.0 * abs(
             gap.width_ghz - config.reference_width_ghz
         ) / config.reference_width_ghz
+        center_ok = bool(center_dev <= config.center_tolerance_pct)
+        width_ok = bool(width_dev <= config.width_tolerance_pct)
         report["gap"] = {
             "f_lo_ghz": float(gap.f_lo_ghz),
             "f_hi_ghz": float(gap.f_hi_ghz),
@@ -486,30 +516,21 @@ def _gap_files(config: RunConfig, bands: BandStructure) -> dict[str, str]:
         report["comparison"] = {
             "center_deviation_pct": float(center_dev),
             "width_deviation_pct": float(width_dev),
-            "center_within_tolerance": bool(center_dev <= config.center_tolerance_pct),
-            "width_within_tolerance": bool(width_dev <= config.width_tolerance_pct),
+            "center_within_tolerance": center_ok,
+            "width_within_tolerance": width_ok,
         }
-    gap = report["gap"]
-    value_nm = getattr(config.cell_params(), config.sweep_param)
-    if gap is None:
-        row = gap_row(value_nm, math.nan, 0.0)
-        print("no complete gap inside the window")
-    else:
-        row = gap_row(value_nm, gap["center_ghz"], gap["width_ghz"])
-        comp = report["comparison"]
         print(
-            f"gap {gap['f_lo_ghz']:.2f}-{gap['f_hi_ghz']:.2f} GHz "
-            f"(center {gap['center_ghz']:.2f}, width {gap['width_ghz']:.2f})"
+            f"gap {gap.f_lo_ghz:.2f}-{gap.f_hi_ghz:.2f} GHz "
+            f"(center {gap.center_ghz:.2f}, width {gap.width_ghz:.2f})"
         )
         print(
-            f"center off reference by {comp['center_deviation_pct']:.1f}% "
-            f"({'within' if comp['center_within_tolerance'] else 'OUTSIDE'} "
-            f"{config.center_tolerance_pct:g}%), width off by "
-            f"{comp['width_deviation_pct']:.1f}% "
-            f"({'within' if comp['width_within_tolerance'] else 'OUTSIDE'} "
+            f"center off reference by {center_dev:.1f}% "
+            f"({'within' if center_ok else 'OUTSIDE'} "
+            f"{config.center_tolerance_pct:g}%), width off by {width_dev:.1f}% "
+            f"({'within' if width_ok else 'OUTSIDE'} "
             f"{config.width_tolerance_pct:g}%)"
         )
-    return {"gap.csv": _csv_text(GAP_HEADER, [row]),
+    return {"gap.csv": _csv_text(GAP_HEADER, [_gap_row(config, gap)]),
             "gap.json": _json_text(report)}
 
 
@@ -537,10 +558,7 @@ unset multiplot
 def _fig1b_gp(config: RunConfig, bands: BandStructure) -> dict[str, str]:
     """The two-panel plot script over ``bands.csv`` and ``dos.csv``, with the
     primary gap shaded."""
-    gap = primary_gap(
-        find_complete_gaps(bands, config.f_max_ghz),
-        (config.window_lo_ghz, config.window_hi_ghz),
-    )
+    gap = _gaps(config, bands)[1]
     if gap is None:
         shading = ""
     else:
@@ -573,7 +591,7 @@ BAND_COMMANDS = {
     "gap": BandCommand("complete-gap report with reference comparison",
                        (*_ONE_DIAGRAM, *_WINDOW, *_REFERENCE, "sweep_param"),
                        (_gap_files,)),
-    # One periodic-cell diagram per value, solved by cmd_sweep.
+    # One periodic cell per value, each solved and reported as by gap.
     "sweep": BandCommand("gap center/width vs one geometry parameter",
                          (*_SHARED, *_WINDOW, "sweep_param", "sweep_values_nm"),
                          ()),
@@ -600,21 +618,7 @@ def run_band_command(args: argparse.Namespace) -> int:
     artifact, and only then make the run's directory: a run that exits 2 or
     3 leaves none."""
     config = _band_config(args)
-    if config.structure == "nanobeam":
-        mesh = build_nanobeam_mesh(
-            config.beam_width_nm,
-            config.beam_thickness_nm,
-            config.a_nm,
-            config.resolution,
-        )
-    else:
-        mesh = build_unit_cell_mesh(config.cell_params(), config.resolution)
-    bands = band_diagram(
-        mesh,
-        config.material(),
-        default_k_path(config.n_kpoints),
-        config.n_modes,
-    )
+    bands = _solve(config)
     files: dict[str, str] = {}
     for writer in BAND_COMMANDS[args.command].writers:
         files.update(writer(config, bands))
@@ -623,19 +627,15 @@ def run_band_command(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """The ``gap`` row of one cell per swept value, in ascending order.
+    Every cell is validated before the first is solved."""
     config = _band_config(args)
-    points = parameter_sweep(
-        config.cell_params(),
-        config.sweep_param,
-        config.sweep_values_nm,
-        material=config.material(),
-        resolution=config.resolution,
-        k_points=default_k_path(config.n_kpoints),
-        n_modes=config.n_modes,
-        f_max_ghz=config.f_max_ghz,
-        window_ghz=(config.window_lo_ghz, config.window_hi_ghz),
-    )
-    rows = (gap_row(p.value_nm, p.center_ghz, p.width_ghz) for p in points)
+    field = f"{config.sweep_param}_nm"
+    cells = [dataclasses.replace(config, **{field: value})
+             for value in sorted(config.sweep_values_nm)]
+    for cell in cells:
+        cell.validate()
+    rows = [_gap_row(cell, _gaps(cell, _solve(cell))[1]) for cell in cells]
     return _write_artifacts(args.command, _band_request(args.command, config),
                             {"sweep.csv": _csv_text(GAP_HEADER, rows)})
 

@@ -1,4 +1,4 @@
-"""Band-structure post-processing: complete gaps, DOS, tolerance sweeps.
+"""Band-structure post-processing: complete gaps and the density of states.
 
 A *complete* gap is a frequency interval that no band touches at any
 wavenumber.  Detection works on the per-band frequency extents: each band
@@ -17,12 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .elastics import BandStructure, band_diagram
+from .elastics import BandStructure
 from .errors import CoverageError, InvalidParameterError, SamplingError
-from .geometry import Material, UnitCellParams, build_unit_cell_mesh
-
-#: Cell parameters that parameter_sweep can vary.
-SWEEPABLE_PARAMS = ("w", "h", "t", "r", "a", "d")
 
 
 @dataclass(frozen=True)
@@ -95,9 +91,7 @@ def find_complete_gaps(bands: BandStructure, f_max_ghz: float) -> list[Gap]:
     return gaps
 
 
-def primary_gap(
-    gaps: Sequence[Gap], window_ghz: tuple[float, float] = (30.0, 100.0)
-) -> Gap | None:
+def primary_gap(gaps: Sequence[Gap], window_ghz: tuple[float, float]) -> Gap | None:
     """Widest gap whose centre falls inside ``window_ghz`` (None if none)."""
     lo, hi = window_ghz
     if not lo < hi:
@@ -163,47 +157,3 @@ def compute_dos(bands: BandStructure, broadening_ghz: float) -> DosCurve:
     kernel = np.exp(-0.5 * (diff / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     per_sample = np.repeat(weights, f.shape[1])
     return DosCurve(grid, kernel @ per_sample)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Primary-gap summary for one value of a swept cell parameter."""
-
-    value_nm: float
-    center_ghz: float  # NaN when no gap opens in the window
-    width_ghz: float  # 0 when the gap is closed
-
-
-def parameter_sweep(
-    base: UnitCellParams,
-    param: str,
-    values_nm: Sequence[float],
-    *,
-    material: Material,
-    resolution: Sequence[int],
-    k_points: np.ndarray,
-    n_modes: int,
-    f_max_ghz: float,
-    window_ghz: tuple[float, float],
-) -> list[SweepPoint]:
-    """Primary-gap centre and width as one cell parameter varies.
-
-    Results are ordered by ascending parameter value regardless of the input
-    order.  A value whose cell has no qualifying gap yields width 0 and a NaN
-    centre rather than an error; invalid geometry still raises.
-    """
-    if param not in SWEEPABLE_PARAMS:
-        raise InvalidParameterError(
-            f"unknown sweep parameter {param!r}; choose from {SWEEPABLE_PARAMS}"
-        )
-    points: list[SweepPoint] = []
-    for value in sorted(float(v) for v in values_nm):
-        params = base.replace(**{param: value})
-        mesh = build_unit_cell_mesh(params, resolution)
-        bands = band_diagram(mesh, material, k_points, n_modes)
-        gap = primary_gap(find_complete_gaps(bands, f_max_ghz), window_ghz)
-        if gap is None:
-            points.append(SweepPoint(value, math.nan, 0.0))
-        else:
-            points.append(SweepPoint(value, gap.center_ghz, gap.width_ghz))
-    return points

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from phonogap import cli
-from phonogap.errors import ConfigError
+from phonogap.errors import ConfigError, NumericalError
 from phonogap.rates import KB_OVER_H_GHZ_PER_K
 
 COARSE = ("--resolution", "8,6,4", "--n-kpoints", "8", "--n-modes", "24")
@@ -244,6 +244,13 @@ class TestDispatch:
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
 
+    def test_readme_python_blocks_run(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+
 
 class TestBands:
     def test_single_k_point_csv(self, cli_run):
@@ -347,6 +354,45 @@ class TestGap:
         assert header == ["param_value_nm", "center_GHz", "width_GHz"]
         values = [float(r[0]) for r in rows]
         assert values == sorted(values) == [19.1, 22.1, 25.1]
+
+    def test_sweep_sorts_descending_values(self, cli_run, tmp_path):
+        argv = ["sweep", *COARSE, "--sweep-values-nm", "25.1,19.1"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(only_dir(tmp_path, "sweep") / "sweep.csv")
+        _, full = read_csv(cli_run("sweep") / "sweep.csv")
+        assert rows == [full[0], full[2]]
+
+    def test_window_without_gap_gives_nan_rows(self, tmp_path, capsys):
+        argv = [*COARSE, "--window-lo-ghz", "5", "--window-hi-ghz", "10",
+                "--out-dir", str(tmp_path)]
+        assert cli.main(["gap", *argv]) == 0
+        assert "no complete gap inside the window" in capsys.readouterr().out
+        assert cli.main(["sweep", *argv]) == 0
+        gap_dir = only_dir(tmp_path, "gap")
+        assert json.loads((gap_dir / "gap.json").read_text())["gap"] is None
+        _, rows = read_csv(gap_dir / "gap.csv")
+        assert rows == [["22.1", "nan", "0"]]
+        _, rows = read_csv(only_dir(tmp_path, "sweep") / "sweep.csv")
+        assert rows == [[v, "nan", "0"] for v in ("19.1", "22.1", "25.1")]
+
+    def test_sweep_validates_every_cell_before_solving(self, tmp_path,
+                                                       monkeypatch, capsys):
+        calls = []
+
+        def band_diagram(*args):
+            calls.append(args)
+            raise NumericalError("not solved here")
+
+        monkeypatch.setattr(cli, "band_diagram", band_diagram)
+        argv = ["sweep", *COARSE, "--sweep-param", "w", "--out-dir", str(tmp_path)]
+        assert cli.main([*argv, "--sweep-values-nm", "95,110,200"]) == 2
+        assert "must be smaller than the period" in capsys.readouterr().err
+        assert calls == []
+        assert not list(tmp_path.glob("sweep-*"))
+        # The stub does see the solves of a valid sweep: the first cell's.
+        assert cli.main([*argv, "--sweep-values-nm", "110,95"]) == 3
+        assert len(calls) == 1
+        assert not list(tmp_path.glob("sweep-*"))
 
     @pytest.mark.parametrize("flag,value", [
         ("--reference-center-ghz", "0"), ("--reference-width-ghz", "-1"),

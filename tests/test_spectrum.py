@@ -1,5 +1,5 @@
-"""Spectrum tests: gap detection against an exhaustive-scan oracle, DOS
-normalization, and parameter sweeps.
+"""Spectrum tests: gap detection against an exhaustive-scan oracle and DOS
+normalization.
 """
 
 import math
@@ -10,17 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from phonogap.elastics import BandStructure, band_diagram
+from phonogap.elastics import BandStructure
 from phonogap.errors import CoverageError, InvalidParameterError, SamplingError
-from phonogap.geometry import DIAMOND, UnitCellParams, build_unit_cell_mesh
 from phonogap.spectrum import (
     Gap,
-    SweepPoint,
     _k_weights,
     band_extents,
     compute_dos,
     find_complete_gaps,
-    parameter_sweep,
     primary_gap,
 )
 
@@ -146,7 +143,7 @@ class TestFindCompleteGaps:
 class TestPrimaryGap:
     def test_picks_widest_in_window(self):
         gaps = [Gap(32.0, 37.0), Gap(55.0, 70.0), Gap(80.0, 86.0)]
-        assert primary_gap(gaps) == Gap(55.0, 70.0)
+        assert primary_gap(gaps, (30.0, 100.0)) == Gap(55.0, 70.0)
 
     def test_window_filters_centres(self):
         gaps = [Gap(2.0, 20.0), Gap(55.0, 60.0)]
@@ -223,40 +220,6 @@ class TestDos:
         total = np.trapezoid(dos.dos_per_ghz, dos.frequency_ghz)
         below = _k_weights(sub.k_points) @ ndtr(-f / sigma).sum(axis=1)
         assert total + below == pytest.approx(16.0, abs=0.02)
-
-
-class TestParameterSweep:
-    RESOLUTION = (6, 5, 4)
-    K_POINTS = np.linspace(0.0, 1.0, 7)
-    SETTINGS = {"material": DIAMOND, "resolution": RESOLUTION,
-                "k_points": K_POINTS, "n_modes": 26, "f_max_ghz": 100.0,
-                "window_ghz": (30.0, 100.0)}
-
-    def test_identity_point_matches_direct_pipeline(self):
-        base = UnitCellParams()
-        points = parameter_sweep(base, "t", [base.t], **self.SETTINGS)
-        mesh = build_unit_cell_mesh(base, self.RESOLUTION)
-        bands = band_diagram(mesh, DIAMOND, self.K_POINTS, 26)
-        gap = primary_gap(find_complete_gaps(bands, 100.0), (30.0, 100.0))
-        assert points == [SweepPoint(base.t, gap.center_ghz, gap.width_ghz)]
-
-    def test_values_sorted_and_window_miss_is_zero_width(self):
-        base = UnitCellParams()
-        points = parameter_sweep(
-            base, "t", [24.0, 21.0], **{**self.SETTINGS, "window_ghz": (5.0, 10.0)}
-        )
-        assert [p.value_nm for p in points] == [21.0, 24.0]
-        for point in points:
-            assert point.width_ghz == 0.0
-            assert math.isnan(point.center_ghz)
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            parameter_sweep(UnitCellParams(), "q", [10.0], **self.SETTINGS)
-
-    def test_invalid_geometry_propagates(self):
-        with pytest.raises(InvalidParameterError):
-            parameter_sweep(UnitCellParams(), "w", [200.0], **self.SETTINGS)
 
 
 def test_band_extents_shape(reference_bands):
