@@ -30,11 +30,16 @@ Comput. Methods Appl. Mech. Eng. 56, 167 (1986)).
 Along a path of at least ``2 * TRAINING_K`` points, each sector is solved
 by a reduced Bloch mode expansion (Hussein, loc. cit.): directly at
 ``TRAINING_K`` points, whose modes span an orthonormal basis W, and at every
-other k on the series projected once onto W, a small dense pencil.  Each
-projected mode is published only if its residual on the sector's whole
-pencil is at most ``PROJECTED_RESIDUAL_TOL``; otherwise that k is solved
-directly.  The check certifies the published modes, not that no band was
-missed.  Each sector has its own basis, so the parities stay exact.
+other k on the series projected once onto W, a small dense pencil.  The
+merge keeps only the lowest modes of the four sectors together, so at a
+projected k each sector is solved for a budget of modes: one more than the
+most it gives the merge at any training k.  Each projected mode is kept
+only if its residual on the sector's whole pencil is at most
+``PROJECTED_RESIDUAL_TOL``, and a sector with fewer modes than it could give
+must have one that the merge leaves out (its certificate mode); a sector
+that misses either is solved directly at that k.  The residual check
+certifies the computed modes, not that no band was missed.  Each sector has
+its own basis, so the parities stay exact.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.sparse.linalg import norm as sparse_norm
-from scipy.spatial import cKDTree
 
 from .errors import ClassificationError, InvalidParameterError, NumericalError
 from .geometry import GAUSS_GRADIENTS_2, GAUSS_SHAPES_2, Material, Mesh
@@ -92,11 +96,11 @@ RESIDUAL_TOL = 1e-3
 TRAINING_K = 5
 
 #: Largest relative residual, on a sector's whole pencil, of a mode that
-#: ``_sector_bands`` publishes from its projected pencil; a looser mode
-#: sends its k to the direct solve.  An eigenvalue's error goes as its
-#: residual squared: under ``RESIDUAL_TOL`` projected bands from 1 GHz up
-#: drifted up to 1.9e-9 from the direct solves; under this bound those from
-#: 5 GHz up stayed within 5e-11 on ten perturbed 10,8,4 cells.
+#: ``_sector_bands`` keeps from its projected pencil; a looser mode sends
+#: its sector at that k to the direct solve.  An eigenvalue's error goes as
+#: its residual squared: under ``RESIDUAL_TOL`` projected bands from 1 GHz
+#: up drifted up to 1.9e-9 from the direct solves; under this bound those
+#: from 5 GHz up stayed within 5e-11 on ten perturbed 10,8,4 cells.
 PROJECTED_RESIDUAL_TOL = 1e-5
 
 #: Largest reduced size solved densely from the start.
@@ -186,16 +190,34 @@ class BlochProblem:
 def _mirror_perm(mesh: Mesh, axis: int) -> np.ndarray | None:
     """Node permutation of the mirror across the mid-plane of ``axis``.
 
-    Each reflected node is matched to the nearest node; None when some
-    match is further than 1e-6 of the cell's largest extent.
+    Along each axis the node coordinates and those of the reflected nodes
+    are grouped into runs of values at most 1e-6 of the cell's largest
+    extent apart, and each point is keyed by its three run indices; each
+    reflected node is matched to the node of the same key.  None when the
+    keys differ or some match is further than that tolerance.
     """
     coords = mesh.nodes
     scale = max(mesh.period_m, np.ptp(coords[:, 1]), np.ptp(coords[:, 2]))
+    tol = 1e-6 * scale
     along = coords[:, axis]
     flipped = coords.copy()
     flipped[:, axis] = along.min() + along.max() - along
-    dist, idx = cKDTree(coords).query(flipped)
-    return None if dist.max() > 1e-6 * scale else idx
+    keys = []
+    for values in np.vstack([coords, flipped]).T:
+        order = np.argsort(values)
+        runs = np.empty(values.size, dtype=np.int64)
+        runs[order] = np.cumsum(np.diff(values[order], prepend=values[order[0]]) > tol)
+        keys.append(runs)
+    keys = np.array(keys)
+    n = len(coords)
+    nodes, images = (np.lexsort(part) for part in (keys[:, :n], keys[:, n:]))
+    if np.any(keys[:, nodes] != keys[:, n + images]):
+        return None
+    perm = np.empty(n, dtype=np.intp)
+    perm[images] = nodes
+    if np.linalg.norm(coords[perm] - flipped, axis=1).max() > tol:
+        return None
+    return perm
 
 
 def _signed_mirror(perm: np.ndarray, axis: int) -> sp.csr_matrix:
@@ -684,60 +706,124 @@ def _solve_sector(
     return freqs[: min(n_modes, series.size)], vecs
 
 
+def _modes_given(found: list[np.ndarray], n_modes: int) -> np.ndarray:
+    """How many of the merged lowest ``n_modes`` each sector's ascending
+    frequencies in ``found`` give."""
+    return np.bincount(_merge_sectors(found, n_modes)[1], minlength=len(found))
+
+
+def _sector_budgets(trained: list[list[np.ndarray]], n_modes: int) -> np.ndarray:
+    """Modes each sector solves for at a projected k of ``_sector_bands``.
+
+    ``trained`` holds, per training k, the kept frequencies of each sector,
+    all ``min(n_modes, size)`` of them.  A sector's budget is one more than
+    the most modes it gives the merged lowest ``n_modes`` at any training
+    k, so that its top computed mode can show the merge passing it over, and
+    at most all the modes it keeps.
+    """
+    most = np.max([_modes_given(found, n_modes) for found in trained], axis=0)
+    return np.minimum(most + 1, [f.size for f in trained[0]])
+
+
+def _uncertified(found: list[np.ndarray], kept: list[int], n_modes: int) -> list[int]:
+    """Sectors at one k whose unsolved modes could reach the merged lowest
+    ``n_modes``: those with fewer computed modes than the ``kept`` they
+    hold, every one of which the merge takes.  A sector whose top computed
+    mode the merge passes over hides nothing, as its unsolved modes lie
+    above that one."""
+    given = _modes_given(found, n_modes)
+    return [s for s, f in enumerate(found) if f.size < kept[s] and given[s] == f.size]
+
+
 def _sector_bands(
-    series: _Series, k_points: np.ndarray, n_modes: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(frequencies_ghz, vectors)`` of one sector's lowest
-    ``min(n_modes, size)`` modes at each k in turn, by a reduced Bloch mode
-    expansion (Hussein, Proc. R. Soc. A 465, 2825 (2009)).
+    sectors: list[_Series], k_points: np.ndarray, n_modes: int
+) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+    """``(frequencies_ghz, vectors)`` of each sector's lowest modes at each k
+    in turn, in the order of ``sectors``, by a reduced Bloch mode expansion
+    (Hussein, Proc. R. Soc. A 465, 2825 (2009)).  Their merge
+    (``_merge_sectors``) takes the same lowest ``n_modes`` as the sectors'
+    whole ``min(n_modes, size)`` lists would.
 
     The ``TRAINING_K`` path points with indices ``round(linspace(0, nk - 1,
-    TRAINING_K))`` are solved directly up front, each for
-    ``ARPACK_GUARD_MODES`` modes more than kept, and an orthonormal basis W
-    of all their vectors (an economic QR) is projected once onto each
-    series term.  At every other k the projected pencil, with the series'
-    own weights, is solved densely and its Ritz vectors W y are kept only
-    if every one has a relative residual on the sector's whole pencil of at
-    most ``PROJECTED_RESIDUAL_TOL``; otherwise that k is solved directly
-    as a training point is.  The projection costs about as much as a few
-    direct solves, so a path that would project fewer k than it trains on,
-    or a basis that would span the whole sector, is solved directly at
-    every k, exactly as without the expansion.
+    TRAINING_K))`` are solved directly up front, each sector for
+    ``ARPACK_GUARD_MODES`` modes more than the ``min(n_modes, size)`` it
+    keeps, and an orthonormal basis W of each sector's training vectors (an
+    economic QR) is projected once onto each series term.  The training
+    merges give each sector a budget b (``_sector_budgets``): one more than
+    the most modes it gives the merged lowest ``n_modes`` at any training k.
+    At every other k each sector's projected pencil, with the series' own
+    weights, is solved densely for its lowest b modes, and their Ritz
+    vectors W y are kept only if every one has a relative residual on the
+    sector's whole pencil of at most ``PROJECTED_RESIDUAL_TOL``; otherwise
+    that sector is solved directly there, as at a training k.  Then the
+    merge is certified (``_uncertified``): a sector with fewer computed
+    modes than it keeps must have one that the merge leaves out, and one
+    that has none is solved directly there too.  A sector solved in full
+    always passes, and its extra modes only push the others' out, so one
+    round of direct solves certifies the k.
 
-    The check certifies each published mode, not that none is missing:
-    Ritz values only bound the eigenvalues from above, so a band whose mode
-    lies almost wholly outside W could drop out of the kept set, shifting
-    the bands above it, while every kept mode still passes.  Vectors are
-    mass-orthonormal in the sector's basis, the kept modes' leading; each
-    k's are made only when it is reached.
+    The projection costs about as much as a few direct solves, so a path
+    that would project fewer k than it trains on is solved directly at
+    every k, as is a sector whose basis would span it whole, both for the
+    kept modes only, exactly as without the expansion.
+
+    The residual check certifies each computed mode, not that none is
+    missing: Ritz values only bound the eigenvalues from above, so a band
+    whose mode lies almost wholly outside W could drop out of a sector's
+    computed modes, shifting the ones above it, while every computed mode
+    still passes.  Vectors are mass-orthonormal in each sector's basis, the
+    kept modes' leading; each k's are made only when it is reached.
     """
     nk = len(k_points)
     training = np.unique(np.round(np.linspace(0, nk - 1, TRAINING_K)).astype(int))
-    width = training.size * min(n_modes + ARPACK_GUARD_MODES, series.size)
-    if nk < 2 * training.size or width >= series.size:
+    if nk < 2 * training.size:
         for k in k_points:
-            yield _solve_sector(series, k, n_modes)
+            yield [_solve_sector(series, k, n_modes) for series in sectors]
         return
-    solved = {i: _solve_sector(series, k_points[i], n_modes, ARPACK_GUARD_MODES)
-              for i in training}
-    basis = np.linalg.qr(np.hstack([v for _, v in solved.values()]))[0]
-    terms = series.project(basis)
-    kept = min(n_modes, series.size)
+    expanded = [
+        training.size * min(n_modes + ARPACK_GUARD_MODES, series.size) < series.size
+        for series in sectors
+    ]
+    solved = {
+        i: [_solve_sector(series, k_points[i], n_modes,
+                          ARPACK_GUARD_MODES if expand else 0)
+            for series, expand in zip(sectors, expanded)]
+        for i in training
+    }
+    budgets = _sector_budgets([[f for f, _ in solved[i]] for i in training], n_modes)
+    kept = [min(n_modes, series.size) for series in sectors]
+    projected = {}
+    for s, series in enumerate(sectors):
+        if expanded[s]:
+            basis = np.linalg.qr(np.hstack([solved[i][s][1] for i in training]))[0]
+            projected[s] = basis, series.project(basis)
+
+    def direct(s: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+        return _solve_sector(sectors[s], k, n_modes, ARPACK_GUARD_MODES)
+
+    def project(s: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+        if s not in projected:
+            return _solve_sector(sectors[s], k, n_modes)
+        basis, terms = projected[s]
+        weights = sectors[s].weights(k)
+        vals, coords = eigh(
+            *(np.tensordot(weights, term, axes=1) for term in terms),
+            subset_by_index=[0, budgets[s] - 1],
+        )
+        vecs = basis @ coords
+        if (_relative_residuals(*sectors[s].at(k), vals, vecs).max()
+                <= PROJECTED_RESIDUAL_TOL):
+            return _frequencies_ghz(vals), vecs
+        return direct(s, k)
+
     for i, k in enumerate(k_points):
         if i in solved:
             yield solved.pop(i)
             continue
-        weights = series.weights(k)
-        vals, coords = eigh(
-            *(np.tensordot(weights, term, axes=1) for term in terms),
-            subset_by_index=[0, kept - 1],
-        )
-        vecs = basis @ coords
-        if (_relative_residuals(*series.at(k), vals, vecs).max()
-                <= PROJECTED_RESIDUAL_TOL):
-            yield _frequencies_ghz(vals), vecs
-        else:
-            yield _solve_sector(series, k, n_modes, ARPACK_GUARD_MODES)
+        found = [project(s, k) for s in range(len(sectors))]
+        for s in _uncertified([f for f, _ in found], kept, n_modes):
+            found[s] = direct(s, k)
+        yield found
 
 
 def _merge_sectors(
@@ -748,9 +834,10 @@ def _merge_sectors(
     ``_parity_sectors``.
 
     Returns the ascending frequencies and the sector index of each.  Every
-    sector holds ``n_modes`` (or all of its modes), so the lowest
-    ``n_modes`` of the merged list are the pencil's lowest, whatever their
-    parities.  The sort is stable, so each sector's modes keep their order.
+    sector holds its lowest ``min(n_modes, size)`` modes, or fewer with one
+    that the merge leaves out (``_uncertified``), so the lowest ``n_modes``
+    of the merged list are the pencil's lowest, whatever their parities.
+    The sort is stable, so each sector's modes keep their order.
     """
     freqs = np.concatenate(found)
     found_in = np.concatenate([np.full(f.size, index) for index, f in enumerate(found)])
@@ -793,15 +880,17 @@ def band_diagram(
     their direct sum.  Every sector is solved on its own along the path by
     a reduced Bloch mode expansion (``_sector_bands``): directly at
     ``TRAINING_K`` training k, and at every other k on its pencil projected
-    onto the training modes, each projected mode checked against
-    ``PROJECTED_RESIDUAL_TOL`` on the sector's whole pencil and the k
-    solved directly if one misses it.  A path of fewer than
-    ``2 * TRAINING_K`` points is solved directly at every k.  The check
-    certifies the published modes, not that no band below them was missed
-    (see ``_sector_bands``).  A band's parities are those of its sector,
-    exact by construction.  At each k the lowest ``n_modes`` of the four
-    sectors are merged.  ``n_dofs_reduced`` is the size of the whole
-    reduced pencil.
+    onto the training modes, for its budget of modes, one more than the
+    most it gives the merged lowest ``n_modes`` at any training k.  Each
+    projected mode is checked against ``PROJECTED_RESIDUAL_TOL`` on the
+    sector's whole pencil, and a sector with fewer modes than it could give
+    must have one that the merge leaves out; a sector that misses either is
+    solved directly at that k.  A path of fewer than ``2 * TRAINING_K``
+    points is solved directly at every k.  The residual check certifies the
+    computed modes, not that no band below them was missed (see
+    ``_sector_bands``).  A band's parities are those of its sector, exact
+    by construction.  At each k the lowest ``n_modes`` of the four sectors
+    are merged.  ``n_dofs_reduced`` is the size of the whole reduced pencil.
     """
     k_points = np.asarray(k_points, dtype=float)
     if k_points.ndim != 1 or k_points.size == 0:
@@ -817,12 +906,10 @@ def band_diagram(
     maps = reflection_maps(mesh)
     sectors = [operator.series(unitary)
                for unitary in _parity_sectors(operator, maps, k_mat, m_mat)]
-    # Sector by sector, keeping only frequencies: no k's vectors outlive it.
-    by_sector = [[found for found, _ in _sector_bands(pencil, k_points, n_modes)]
-                 for pencil in sectors]
+    # Keeping only frequencies: no k's vectors outlive it.
     freqs, labels = [], []
-    for found_per_sector in zip(*by_sector):
-        found, found_in = _merge_sectors(found_per_sector, n_modes)
+    for solved in _sector_bands(sectors, k_points, n_modes):
+        found, found_in = _merge_sectors([f for f, _ in solved], n_modes)
         freqs.append(found)
         labels.append(classify_parities(found_in))
     parity_y, parity_z = (np.vstack(column) for column in zip(*labels))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, MeshingError
 
@@ -186,6 +185,20 @@ class FilletArc(NamedTuple):
     touch_y: float
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
+    """A root of ``f`` in ``[lo, hi]``, where ``f`` changes sign, to within
+    ``xtol``: the midpoint of the last bracket no wider than ``2 xtol``."""
+    f_lo = f(lo)
+    while hi - lo > 2.0 * xtol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if (f_mid <= 0.0) == (f_lo <= 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_fillet(params: UnitCellParams) -> FilletArc | None:
     """Locate the fillet circle for ``params``.
 
@@ -216,7 +229,7 @@ def solve_fillet(params: UnitCellParams) -> FilletArc | None:
         raise InvalidParameterError(
             f"fillet radius r={params.r} cannot reach the block ellipse"
         )
-    theta = brentq(height_error, lo, hi, xtol=1e-14)
+    theta = _bisect(height_error, lo, hi, xtol=1e-14)
     touch_x = ax * math.cos(theta)
     touch_y = ay * math.sin(theta)
     nx = ay * math.cos(theta)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from scipy.constants import h as PLANCK_H
 from scipy.constants import k as BOLTZMANN_K
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NumericalError
 
@@ -160,6 +159,10 @@ def crossover_temperature(system: OrbitalSystem, model: RateModel) -> float:
     100 K; independent of the unit convention since both sides scale
     identically.
     """
+    # Imported here: only scripts and tests call this, and scipy.optimize
+    # at module level would slow every start of the package.
+    from scipy.optimize import brentq
+
     if model.chi_rho == 0 or model.chi_rho_sq == 0:
         raise InvalidParameterError(
             "crossover needs both one- and two-phonon couplings to be nonzero"

@@ -161,6 +161,21 @@ class TestConfig:
 
 
 class TestDispatch:
+    def test_import_leaves_out_optimize_and_spatial(self):
+        # Every command pays for what importing the CLI loads; no command
+        # needs scipy.optimize or scipy.spatial.
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        code = ("import sys, phonogap.cli; print(sorted(m for m in "
+                "('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
         assert "invalid choice" in capsys.readouterr().err

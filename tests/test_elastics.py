@@ -8,6 +8,7 @@ bookkeeping shows up as a mismatch.  The complex Bloch reduction
 too, as references for the real sector pencils the package solves.
 """
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -246,6 +247,20 @@ def small_cell():
     return mesh, k_mat, m_mat
 
 
+def bloch_problems(mesh, k_mat, m_mat):
+    """``make_bloch_problem`` of a mesh as a function of k, with the Bloch
+    operator, its real form and their series built once for all k."""
+    operator = elastics._bloch_operator(mesh, k_mat, m_mat)
+    unitary = elastics._real_form(operator.x_mirror)
+    series = operator.series(unitary)
+
+    def at(k):
+        basis = (operator.basis(k) @ unitary).tocsr()
+        return elastics.BlochProblem(k, *series.at(k), basis)
+
+    return at
+
+
 class TestBlochReduction:
     @pytest.mark.parametrize("bad", [1.5, -1.01, math.nan, math.inf])
     def test_rejects_wavenumber_outside_zone(self, small_cell, bad):
@@ -276,11 +291,21 @@ class TestBlochReduction:
             assert asym < 1e-13
         assert np.linalg.eigvalsh(problem.mass.toarray()).min() > 0
 
-    def test_time_reversal_symmetry(self, small_cell):
+    def test_bloch_problems_helper_matches_make_bloch_problem(self, small_cell):
         mesh, k_mat, m_mat = small_cell
+        problem = make_bloch_problem(mesh, 0.37, k_mat, m_mat)
+        held = bloch_problems(mesh, k_mat, m_mat)(0.37)
+        assert held.k_reduced == problem.k_reduced
+        for mine, theirs in ((held.stiffness, problem.stiffness),
+                             (held.mass, problem.mass),
+                             (held.basis, problem.basis)):
+            assert abs(mine - theirs).max() == 0
+
+    def test_time_reversal_symmetry(self, small_cell):
+        problem = bloch_problems(*small_cell)
         for k in (0.23, 0.61, 0.97):
-            fwd = solve_bands(make_bloch_problem(mesh, k, k_mat, m_mat), 10)[0]
-            bwd = solve_bands(make_bloch_problem(mesh, -k, k_mat, m_mat), 10)[0]
+            fwd = solve_bands(problem(k), 10)[0]
+            bwd = solve_bands(problem(-k), 10)[0]
             np.testing.assert_allclose(fwd, bwd, rtol=1e-8, atol=1e-8)
 
     def test_gamma_point_has_four_rigid_modes(self, reference_mesh,
@@ -334,8 +359,9 @@ class TestBlochReduction:
         # k = 0 takes the shift-invert path through the four-fold rigid-body
         # cluster, whose Ritz vectors ARPACK does not mass-orthogonalize.
         k_mat, m_mat = reference_operators
+        problems = bloch_problems(reference_mesh, k_mat, m_mat)
         for k in (0.0, 0.37):
-            problem = make_bloch_problem(reference_mesh, k, k_mat, m_mat)
+            problem = problems(k)
             assert problem.n_dofs > 600  # sparse path, not the dense cutoff
             freqs, modes = solve_bands(problem, 16)
             gram = modes.conj().T @ (m_mat @ modes)
@@ -418,9 +444,18 @@ def bench_cell():
     return mesh, k_mat, m_mat
 
 
+@pytest.fixture(scope="module")
+def bench_problems(bench_cell):
+    return bloch_problems(*bench_cell)
+
+
 @pytest.fixture(scope="module", params=["nanobeam", "10,8,4"])
-def symmetric_mesh(request, nanobeam_mesh, bench_cell):
-    return nanobeam_mesh if request.param == "nanobeam" else bench_cell[0]
+def symmetric_cell(request, nanobeam_mesh, bench_cell):
+    """A mesh, its operators and ``bloch_problems`` of them."""
+    if request.param == "10,8,4":
+        return *bench_cell, bloch_problems(*bench_cell)
+    k_mat, m_mat = elastics.assemble(nanobeam_mesh, DIAMOND)
+    return nanobeam_mesh, k_mat, m_mat, bloch_problems(nanobeam_mesh, k_mat, m_mat)
 
 
 class TestRealForm:
@@ -432,12 +467,13 @@ class TestRealForm:
     """
 
     @pytest.mark.parametrize("k", [0.0, 0.5, 0.7021, 1.0])
-    def test_real_pencil_matches_complex_reduction(self, bench_cell, k):
+    def test_real_pencil_matches_complex_reduction(self, bench_cell,
+                                                   bench_problems, k):
         # Dense eigh of the real pencil, and the whole sparse path (guard
         # modes and postconditions included), against dense eigh of the
         # complex pencil.
         mesh, k_mat, m_mat = bench_cell
-        problem = make_bloch_problem(mesh, k, k_mat, m_mat)
+        problem = bench_problems(k)
         assert problem.stiffness.dtype == np.float64
         assert problem.mass.dtype == np.float64
         ref = dense_frequencies_ghz(
@@ -675,8 +711,7 @@ def sector_modes(mesh, k_points, n_modes, guard_modes=0, expand=False):
     operator = elastics._bloch_operator(mesh, k_mat, m_mat)
     unitaries, series = zip(*sector_series(operator, mesh, k_mat, m_mat))
     if expand:
-        per_k = zip(*(elastics._sector_bands(pencil, np.asarray(k_points), n_modes)
-                      for pencil in series))
+        per_k = elastics._sector_bands(list(series), np.asarray(k_points), n_modes)
     else:
         per_k = ([elastics._solve_sector(pencil, k, n_modes, guard_modes)
                   for pencil in series] for k in k_points)
@@ -793,6 +828,33 @@ class TestParity:
                 sign = 1.0 if label[0] == "even" else -1.0
                 assert abs(mirror @ unitary - sign * unitary).max() < 1e-15
 
+    @pytest.mark.parametrize("cell", ["nanobeam", "10,8,4", "filleted-9,7,5"])
+    def test_mirror_perm_matches_nearest_node(self, nanobeam_mesh, bench_cell,
+                                              cell):
+        # Against a brute-force nearest-node match of every reflected node,
+        # on a beam, the benchmark cell and a filleted cell of odd counts.
+        mesh = {"nanobeam": nanobeam_mesh, "10,8,4": bench_cell[0],
+                "filleted-9,7,5": build_unit_cell_mesh(UnitCellParams(),
+                                                       (9, 7, 5))}[cell]
+        nodes = mesh.nodes
+        for axis in range(3):
+            flipped = nodes.copy()
+            flipped[:, axis] = nodes[:, axis].min() + nodes[:, axis].max() - nodes[:, axis]
+            dist = np.linalg.norm(flipped[:, None] - nodes[None], axis=2)
+            nearest = dist.argmin(axis=1)
+            assert dist[np.arange(len(nodes)), nearest].max() < 1e-6 * mesh.period_m
+            np.testing.assert_array_equal(elastics._mirror_perm(mesh, axis), nearest)
+
+    def test_mirror_perm_rejects_crooked_mesh(self, nanobeam_mesh):
+        # A node moved off its mirror image by 1e-5 of the period has no
+        # partner under the y and z mirrors; the x-mirror maps it to itself.
+        nodes = nanobeam_mesh.nodes.copy()
+        nodes[mid_plane_node(nanobeam_mesh), 1] += 1e-5 * nanobeam_mesh.period_m
+        crooked = dataclasses.replace(nanobeam_mesh, nodes=nodes)
+        assert elastics._mirror_perm(crooked, 0) is not None
+        assert elastics._mirror_perm(crooked, 1) is None
+        assert elastics._mirror_perm(crooked, 2) is None
+
     def test_mirror_matches_run_once_per_band_diagram(self, small_cell,
                                                       monkeypatch):
         calls = []
@@ -868,10 +930,10 @@ class TestParity:
         assert set(np.unique(bands.parity_y)) == {"even", "odd"}
         assert set(np.unique(bands.parity_z)) == {"even", "odd"}
 
-    def test_labels_match_mirror_overlaps(self, symmetric_mesh):
+    def test_labels_match_mirror_overlaps(self, symmetric_cell):
         # Every mode band_diagram returns at k = 0, 1/2 and 1 is even or odd
         # under each mirror as its label says, to 1e-8.
-        mesh = symmetric_mesh
+        mesh = symmetric_cell[0]
         k_points = [0.0, 0.5, 1.0]
         bands = band_diagram(mesh, DIAMOND, k_points, 26)
         for row, (freqs, par_y, par_z, modes, m_mat) in enumerate(
@@ -892,11 +954,10 @@ PROJECTED_12 = (1, 2, 4, 5, 7, 9, 10)
 
 
 class TestModeExpansion:
-    def test_projected_modes_match_dense_pencil(self, symmetric_mesh):
+    def test_projected_modes_match_dense_pencil(self, symmetric_cell):
         # At the projected k, bands from 5 GHz up match dense eigh of the
         # whole pencil to 1e-9 and every mode's parities are +-1 to 1e-8.
-        mesh = symmetric_mesh
-        k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
+        mesh, _, m_mat, problems = symmetric_cell
         bands = band_diagram(mesh, DIAMOND, PATH_12, 26)
         for row, (freqs, par_y, par_z, modes, _) in enumerate(
                 sector_modes(mesh, PATH_12, 26, expand=True)):
@@ -905,7 +966,7 @@ class TestModeExpansion:
             np.testing.assert_array_equal(par_z, bands.parity_z[row])
             if row not in PROJECTED_12:
                 continue
-            problem = make_bloch_problem(mesh, PATH_12[row], k_mat, m_mat)
+            problem = problems(PATH_12[row])
             ref = dense_frequencies_ghz(problem.stiffness, problem.mass, 26)
             above = ref >= 5.0
             assert relative_errors(freqs, ref)[above].max() <= 1e-9
@@ -927,6 +988,58 @@ class TestModeExpansion:
             np.testing.assert_array_equal(freqs, bands.frequencies_ghz[row])
             np.testing.assert_array_equal(par_y, bands.parity_y[row])
             np.testing.assert_array_equal(par_z, bands.parity_z[row])
+
+    def test_unit_budgets_fall_back_to_direct_solves(self, bench_cell,
+                                                      monkeypatch):
+        # With one mode per sector only a sector whose one mode the merge
+        # leaves out is certified; the others are solved directly instead.
+        # The bands are those of the budgeted run to 1e-9, the labels the
+        # same.
+        mesh, _, _ = bench_cell
+        solves = []
+        solve = elastics.solve_reduced
+
+        def counted(k_red, m_red, n_modes):
+            solves.append(n_modes)
+            return solve(k_red, m_red, n_modes)
+
+        monkeypatch.setattr(elastics, "solve_reduced", counted)
+        budgeted = band_diagram(mesh, DIAMOND, PATH_12, 26)
+        n_budgeted = len(solves)
+        monkeypatch.setattr(elastics, "_sector_budgets",
+                            lambda trained, n_modes: np.ones(len(trained[0]), int))
+        solves.clear()
+        unit = band_diagram(mesh, DIAMOND, PATH_12, 26)
+        assert len(solves) > n_budgeted
+        assert relative_errors(unit.frequencies_ghz, budgeted.frequencies_ghz).max() < 1e-9
+        np.testing.assert_array_equal(unit.parity_y, budgeted.parity_y)
+        np.testing.assert_array_equal(unit.parity_z, budgeted.parity_z)
+
+    def test_projected_solves_ask_for_their_budget(self, bench_cell, monkeypatch):
+        # At each of the 43 projected k of a 48-point path each sector's
+        # projected pencil, in sector order, is solved for its budget of
+        # modes only, each fewer than the 26 kept.
+        mesh, _, _ = bench_cell
+        budgets, asked = [], []
+        budget, real_eigh = elastics._sector_budgets, elastics.eigh
+        width = elastics.TRAINING_K * (26 + elastics.ARPACK_GUARD_MODES)
+
+        def recorded_budget(*args):
+            budgets.append(budget(*args))
+            return budgets[-1]
+
+        def recorded_eigh(a, *args, **kwargs):
+            if a.shape[0] == width:
+                first, last = kwargs["subset_by_index"]
+                asked.append(last - first + 1)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(elastics, "_sector_budgets", recorded_budget)
+        monkeypatch.setattr(elastics, "eigh", recorded_eigh)
+        band_diagram(mesh, DIAMOND, np.linspace(0.0, 1.0, 48), 26)
+        (per_sector,) = budgets
+        assert per_sector.max() < 26
+        assert asked == per_sector.tolist() * (48 - elastics.TRAINING_K)
 
     @pytest.mark.parametrize("n_k,per_sector,asked", [
         (48, 5, 32), (10, 5, 32), (9, 9, 26), (5, 5, 26), (3, 3, 26), (1, 1, 26)])
@@ -966,15 +1079,14 @@ class TestBandDiagram:
         assert bands.frequencies_ghz.shape == (1, 6)
         assert bands.parity_y.shape == bands.parity_z.shape == (1, 6)
 
-    def test_bands_match_dense_pencil(self, symmetric_mesh):
+    def test_bands_match_dense_pencil(self, symmetric_cell):
         # The merged sector solves against dense eigh of the whole real
         # pencil, at k = 0, 1/2, 0.7021 and 1; bands from 1 GHz up to 1e-9.
-        mesh = symmetric_mesh
-        k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
+        mesh, _, _, problems = symmetric_cell
         k_points = [0.0, 0.5, 0.7021, 1.0]
         bands = band_diagram(mesh, DIAMOND, k_points, 26)
         for k, freqs in zip(k_points, bands.frequencies_ghz):
-            problem = make_bloch_problem(mesh, k, k_mat, m_mat)
+            problem = problems(k)
             assert bands.n_dofs_reduced == problem.n_dofs
             ref = dense_frequencies_ghz(problem.stiffness, problem.mass, 26)
             above = ref >= 1.0
