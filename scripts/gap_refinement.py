@@ -19,6 +19,7 @@ from phonogap import (
     find_complete_gaps,
     primary_gap,
 )
+from phonogap.cli import RunConfig
 from phonogap.geometry import build_unit_cell_mesh
 
 LADDER = ((8, 6, 4), (10, 8, 4), (13, 10, 5), (16, 12, 6))
@@ -29,8 +30,9 @@ def run_level(params, resolution, n_kpoints, n_modes):
     start = time.perf_counter()
     bands = band_diagram(mesh, DIAMOND, default_k_path(n_kpoints), n_modes)
     elapsed = time.perf_counter() - start
-    gap = primary_gap(find_complete_gaps(bands, f_max_ghz=100.0),
-                      window_ghz=(30.0, 100.0))
+    # The gap command's ceiling and window.
+    gap = primary_gap(find_complete_gaps(bands, f_max_ghz=RunConfig.f_max_ghz),
+                      window_ghz=(RunConfig.window_lo_ghz, RunConfig.window_hi_ghz))
     return gap, elapsed
 
 

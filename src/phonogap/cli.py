@@ -49,7 +49,7 @@ from .geometry import (
 )
 from .rates import OrbitalSystem, RateModel, total_relaxation
 from .spectrum import Gap, compute_dos, find_complete_gaps, primary_gap
-from .tempfit import RateSeries, select_model
+from .tempfit import SUPPORTED_EXPONENTS, RateSeries, select_model
 
 OUT_DIR_ENV = "PHONOGAP_OUT_DIR"
 STRUCTURES = ("pnc", "nanobeam")
@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fit-temp", "power-law fits of rate vs temperature CSV")
     p.add_argument("--input", required=True, metavar="FILE",
                    help="CSV with temperature_K, rate_MHz, sigma_MHz")
-    p.add_argument("--models", type=str, default="1,3,5,7",
+    p.add_argument("--models", type=str,
+                   default=",".join(map(str, SUPPORTED_EXPONENTS)),
                    help="candidate exponents, comma separated")
     p.add_argument("--t-max", type=float,
                    help="fit only points at or below this temperature")
@@ -618,9 +619,12 @@ def run_band_command(args: argparse.Namespace) -> int:
     artifact, and only then make the run's directory: a run that exits 2 or
     3 leaves none."""
     config = _band_config(args)
+    writers = BAND_COMMANDS[args.command].writers
+    if _dos_csv in writers and config.n_kpoints < 2:
+        raise ConfigError("density of states needs at least two k points")
     bands = _solve(config)
     files: dict[str, str] = {}
-    for writer in BAND_COMMANDS[args.command].writers:
+    for writer in writers:
         files.update(writer(config, bands))
     return _write_artifacts(args.command, _band_request(args.command, config),
                             files)

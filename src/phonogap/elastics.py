@@ -27,19 +27,13 @@ solves each sector on its own, so a band's mirror parities are those of its
 sector, exact by construction (the standard symmetry reduction; Bossavit,
 Comput. Methods Appl. Mech. Eng. 56, 167 (1986)).
 
-Along a path of at least ``2 * TRAINING_K`` points, each sector is solved
+Along a path of at least ``2 * TRAINING_K`` points every sector is solved
 by a reduced Bloch mode expansion (Hussein, loc. cit.): directly at
-``TRAINING_K`` points, whose modes span an orthonormal basis W, and at every
-other k on the series projected once onto W, a small dense pencil.  The
-merge keeps only the lowest modes of the four sectors together, so at a
-projected k each sector is solved for a budget of modes: one more than the
-most it gives the merge at any training k.  Each projected mode is kept
-only if its residual on the sector's whole pencil is at most
-``PROJECTED_RESIDUAL_TOL``, and a sector with fewer modes than it could give
-must have one that the merge leaves out (its certificate mode); a sector
-that misses either is solved directly at that k.  The residual check
-certifies the computed modes, not that no band was missed.  Each sector has
-its own basis, so the parities stay exact.
+``TRAINING_K`` training points and at every other k on its pencil projected
+onto the training modes, each projected mode checked on the sector's whole
+pencil.  A shorter path is solved directly at every k.  ``_sector_bands``
+gives the full account.  Each sector has its own basis, so the parities
+stay exact.
 """
 
 from __future__ import annotations
@@ -185,39 +179,6 @@ class BlochProblem:
     @property
     def n_dofs(self) -> int:
         return self.stiffness.shape[0]
-
-
-def _mirror_perm(mesh: Mesh, axis: int) -> np.ndarray | None:
-    """Node permutation of the mirror across the mid-plane of ``axis``.
-
-    Along each axis the node coordinates and those of the reflected nodes
-    are grouped into runs of values at most 1e-6 of the cell's largest
-    extent apart, and each point is keyed by its three run indices; each
-    reflected node is matched to the node of the same key.  None when the
-    keys differ or some match is further than that tolerance.
-    """
-    coords = mesh.nodes
-    scale = max(mesh.period_m, np.ptp(coords[:, 1]), np.ptp(coords[:, 2]))
-    tol = 1e-6 * scale
-    along = coords[:, axis]
-    flipped = coords.copy()
-    flipped[:, axis] = along.min() + along.max() - along
-    keys = []
-    for values in np.vstack([coords, flipped]).T:
-        order = np.argsort(values)
-        runs = np.empty(values.size, dtype=np.int64)
-        runs[order] = np.cumsum(np.diff(values[order], prepend=values[order[0]]) > tol)
-        keys.append(runs)
-    keys = np.array(keys)
-    n = len(coords)
-    nodes, images = (np.lexsort(part) for part in (keys[:, :n], keys[:, n:]))
-    if np.any(keys[:, nodes] != keys[:, n + images]):
-        return None
-    perm = np.empty(n, dtype=np.intp)
-    perm[images] = nodes
-    if np.linalg.norm(coords[perm] - flipped, axis=1).max() > tol:
-        return None
-    return perm
 
 
 def _signed_mirror(perm: np.ndarray, axis: int) -> sp.csr_matrix:
@@ -419,11 +380,11 @@ class _BlochOperator:
 def _bloch_operator(
     mesh: Mesh, k_mat: sp.spmatrix, m_mat: sp.spmatrix
 ) -> _BlochOperator:
-    perm = _mirror_perm(mesh, 0)
+    perm = mesh.mirror_nodes(0)
     if perm is None:
         raise NumericalError(
-            "mesh is not mirror-symmetric along the beam axis; "
-            "the real Bloch form needs it"
+            "mesh is not mirror-symmetric along the beam axis in its node "
+            "lattice; the real Bloch form needs it"
         )
     n = mesh.n_dofs
     slave, master = (
@@ -627,17 +588,16 @@ class ReflectionMaps:
 
 
 def reflection_maps(mesh: Mesh) -> ReflectionMaps:
-    """Match every node to its mirror partner; error if the mesh is asymmetric."""
-    perms = []
-    for axis in (1, 2):
-        perm = _mirror_perm(mesh, axis)
+    """Every node's partner under the y and z mirrors (``Mesh.mirror_nodes``);
+    error if the mesh is asymmetric or its nodes are not in lattice order."""
+    perms = [mesh.mirror_nodes(axis) for axis in (1, 2)]
+    for axis, perm in zip((1, 2), perms):
         if perm is None:
             raise ClassificationError(
-                f"mesh is not mirror-symmetric about axis {axis}; "
-                "its bands have no mirror parities"
+                f"mesh is not mirror-symmetric about axis {axis} in its "
+                "node lattice; its bands have no mirror parities"
             )
-        perms.append(perm)
-    return ReflectionMaps(perm_y=perms[0], perm_z=perms[1])
+    return ReflectionMaps(*perms)
 
 
 def _parity_sectors(
@@ -744,28 +704,29 @@ def _sector_bands(
     (``_merge_sectors``) takes the same lowest ``n_modes`` as the sectors'
     whole ``min(n_modes, size)`` lists would.
 
-    The ``TRAINING_K`` path points with indices ``round(linspace(0, nk - 1,
-    TRAINING_K))`` are solved directly up front, each sector for
-    ``ARPACK_GUARD_MODES`` modes more than the ``min(n_modes, size)`` it
-    keeps, and an orthonormal basis W of each sector's training vectors (an
-    economic QR) is projected once onto each series term.  The training
-    merges give each sector a budget b (``_sector_budgets``): one more than
-    the most modes it gives the merged lowest ``n_modes`` at any training k.
-    At every other k each sector's projected pencil, with the series' own
-    weights, is solved densely for its lowest b modes, and their Ritz
-    vectors W y are kept only if every one has a relative residual on the
-    sector's whole pencil of at most ``PROJECTED_RESIDUAL_TOL``; otherwise
-    that sector is solved directly there, as at a training k.  Then the
-    merge is certified (``_uncertified``): a sector with fewer computed
-    modes than it keeps must have one that the merge leaves out, and one
-    that has none is solved directly there too.  A sector solved in full
-    always passes, and its extra modes only push the others' out, so one
-    round of direct solves certifies the k.
+    A path of fewer than ``2 * TRAINING_K`` points would project fewer k
+    than it trains on, and the projection costs about as much as a few
+    direct solves, so every sector is solved directly at every k, for the
+    ``min(n_modes, size)`` modes it keeps.
 
-    The projection costs about as much as a few direct solves, so a path
-    that would project fewer k than it trains on is solved directly at
-    every k, as is a sector whose basis would span it whole, both for the
-    kept modes only, exactly as without the expansion.
+    On a longer path the ``TRAINING_K`` points with indices
+    ``round(linspace(0, nk - 1, TRAINING_K))`` are solved directly up front,
+    each sector for ``ARPACK_GUARD_MODES`` modes more than it keeps, and an
+    orthonormal basis W of each sector's training vectors (an economic QR)
+    is projected once onto each series term; where W spans the whole
+    sector the projection is exact.  The training merges give each sector a
+    budget b (``_sector_budgets``): one more than the most modes it gives
+    the merged lowest ``n_modes`` at any training k.  At every other k each
+    sector's projected pencil, with the series' own weights, is solved
+    densely for its lowest b modes, and their Ritz vectors W y are kept
+    only if every one has a relative residual on the sector's whole pencil
+    of at most ``PROJECTED_RESIDUAL_TOL``; otherwise that sector is solved
+    directly there for the modes it keeps.  Then the merge is certified
+    (``_uncertified``): a sector with fewer computed modes than it keeps
+    must have one that the merge leaves out, and one that has none is
+    solved directly there too.  A sector solved in full always passes, and
+    its extra modes only push the others' out, so one round of direct
+    solves certifies the k.
 
     The residual check certifies each computed mode, not that none is
     missing: Ritz values only bound the eigenvalues from above, so a band
@@ -774,47 +735,33 @@ def _sector_bands(
     still passes.  Vectors are mass-orthonormal in each sector's basis, the
     kept modes' leading; each k's are made only when it is reached.
     """
-    nk = len(k_points)
-    training = np.unique(np.round(np.linspace(0, nk - 1, TRAINING_K)).astype(int))
-    if nk < 2 * training.size:
+    if len(k_points) < 2 * TRAINING_K:
         for k in k_points:
             yield [_solve_sector(series, k, n_modes) for series in sectors]
         return
-    expanded = [
-        training.size * min(n_modes + ARPACK_GUARD_MODES, series.size) < series.size
-        for series in sectors
-    ]
+    training = np.round(np.linspace(0, len(k_points) - 1, TRAINING_K)).astype(int)
     solved = {
-        i: [_solve_sector(series, k_points[i], n_modes,
-                          ARPACK_GUARD_MODES if expand else 0)
-            for series, expand in zip(sectors, expanded)]
+        i: [_solve_sector(series, k_points[i], n_modes, ARPACK_GUARD_MODES)
+            for series in sectors]
         for i in training
     }
     budgets = _sector_budgets([[f for f, _ in solved[i]] for i in training], n_modes)
     kept = [min(n_modes, series.size) for series in sectors]
-    projected = {}
-    for s, series in enumerate(sectors):
-        if expanded[s]:
-            basis = np.linalg.qr(np.hstack([solved[i][s][1] for i in training]))[0]
-            projected[s] = basis, series.project(basis)
-
-    def direct(s: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-        return _solve_sector(sectors[s], k, n_modes, ARPACK_GUARD_MODES)
+    bases = [np.linalg.qr(np.hstack([solved[i][s][1] for i in training]))[0]
+             for s in range(len(sectors))]
+    projected = [series.project(basis) for series, basis in zip(sectors, bases)]
 
     def project(s: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-        if s not in projected:
-            return _solve_sector(sectors[s], k, n_modes)
-        basis, terms = projected[s]
-        weights = sectors[s].weights(k)
+        series, weights = sectors[s], sectors[s].weights(k)
         vals, coords = eigh(
-            *(np.tensordot(weights, term, axes=1) for term in terms),
+            *(np.tensordot(weights, term, axes=1) for term in projected[s]),
             subset_by_index=[0, budgets[s] - 1],
         )
-        vecs = basis @ coords
-        if (_relative_residuals(*sectors[s].at(k), vals, vecs).max()
-                <= PROJECTED_RESIDUAL_TOL):
+        vecs = bases[s] @ coords
+        residual = _relative_residuals(*series.at(k), vals, vecs).max()
+        if residual <= PROJECTED_RESIDUAL_TOL:
             return _frequencies_ghz(vals), vecs
-        return direct(s, k)
+        return _solve_sector(series, k, n_modes)
 
     for i, k in enumerate(k_points):
         if i in solved:
@@ -822,7 +769,7 @@ def _sector_bands(
             continue
         found = [project(s, k) for s in range(len(sectors))]
         for s in _uncertified([f for f, _ in found], kept, n_modes):
-            found[s] = direct(s, k)
+            found[s] = _solve_sector(sectors[s], k, n_modes)
         yield found
 
 
@@ -873,24 +820,18 @@ def band_diagram(
     """Lowest ``n_modes`` bands and their mirror parities along a k path.
 
     ``k_points`` are reduced wavenumbers in [0, 1].  The mesh must have
-    matched periodic faces and be mirror-symmetric about its three
-    mid-planes.  Once per call the Bloch operator is built and reduced to
-    the real series in k of each of the four sectors of the y and z mirrors
-    (``_parity_sectors``); the whole pencil of ``make_bloch_problem`` is
-    their direct sum.  Every sector is solved on its own along the path by
-    a reduced Bloch mode expansion (``_sector_bands``): directly at
-    ``TRAINING_K`` training k, and at every other k on its pencil projected
-    onto the training modes, for its budget of modes, one more than the
-    most it gives the merged lowest ``n_modes`` at any training k.  Each
-    projected mode is checked against ``PROJECTED_RESIDUAL_TOL`` on the
-    sector's whole pencil, and a sector with fewer modes than it could give
-    must have one that the merge leaves out; a sector that misses either is
-    solved directly at that k.  A path of fewer than ``2 * TRAINING_K``
-    points is solved directly at every k.  The residual check certifies the
-    computed modes, not that no band below them was missed (see
-    ``_sector_bands``).  A band's parities are those of its sector, exact
-    by construction.  At each k the lowest ``n_modes`` of the four sectors
-    are merged.  ``n_dofs_reduced`` is the size of the whole reduced pencil.
+    matched periodic faces, its nodes in lattice order (``Mesh``), and be
+    mirror-symmetric about its three mid-planes.  Once per call the Bloch
+    operator is built and reduced to the real series in k of each of the
+    four sectors of the y and z mirrors (``_parity_sectors``); the whole
+    pencil of ``make_bloch_problem`` is their direct sum.  Every sector is
+    solved on its own along the path (``_sector_bands``): directly at every
+    k of a path of fewer than ``2 * TRAINING_K`` points, otherwise by a
+    reduced Bloch mode expansion, trained at ``TRAINING_K`` direct solves
+    and projected at every other k.  A band's parities are those of its
+    sector, exact by construction.  At each k the lowest ``n_modes`` of the
+    four sectors are merged.  ``n_dofs_reduced`` is the size of the whole
+    reduced pencil.
     """
     k_points = np.asarray(k_points, dtype=float)
     if k_points.ndim != 1 or k_points.size == 0:

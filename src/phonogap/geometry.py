@@ -279,6 +279,12 @@ def half_width_profile(params: UnitCellParams, x_nm: np.ndarray) -> np.ndarray:
 class Mesh:
     """Structured 8-node hexahedral mesh with one periodic direction (x).
 
+    Nodes are numbered in lattice order, an invariant of every builder:
+    node ``(i * (ny + 1) + j) * (nz + 1) + k`` is the node at grid index
+    ``(i, j, k)`` of ``grid_shape`` ``(nx, ny, nz)``, x-major, then y, then
+    z, each index counting up its axis.  So a mirror across a mid-plane is
+    that lattice read backwards along the axis (``mirror_nodes``).
+
     Attributes
     ----------
     nodes : ndarray, shape (N, 3)
@@ -313,6 +319,26 @@ class Mesh:
         """Per-element corner coordinates, shape (E, 8, 3)."""
         return self.nodes[self.elements]
 
+    def mirror_nodes(self, axis: int) -> np.ndarray | None:
+        """Node permutation of the mirror across the mid-plane of ``axis``:
+        ``perm[node]`` is the node at the mirror image of ``node``, read
+        from the node lattice backwards along the axis.
+
+        None if some node lies further than 1e-6 of the cell's largest
+        extent from the mirror image of its partner: the mesh is crooked,
+        or its nodes are not in lattice order.
+        """
+        lattice = np.arange(self.n_nodes).reshape([n + 1 for n in self.grid_shape])
+        perm = np.flip(lattice, axis).ravel()
+        coords = self.nodes
+        along = coords[:, axis]
+        flipped = coords.copy()
+        flipped[:, axis] = along.min() + along.max() - along
+        scale = max(self.period_m, np.ptp(coords[:, 1]), np.ptp(coords[:, 2]))
+        if np.linalg.norm(coords[perm] - flipped, axis=1).max() > 1e-6 * scale:
+            return None
+        return perm
+
 
 def _element_jacobians(corner_coords: np.ndarray) -> np.ndarray:
     """det(J) at the 2x2x2 Gauss points for every element, shape (E, 8)."""
@@ -340,7 +366,7 @@ def _build_channel_mesh(
     eta = np.linspace(-1.0, 1.0, ny + 1)
     z = np.linspace(0.0, depth_nm, nz + 1)
 
-    # Node layout: x-major, then y, then z.
+    # Node layout: the lattice order of ``Mesh``.
     nodes = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
     node_id = np.arange(len(nodes)).reshape(nx + 1, ny + 1, nz + 1)
     xx = np.repeat(x, (ny + 1) * (nz + 1))

@@ -1,10 +1,25 @@
-"""Shared fixtures: one reference cell and its band structure per session."""
+"""Shared fixtures: one reference cell and its band structure per session.
 
-import numpy as np
-import pytest
+The suite runs on one BLAS/OpenMP thread, as the benchmark does: two test
+processes on a small host otherwise oversubscribe its cores, and OpenBLAS
+reads the setting once, when numpy loads, so it is set before that.
+"""
 
-from phonogap import elastics
-from phonogap.geometry import (
+import os
+import sys
+
+#: One BLAS/OpenMP thread for the tests and every process they start.
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1"}
+#: Whether numpy had loaded before the pin, too late for it to bind.
+NUMPY_BEFORE_PIN = "numpy" in sys.modules
+os.environ.update(BLAS_ENV)
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from phonogap import elastics  # noqa: E402
+from phonogap.geometry import (  # noqa: E402
     DIAMOND,
     UnitCellParams,
     build_nanobeam_mesh,

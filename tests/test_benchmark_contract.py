@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import BLAS_ENV
 from phonogap import cli, elastics
 from phonogap.geometry import DIAMOND, UnitCellParams, build_unit_cell_mesh
 
@@ -41,9 +42,6 @@ def _perfbench_module(name):
 tracer = _perfbench_module("tracer")
 workloads = _perfbench_module("workloads")
 
-#: One BLAS thread, as ``perfbench/run.py`` starts its children.
-BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-            "MKL_NUM_THREADS": "1"}
 
 
 @pytest.mark.parametrize("layer", sorted(tracer.TRACED))

@@ -322,6 +322,20 @@ class TestDos:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("dos-*"))
 
+    @pytest.mark.parametrize("command", ["dos", "fig1b"])
+    def test_single_k_point_exits_2_before_solving(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        # A DOS needs two k points: a configuration error, caught before
+        # anything is solved.
+        calls = []
+        monkeypatch.setattr(cli, "band_diagram", lambda *args: calls.append(args))
+        code = cli.main([command, "--resolution", "6,5,4", "--n-kpoints", "1",
+                         "--n-modes", "6", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "two k points" in capsys.readouterr().err
+        assert calls == []
+        assert not list(tmp_path.glob(f"{command}-*"))
+
 
 class TestGap:
     def test_report_contents(self, cli_run):

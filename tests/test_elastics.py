@@ -734,6 +734,18 @@ def sector_series(operator, mesh, k_mat, m_mat):
     return [(unitary, operator.series(unitary)) for unitary in unitaries]
 
 
+def nearest_mirror_nodes(mesh, axis):
+    """The node nearest each node's mirror image across the mid-plane of
+    ``axis``, by brute force; each must lie within 1e-6 of the period."""
+    nodes = mesh.nodes
+    flipped = nodes.copy()
+    flipped[:, axis] = nodes[:, axis].min() + nodes[:, axis].max() - nodes[:, axis]
+    dist = np.linalg.norm(flipped[:, None] - nodes[None], axis=2)
+    nearest = dist.argmin(axis=1)
+    assert dist[np.arange(len(nodes)), nearest].max() < 1e-6 * mesh.period_m
+    return nearest
+
+
 def mid_plane_node(mesh):
     """A node off the y and z mid-planes on the x mid-plane, which the
     x-mirror maps onto itself."""
@@ -761,7 +773,7 @@ class TestParity:
 
     def test_reflection_is_involution(self, reference_mesh):
         maps = reflection_maps(reference_mesh)
-        perms = [elastics._mirror_perm(reference_mesh, 0), maps.perm_y, maps.perm_z]
+        perms = [reference_mesh.mirror_nodes(0), maps.perm_y, maps.perm_z]
         mirrors = [elastics._signed_mirror(p, axis) for axis, p in enumerate(perms)]
         eye = sp.identity(reference_mesh.n_dofs)
         for i, first in enumerate(mirrors):
@@ -808,7 +820,7 @@ class TestParity:
         maps = reflection_maps(mesh)
         unitaries = elastics._parity_sectors(operator, maps, k_mat, m_mat)
         keep = reduced_dofs(mesh)
-        perms = [elastics._mirror_perm(mesh, 0), maps.perm_y, maps.perm_z]
+        perms = [mesh.mirror_nodes(0), maps.perm_y, maps.perm_z]
         x_mirror, *mirrors = [
             (elastics._signed_mirror(perm, axis) @ bloch_basis(mesh, 0.0))[keep]
             for axis, perm in enumerate(perms)
@@ -831,19 +843,15 @@ class TestParity:
     @pytest.mark.parametrize("cell", ["nanobeam", "10,8,4", "filleted-9,7,5"])
     def test_mirror_perm_matches_nearest_node(self, nanobeam_mesh, bench_cell,
                                               cell):
-        # Against a brute-force nearest-node match of every reflected node,
-        # on a beam, the benchmark cell and a filleted cell of odd counts.
+        # The lattice read backwards against a brute-force nearest-node
+        # match of every reflected node, on a beam, the benchmark cell and a
+        # filleted cell of odd counts.
         mesh = {"nanobeam": nanobeam_mesh, "10,8,4": bench_cell[0],
                 "filleted-9,7,5": build_unit_cell_mesh(UnitCellParams(),
                                                        (9, 7, 5))}[cell]
-        nodes = mesh.nodes
         for axis in range(3):
-            flipped = nodes.copy()
-            flipped[:, axis] = nodes[:, axis].min() + nodes[:, axis].max() - nodes[:, axis]
-            dist = np.linalg.norm(flipped[:, None] - nodes[None], axis=2)
-            nearest = dist.argmin(axis=1)
-            assert dist[np.arange(len(nodes)), nearest].max() < 1e-6 * mesh.period_m
-            np.testing.assert_array_equal(elastics._mirror_perm(mesh, axis), nearest)
+            np.testing.assert_array_equal(mesh.mirror_nodes(axis),
+                                          nearest_mirror_nodes(mesh, axis))
 
     def test_mirror_perm_rejects_crooked_mesh(self, nanobeam_mesh):
         # A node moved off its mirror image by 1e-5 of the period has no
@@ -851,20 +859,40 @@ class TestParity:
         nodes = nanobeam_mesh.nodes.copy()
         nodes[mid_plane_node(nanobeam_mesh), 1] += 1e-5 * nanobeam_mesh.period_m
         crooked = dataclasses.replace(nanobeam_mesh, nodes=nodes)
-        assert elastics._mirror_perm(crooked, 0) is not None
-        assert elastics._mirror_perm(crooked, 1) is None
-        assert elastics._mirror_perm(crooked, 2) is None
+        assert crooked.mirror_nodes(0) is not None
+        assert crooked.mirror_nodes(1) is None
+        assert crooked.mirror_nodes(2) is None
+
+    def test_renumbered_mesh_rejected(self, nanobeam_mesh):
+        # The same symmetric solid with its nodes numbered out of lattice
+        # order: every node still has a mirror partner, but the lattice no
+        # longer names it, so the call fails instead of pairing the wrong
+        # nodes and labelling bands by them.
+        mesh = nanobeam_mesh
+        order = np.random.default_rng(7).permutation(mesh.n_nodes)
+        number = np.argsort(order)  # node i of mesh is node number[i] here
+        renumbered = dataclasses.replace(
+            mesh, nodes=mesh.nodes[order], elements=number[mesh.elements],
+            master_nodes=number[mesh.master_nodes],
+            slave_nodes=number[mesh.slave_nodes])
+        for axis in range(3):
+            nearest_mirror_nodes(renumbered, axis)
+            assert renumbered.mirror_nodes(axis) is None
+        with pytest.raises(NumericalError, match="node lattice"):
+            band_diagram(renumbered, DIAMOND, [0.5], 6)
+        with pytest.raises(ClassificationError, match="node lattice"):
+            reflection_maps(renumbered)
 
     def test_mirror_matches_run_once_per_band_diagram(self, small_cell,
                                                       monkeypatch):
         calls = []
-        original = elastics._mirror_perm
+        original = Mesh.mirror_nodes
 
         def counted(mesh, axis):
             calls.append(axis)
             return original(mesh, axis)
 
-        monkeypatch.setattr(elastics, "_mirror_perm", counted)
+        monkeypatch.setattr(Mesh, "mirror_nodes", counted)
         mesh, _, _ = small_cell
         for k_points in ([0.5], [0.0, 0.3, 0.6, 0.8, 1.0]):
             calls.clear()
@@ -977,17 +1005,21 @@ class TestModeExpansion:
 
     def test_loose_projections_fall_back_to_direct_solves(self, bench_cell,
                                                           monkeypatch):
-        # With no residual accepted every projected k is solved directly as
-        # the training k are, and the bands and labels are those of the
-        # direct path bit for bit.
+        # With no residual accepted every projected k is solved directly for
+        # the kept modes, and the bands and labels are those of the direct
+        # path bit for bit: at the training k with the guard modes, at every
+        # other k without.
         mesh, _, _ = bench_cell
         monkeypatch.setattr(elastics, "PROJECTED_RESIDUAL_TOL", 0.0)
         bands = band_diagram(mesh, DIAMOND, PATH_12, 26)
-        for row, (freqs, par_y, par_z, _, _) in enumerate(
-                sector_modes(mesh, PATH_12, 26, elastics.ARPACK_GUARD_MODES)):
-            np.testing.assert_array_equal(freqs, bands.frequencies_ghz[row])
-            np.testing.assert_array_equal(par_y, bands.parity_y[row])
-            np.testing.assert_array_equal(par_z, bands.parity_z[row])
+        training = [row for row in range(PATH_12.size) if row not in PROJECTED_12]
+        for rows, guard_modes in ((training, elastics.ARPACK_GUARD_MODES),
+                                  (PROJECTED_12, 0)):
+            direct = sector_modes(mesh, PATH_12[list(rows)], 26, guard_modes)
+            for row, (freqs, par_y, par_z, _, _) in zip(rows, direct):
+                np.testing.assert_array_equal(freqs, bands.frequencies_ghz[row])
+                np.testing.assert_array_equal(par_y, bands.parity_y[row])
+                np.testing.assert_array_equal(par_z, bands.parity_z[row])
 
     def test_unit_budgets_fall_back_to_direct_solves(self, bench_cell,
                                                       monkeypatch):

@@ -235,6 +235,22 @@ class TestMesh:
         exact = 129.6 * 90.0 * 70.0 * NM**3
         assert mesh_volume(mesh) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_unit_cell_mesh(UnitCellParams(), (9, 7, 5)),
+        lambda: build_unit_cell_mesh(UnitCellParams(r=0.0), (6, 5, 4)),
+        lambda: build_nanobeam_mesh(90.0, 70.0, 129.6, (1, 4, 3)),
+    ], ids=["filleted", "unfilleted", "nanobeam"])
+    def test_nodes_in_lattice_order(self, build):
+        # Node (i * (ny + 1) + j) * (nz + 1) + k sits at grid index (i, j,
+        # k): x depends on i alone and z on k alone, and each coordinate
+        # counts up its own index.
+        mesh = build()
+        lattice = mesh.nodes.reshape(*(n + 1 for n in mesh.grid_shape), 3)
+        x, y, z = np.moveaxis(lattice, -1, 0)
+        assert np.all(x == x[:, :1, :1]) and np.all(z == z[:1, :1, :])
+        for axis, coord in enumerate((x, y, z)):
+            assert np.all(np.diff(coord, axis=axis) > 0)
+
     def test_rejects_too_coarse_unit_cell(self):
         with pytest.raises(InvalidParameterError):
             build_unit_cell_mesh(UnitCellParams(), (3, 4, 4))
