@@ -821,18 +821,6 @@ def cmd_fit_temp(args: argparse.Namespace) -> int:
 _GEOM_ROLES = ("block", "corner", "tether-edge")
 
 
-def _aligned_diameters(fit) -> tuple[float, float]:
-    """Block diameters along the contour x and y axes.
-
-    The ellipse fit reports its longer semi-axis first with the rotation
-    folded into [-pi/2, pi/2), so a block taller than it is wide comes back
-    rotated by ~pi/2 and the axes must be unswapped.
-    """
-    if abs(fit.rotation_rad) < math.pi / 4.0:
-        return 2.0 * fit.semi_x, 2.0 * fit.semi_y
-    return 2.0 * fit.semi_y, 2.0 * fit.semi_x
-
-
 def cmd_fit_geom(args: argparse.Namespace) -> int:
     entries = _read_json_object(args.manifest, "manifest").get("contours")
     if not isinstance(entries, list) or not entries:
@@ -851,9 +839,9 @@ def cmd_fit_geom(args: argparse.Namespace) -> int:
         cols = _read_csv_columns(str(paths[-1]), ("x_nm", "y_nm"))
         points = np.column_stack([cols["x_nm"], cols["y_nm"]])
         if role == "block":
-            width_nm, height_nm = _aligned_diameters(fit_ellipse(points))
-            widths.append(width_nm)
-            heights.append(height_nm)
+            block = fit_ellipse(points)
+            widths.append(2.0 * block.semi_x)
+            heights.append(2.0 * block.semi_y)
         elif role == "corner":
             radii.append(fit_circle(points).radius)
         else:

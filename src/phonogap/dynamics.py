@@ -40,6 +40,11 @@ SETTLE_NS = 5.0
 
 CONSERVATION_TOL = 1e-9
 
+#: Most samples a pulse sequence may take, t = 0 included.  The committed
+#: tests, goldens and benchmark workloads reach at most 46,508; past the
+#: bound a sequence raises ``InvalidParameterError`` before it is sampled.
+MAX_SAMPLES = 5_000_000
+
 
 @dataclass(frozen=True)
 class LevelSystem:
@@ -146,7 +151,8 @@ def _segments(
     A segment splits evenly into steps no longer than 0.1 of the fastest
     rate's timescale (and 1 ns).  The propagator is the exact matrix
     exponential over one step, so the step only sets how finely the
-    fluorescence is sampled for the edge windows.
+    fluorescence is sampled for the edge windows.  A sequence of more than
+    ``MAX_SAMPLES`` samples raises ``InvalidParameterError``.
     """
     max_rate = float(np.max(np.abs(np.diag(generator(system, 1.0)))))
     dt_ns = min(1.0, 0.1 / max_rate) if max_rate > 0 else 1.0
@@ -155,10 +161,19 @@ def _segments(
         drives.append((sequence.width_ns, 1.0))
         if off > 0:
             drives.append((off, 0.0))
+    # Counted in floats, where an overlong sequence reads inf, not an
+    # integer overflow.
+    with np.errstate(over="ignore"):
+        counts = np.maximum(np.ceil(np.array(drives)[:, 0] / dt_ns - 1e-12), 1.0)
+    if 1.0 + counts.sum() > MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"the pulse sequence needs {1.0 + counts.sum():.3g} samples at its "
+            f"{dt_ns:.3g} ns step, more than {MAX_SAMPLES:,}; shorten the "
+            "sequence or slow its rates"
+        )
     propagators: dict[tuple[float, float], np.ndarray] = {}
     segments = []
-    for duration, fraction in drives:
-        count = max(int(math.ceil(duration / dt_ns - 1e-12)), 1)
+    for (duration, fraction), count in zip(drives, counts.astype(int).tolist()):
         step = duration / count
         key = (step, fraction)
         if key not in propagators:
@@ -183,13 +198,13 @@ def simulate_sequence(
     for the closed-form window sums of ``extract_peak_ratio``.
     """
     segments = _segments(system, sequence)
-    pops = [_initial_populations(system)]
+    populations = np.empty((1 + sum(count for _, count, _ in segments), 3))
+    populations[0] = _initial_populations(system)
+    start = 0
     for _, count, prop in segments:
-        p = pops[-1]
-        for _ in range(count):
-            p = prop @ p
-            pops.append(p)
-    populations = np.stack(pops)
+        for i in range(start, start + count):
+            populations[i + 1] = prop @ populations[i]
+        start += count
     _check_conservation(populations)
     excited = populations[:, 2]
     if excited.min() < -CONSERVATION_TOL:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
+from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.sparse.linalg import norm as sparse_norm
 
@@ -465,34 +465,37 @@ def _frequencies_ghz(eigvals: np.ndarray) -> np.ndarray:
     return np.sqrt(vals) / (2 * math.pi * GHZ)
 
 
-def _mass_orthonormalize(vecs: np.ndarray, m_red: sp.spmatrix) -> np.ndarray | None:
-    """Re-base ``vecs`` so that ``V^H M V = I``, or None if that fails.
+def _ritz(
+    k_red: sp.spmatrix,
+    m_red: sp.spmatrix,
+    basis: np.ndarray,
+    k_small: np.ndarray,
+    m_small: np.ndarray,
+    n_modes: int,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lowest ``n_modes`` Ritz pairs of the pencil ``(k_red, m_red)`` on the
+    columns of ``basis`` V, from its projection ``(k_small, m_small)``
+    = ``V^H (K, M) V``, with their certificate.
 
-    Uses the Cholesky factor of the reduced Gram matrix ``G = L L^H`` and
-    returns ``V L^{-H}``: each column is combined only with the columns
-    before it, so a basis that is already mass-orthonormal barely moves.
+    Returns the Ritz values (rad/s)^2, their vectors ``V y`` and the largest
+    relative residual ``|K v - lam M v| / (max(lam, LAMBDA_1GHZ) |M v|)`` on
+    the whole pencil; that is inf if the projected mass is not positive
+    definite or ``max|V^H M V - I|`` of the vectors exceeds
+    ``MASS_ORTHONORMAL_TOL``.  A Ritz value bounds its eigenvalue from
+    above, with an error of second order in the residual (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 11).
     """
-    m_vecs = m_red @ vecs
-    gram = vecs.conj().T @ m_vecs
     try:
-        chol = cholesky(0.5 * (gram + gram.conj().T), lower=True)
+        vals, coords = eigh(k_small, m_small, subset_by_index=[0, n_modes - 1])
     except LinAlgError:
-        return None
-    inv_chol_h = solve_triangular(chol, np.eye(chol.shape[0]), lower=True).conj().T
-    vecs = vecs @ inv_chol_h
-    gram = vecs.conj().T @ (m_vecs @ inv_chol_h)
-    if np.abs(gram - np.eye(gram.shape[0])).max() > MASS_ORTHONORMAL_TOL:
-        return None
-    return vecs
-
-
-def _relative_residuals(
-    k_red: sp.spmatrix, m_red: sp.spmatrix, vals: np.ndarray, vecs: np.ndarray
-) -> np.ndarray:
-    """``|K v - lam M v| / (max(lam, LAMBDA_1GHZ) |M v|)`` per column."""
+        return None, None, math.inf
+    vecs = basis @ coords
     m_vecs = m_red @ vecs
+    if np.abs(vecs.conj().T @ m_vecs - np.eye(n_modes)).max() > MASS_ORTHONORMAL_TOL:
+        return vals, vecs, math.inf
     resid = np.linalg.norm(k_red @ vecs - m_vecs * vals, axis=0)
-    return resid / (np.maximum(vals, LAMBDA_1GHZ) * np.linalg.norm(m_vecs, axis=0))
+    resid /= np.maximum(vals, LAMBDA_1GHZ) * np.linalg.norm(m_vecs, axis=0)
+    return vals, vecs, float(resid.max())
 
 
 def solve_reduced(
@@ -506,15 +509,15 @@ def solve_reduced(
     ``DENSE_MAX_DOFS`` (or three times ``n_modes``) are solved densely.
     Larger ones use shift-invert Lanczos (for a real pencil
     a real LU and ARPACK's symmetric driver) with a deterministic start
-    vector; it is asked for ``ARPACK_GUARD_MODES`` more modes than kept,
-    since its highest Ritz pairs are the loosest.  ARPACK's Ritz vectors
-    for a degenerate cluster (the four rigid-body modes at k = 0) need not
-    be mass-orthogonal to one another, so they are re-based through the
-    Cholesky factor of their mass Gram matrix; the eigenvalues are kept as
-    ARPACK returned them.  Every kept mode must then have a relative
-    residual of at most ``RESIDUAL_TOL``.  If ARPACK stalls, the re-basing
-    fails or a residual is too large, the dense solve is used, up to
-    ``DENSE_FALLBACK_MAX_DOFS``; above that ``NumericalError`` is raised.
+    vector; it is asked for ``ARPACK_GUARD_MODES`` more vectors than modes
+    kept, since its highest are the loosest.  The published modes are the
+    lowest Ritz pairs of the pencil on all of ARPACK's vectors (``_ritz``),
+    not ARPACK's own eigenvalues, so each frequency is its own vector's
+    Rayleigh quotient and bounds the eigenvalue from above; every kept
+    mode must have a relative residual of at most ``RESIDUAL_TOL``.  If
+    ARPACK stalls or the Ritz pairs fail their certificate, the dense solve
+    is used, up to ``DENSE_FALLBACK_MAX_DOFS``; above that
+    ``NumericalError`` is raised.
     """
     n = k_red.shape[0]
     if not 1 <= n_modes <= n:
@@ -539,7 +542,7 @@ def solve_reduced(
         sigma = -LAMBDA_1GHZ
         v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
         try:
-            vals, vecs = eigsh(
+            _, basis = eigsh(
                 k_red,
                 k=min(n_modes + ARPACK_GUARD_MODES, n - 1),
                 M=m_red,
@@ -550,20 +553,13 @@ def solve_reduced(
         except ArpackNoConvergence:
             vals, vecs = dense_solve("ARPACK failed to converge")
         else:
-            order = np.argsort(vals)[:n_modes]
-            vals, vecs = vals[order], vecs[:, order]
-            vecs = _mass_orthonormalize(vecs, m_red)
-            if vecs is None:
+            projected = (basis.conj().T @ (op @ basis) for op in (k_red, m_red))
+            vals, vecs, worst = _ritz(k_red, m_red, basis, *projected, n_modes)
+            if worst > RESIDUAL_TOL:
                 vals, vecs = dense_solve(
-                    "ARPACK returned vectors that cannot be mass-orthonormalized"
+                    f"ARPACK's vectors gave a Ritz pair with relative residual "
+                    f"{worst:.2e} > {RESIDUAL_TOL:g}"
                 )
-            else:
-                worst = _relative_residuals(k_red, m_red, vals, vecs).max()
-                if worst > RESIDUAL_TOL:
-                    vals, vecs = dense_solve(
-                        f"ARPACK returned a mode with relative residual "
-                        f"{worst:.2e} > {RESIDUAL_TOL:g}"
-                    )
     return _frequencies_ghz(vals), vecs
 
 
@@ -718,10 +714,11 @@ def _sector_bands(
     budget b (``_sector_budgets``): one more than the most modes it gives
     the merged lowest ``n_modes`` at any training k.  At every other k each
     sector's projected pencil, with the series' own weights, is solved
-    densely for its lowest b modes, and their Ritz vectors W y are kept
-    only if every one has a relative residual on the sector's whole pencil
-    of at most ``PROJECTED_RESIDUAL_TOL``; otherwise that sector is solved
-    directly there for the modes it keeps.  Then the merge is certified
+    densely for its lowest b Ritz pairs (``_ritz``), and their vectors W y
+    are kept only if they are mass-orthonormal and every one has a relative
+    residual on the sector's whole pencil of at most
+    ``PROJECTED_RESIDUAL_TOL``; otherwise that sector is solved directly
+    there for the modes it keeps.  Then the merge is certified
     (``_uncertified``): a sector with fewer computed modes than it keeps
     must have one that the merge leaves out, and one that has none is
     solved directly there too.  A sector solved in full always passes, and
@@ -732,8 +729,10 @@ def _sector_bands(
     missing: Ritz values only bound the eigenvalues from above, so a band
     whose mode lies almost wholly outside W could drop out of a sector's
     computed modes, shifting the ones above it, while every computed mode
-    still passes.  Vectors are mass-orthonormal in each sector's basis, the
-    kept modes' leading; each k's are made only when it is reached.
+    still passes.  A direct solve at ARPACK sizes publishes Ritz values too
+    (``solve_reduced``), so every eigenvalue not solved densely is an upper
+    bound.  Vectors are mass-orthonormal in each sector's basis, the kept
+    modes' leading; each k's are made only when it is reached.
     """
     if len(k_points) < 2 * TRAINING_K:
         for k in k_points:
@@ -753,13 +752,9 @@ def _sector_bands(
 
     def project(s: int, k: float) -> tuple[np.ndarray, np.ndarray]:
         series, weights = sectors[s], sectors[s].weights(k)
-        vals, coords = eigh(
-            *(np.tensordot(weights, term, axes=1) for term in projected[s]),
-            subset_by_index=[0, budgets[s] - 1],
-        )
-        vecs = bases[s] @ coords
-        residual = _relative_residuals(*series.at(k), vals, vecs).max()
-        if residual <= PROJECTED_RESIDUAL_TOL:
+        small = (np.tensordot(weights, term, axes=1) for term in projected[s])
+        vals, vecs, worst = _ritz(*series.at(k), bases[s], *small, budgets[s])
+        if worst <= PROJECTED_RESIDUAL_TOL:
             return _frequencies_ghz(vals), vecs
         return _solve_sector(series, k, n_modes)
 

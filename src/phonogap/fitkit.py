@@ -272,9 +272,9 @@ def fit_recovery(
 class EllipseFit:
     center_x: float
     center_y: float
-    semi_x: float  # along the rotated first axis
+    semi_x: float  # along the axis within 45 degrees of x
     semi_y: float
-    rotation_rad: float  # in [-pi/2, pi/2); 0 for circles by convention
+    rotation_rad: float  # of the semi_x axis, in [-pi/4, pi/4); 0 for circles
     rms_distance: float
 
 
@@ -345,13 +345,7 @@ def _conic_to_geometry(coeffs: np.ndarray) -> tuple[float, float, float, float, 
     # eigh returns ascending eigenvalues, so axes[0] >= axes[1].
     axes = np.sqrt(scale / evals)
     angle = math.atan2(evecs[1, 0], evecs[0, 0])
-    semi_x, semi_y = float(axes[0]), float(axes[1])
-    # Normalize the angle to [-pi/2, pi/2).
-    while angle >= math.pi / 2.0:
-        angle -= math.pi
-    while angle < -math.pi / 2.0:
-        angle += math.pi
-    return float(cx), float(cy), semi_x, semi_y, float(angle)
+    return float(cx), float(cy), float(axes[0]), float(axes[1]), angle
 
 
 def _ellipse_foot(pts: np.ndarray, geom: np.ndarray):
@@ -424,13 +418,12 @@ def fit_ellipse(points) -> EllipseFit:
     )
 
     cx, cy, ax, ay, phi = best
-    if ax < ay:  # keep the first axis the longer one consistently
+    # Quarter turns bring the first axis within 45 degrees of x; each odd
+    # one swaps the axes.
+    turns = math.floor(phi / (math.pi / 2.0) + 0.5)
+    phi -= turns * (math.pi / 2.0)
+    if turns % 2:
         ax, ay = ay, ax
-        phi += math.pi / 2.0
-    while phi >= math.pi / 2.0:
-        phi -= math.pi
-    while phi < -math.pi / 2.0:
-        phi += math.pi
     if abs(ax - ay) < 1e-9 * (ax + ay):
         phi = 0.0
     rms = math.sqrt(best_val / pts.shape[0])

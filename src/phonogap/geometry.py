@@ -16,7 +16,7 @@ meshes are converted to metres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -121,10 +121,6 @@ class UnitCellParams:
             )
         if self.r > 0:
             solve_fillet(self)  # raises if not constructible
-
-    def replace(self, **changes: float) -> "UnitCellParams":
-        """Return a copy with the given fields updated."""
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ geometry statistics, and the FEM/fit oracles.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ class TestFabricationTolerance:
         for sign in (-1.0, 1.0):
             value = getattr(base, param) + sign * PARAM_SD_NM[param]
             mesh = build_unit_cell_mesh(
-                base.replace(**{param: value}), COARSE_RES
+                replace(base, **{param: value}), COARSE_RES
             )
             bands = band_diagram(mesh, DIAMOND, default_k_path(12), 30)
             gap = primary_gap(find_complete_gaps(bands, 100.0), (30.0, 100.0))
@@ -306,21 +307,14 @@ class TestGeometryEnsembles:
             )
 
     def test_ensemble_statistics_survive_the_fits(self):
-        # fit_ellipse reports the longer semi-axis first, so cells taller
-        # than wide come back rotated by ~pi/2; map the axes back to the
-        # contour frame through the rotation before comparing statistics.
         draws = self.draws()
         fitted = {"w": [], "h": [], "r": [], "t": []}
         for i in range(self.N_CELLS):
             ellipse = fitkit.fit_ellipse(
                 ellipse_points(draws["w"][i] / 2.0, draws["h"][i] / 2.0)
             )
-            if abs(ellipse.rotation_rad) < math.pi / 4.0:
-                width, height = 2.0 * ellipse.semi_x, 2.0 * ellipse.semi_y
-            else:
-                width, height = 2.0 * ellipse.semi_y, 2.0 * ellipse.semi_x
-            fitted["w"].append(width)
-            fitted["h"].append(height)
+            fitted["w"].append(2.0 * ellipse.semi_x)
+            fitted["h"].append(2.0 * ellipse.semi_y)
             fitted["r"].append(fitkit.fit_circle(arc_points(draws["r"][i])).radius)
             upper, lower = tether_edges(draws["t"][i])
             fitted["t"].append(fitkit.fit_tether_width(upper, lower).width_nm)

@@ -709,6 +709,15 @@ class TestPumpProbe:
         assert "too short for the chosen window" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_unbounded_samples_exit_2(self, tmp_path, capsys):
+        # A 1e-9 ns T1 steps a pulse sequence ~1e12 times.
+        assert cli.main([
+            "pumpprobe", "--t1-ns", "1e-9", "--out-dir", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "samples" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_conflicting_rate_specs_exit_2(self, tmp_path):
         assert cli.main([
             "pumpprobe", "--t1-ns", "34", "--gamma-up-mhz", "10",

@@ -105,6 +105,22 @@ class TestGenerator:
 
 
 class TestSimulateSequence:
+    @pytest.mark.parametrize("delay_ns", [1e12, 1e308])
+    def test_overlong_sequence_raises_before_stepping(self, delay_ns):
+        # Stepped one by one, 1e12 ns would take ~1e13 samples.
+        with pytest.raises(InvalidParameterError, match="samples"):
+            dynamics.simulate_sequence(bath_system(34.0),
+                                       PulseSequence(delay_ns=delay_ns))
+
+    def test_sample_bound_is_exact(self, monkeypatch):
+        system, sequence = bath_system(34.0), PulseSequence(delay_ns=50.0)
+        samples = dynamics.simulate_sequence(system, sequence).times_ns.size
+        monkeypatch.setattr(dynamics, "MAX_SAMPLES", samples)
+        assert dynamics.extract_peak_ratio(system, sequence) > 0
+        monkeypatch.setattr(dynamics, "MAX_SAMPLES", samples - 1)
+        with pytest.raises(InvalidParameterError, match="samples"):
+            dynamics.extract_peak_ratio(system, sequence)
+
     def test_no_drive_means_no_fluorescence(self):
         system = LevelSystem(omega_mhz=0.0, gamma_up_mhz=5.0,
                              gamma_down_mhz=10.0)

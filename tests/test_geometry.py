@@ -6,6 +6,7 @@ the meshing code path.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,35 +43,28 @@ class TestUnitCellParams:
         if field == "r" and bad == 0.0:
             pytest.skip("r = 0 legitimately disables the fillet")
         with pytest.raises(InvalidParameterError):
-            UnitCellParams().replace(**{field: bad}).validate()
+            replace(UnitCellParams(), **{field: bad}).validate()
 
     def test_block_must_fit_within_period(self):
         with pytest.raises(InvalidParameterError):
-            UnitCellParams().replace(w=140.0).validate()
+            replace(UnitCellParams(), w=140.0).validate()
 
     def test_tether_cannot_exceed_block_height(self):
         with pytest.raises(InvalidParameterError):
-            UnitCellParams().replace(t=95.0).validate()
+            replace(UnitCellParams(), t=95.0).validate()
 
     def test_degenerate_rectangular_cell_is_valid(self):
         # t == h with no fillet collapses the outline to a straight strip.
-        UnitCellParams().replace(t=89.9, r=0.0).validate()
-
-    def test_replace_returns_modified_copy(self):
-        base = UnitCellParams()
-        other = base.replace(t=25.0)
-        assert other.t == 25.0
-        assert base.t == UnitCellParams().t
-        assert other.w == base.w
+        replace(UnitCellParams(), t=89.9, r=0.0).validate()
 
     def test_oversized_fillet_rejected(self):
         with pytest.raises(InvalidParameterError):
-            UnitCellParams().replace(r=80.0).validate()
+            replace(UnitCellParams(), r=80.0).validate()
 
 
 class TestFillet:
     def test_no_fillet_when_radius_zero(self):
-        assert solve_fillet(UnitCellParams().replace(r=0.0)) is None
+        assert solve_fillet(replace(UnitCellParams(), r=0.0)) is None
 
     def test_tangency_conditions(self):
         params = UnitCellParams()
@@ -225,7 +219,7 @@ class TestMesh:
     def test_rectangular_cell_volume_exact(self):
         # A degenerate cell (t = h, r = 0) meshes into bricks, so quadrature
         # integrates the volume exactly.
-        params = UnitCellParams().replace(t=89.9, r=0.0, w=95.7)
+        params = replace(UnitCellParams(), t=89.9, r=0.0, w=95.7)
         mesh = build_unit_cell_mesh(params, (4, 4, 4))
         exact = params.a * params.h * params.d * NM**3
         assert mesh_volume(mesh) == pytest.approx(exact, rel=1e-12)
@@ -263,7 +257,7 @@ class TestMesh:
 
     def test_invalid_params_refused_before_meshing(self):
         with pytest.raises(InvalidParameterError):
-            build_unit_cell_mesh(UnitCellParams().replace(w=200.0), (4, 4, 4))
+            build_unit_cell_mesh(replace(UnitCellParams(), w=200.0), (4, 4, 4))
 
 
 @settings(max_examples=20, deadline=None)
