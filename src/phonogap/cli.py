@@ -679,8 +679,8 @@ def _pumpprobe_system(args: argparse.Namespace) -> LevelSystem:
     if args.t1_ns is not None:
         if args.gamma_up_mhz is not None or args.gamma_down_mhz is not None:
             raise ConfigError("give either --t1-ns or explicit rates, not both")
-        if args.t1_ns <= 0:
-            raise ConfigError("--t1-ns must be positive")
+        if not 0 < args.t1_ns < math.inf:
+            raise ConfigError(f"--t1-ns must be positive and finite, got {args.t1_ns}")
         rate = 500.0 / args.t1_ns  # split 1/T1 evenly between up and down
         up = down = rate
     else:

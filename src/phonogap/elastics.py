@@ -33,7 +33,8 @@ by a reduced Bloch mode expansion (Hussein, loc. cit.): directly at
 onto the training modes, each projected mode checked on the sector's whole
 pencil.  A shorter path is solved directly at every k.  ``_sector_bands``
 gives the full account.  Each sector has its own basis, so the parities
-stay exact.
+stay exact.  Every mode not solved densely, from ARPACK or the expansion,
+is a Ritz pair (``_ritz``) with a residual of at most ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -77,25 +78,21 @@ RESIDUE_TOL = 1e-14
 #: measured against it instead of their own vanishing eigenvalue.
 LAMBDA_1GHZ = (2 * math.pi * GHZ) ** 2
 
-#: Modes asked of ARPACK beyond the ones kept: its highest Ritz pairs are
-#: the least converged, so they are dropped.
+#: Vectors asked beyond the modes kept, of ARPACK and of each training
+#: solve of ``_sector_bands``: the highest Ritz pairs are the least
+#: converged, and the extra vectors widen the mode expansion's basis.
 ARPACK_GUARD_MODES = 6
 
 #: Largest relative residual |K v - lam M v| / (max(lam, LAMBDA_1GHZ) |M v|)
-#: accepted for a mode from ARPACK; a looser mode sends the solve dense.
-RESIDUAL_TOL = 1e-3
+#: of every Ritz pair published from ARPACK's vectors (``solve_reduced``)
+#: or from the mode expansion (``_sector_bands``); a looser pair sends its
+#: solve dense or direct.  A Ritz value's error goes as its residual
+#: squared, so this holds eigenvalues to about 1e-10.
+RESIDUAL_TOL = 1e-5
 
 #: Path points per parity sector solved directly to train the reduced
 #: Bloch mode expansion of ``_sector_bands``.
 TRAINING_K = 5
-
-#: Largest relative residual, on a sector's whole pencil, of a mode that
-#: ``_sector_bands`` keeps from its projected pencil; a looser mode sends
-#: its sector at that k to the direct solve.  An eigenvalue's error goes as
-#: its residual squared: under ``RESIDUAL_TOL`` projected bands from 1 GHz
-#: up drifted up to 1.9e-9 from the direct solves; under this bound those
-#: from 5 GHz up stayed within 5e-11 on ten perturbed 10,8,4 cells.
-PROJECTED_RESIDUAL_TOL = 1e-5
 
 #: Largest reduced size solved densely from the start.
 DENSE_MAX_DOFS = 600
@@ -507,17 +504,20 @@ def solve_reduced(
     real for a real pencil, with mass-orthonormal columns
     (``max|V^H M V - I| <= MASS_ORTHONORMAL_TOL``).  Systems of up to
     ``DENSE_MAX_DOFS`` (or three times ``n_modes``) are solved densely.
-    Larger ones use shift-invert Lanczos (for a real pencil
-    a real LU and ARPACK's symmetric driver) with a deterministic start
-    vector; it is asked for ``ARPACK_GUARD_MODES`` more vectors than modes
-    kept, since its highest are the loosest.  The published modes are the
-    lowest Ritz pairs of the pencil on all of ARPACK's vectors (``_ritz``),
-    not ARPACK's own eigenvalues, so each frequency is its own vector's
-    Rayleigh quotient and bounds the eigenvalue from above; every kept
-    mode must have a relative residual of at most ``RESIDUAL_TOL``.  If
-    ARPACK stalls or the Ritz pairs fail their certificate, the dense solve
-    is used, up to ``DENSE_FALLBACK_MAX_DOFS``; above that
-    ``NumericalError`` is raised.
+    Larger ones use shift-invert Lanczos (for a real pencil a real LU and
+    ARPACK's symmetric driver) with a deterministic start vector.  It is
+    asked for ``ARPACK_GUARD_MODES`` more vectors than modes kept, since
+    its highest are the loosest, on a Krylov space of three times the
+    vectors asked (at least 20, at most the size): ARPACK's default of
+    about twice left kept modes of the 16,12,6 mesh loose (on ``ncv``, see
+    Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  The
+    published modes are the lowest Ritz pairs of the pencil on all of
+    ARPACK's vectors (``_ritz``), not ARPACK's own eigenvalues, so each
+    frequency is its own vector's Rayleigh quotient and bounds the
+    eigenvalue from above; every kept mode must have a relative residual
+    of at most ``RESIDUAL_TOL``.  If ARPACK stalls or the Ritz pairs fail
+    their certificate, the dense solve is used, up to
+    ``DENSE_FALLBACK_MAX_DOFS``; above that ``NumericalError`` is raised.
     """
     n = k_red.shape[0]
     if not 1 <= n_modes <= n:
@@ -541,14 +541,16 @@ def solve_reduced(
         # when rigid-body modes make K singular at k = 0.
         sigma = -LAMBDA_1GHZ
         v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
+        asked = min(n_modes + ARPACK_GUARD_MODES, n - 1)
         try:
             _, basis = eigsh(
                 k_red,
-                k=min(n_modes + ARPACK_GUARD_MODES, n - 1),
+                k=asked,
                 M=m_red,
                 sigma=sigma,
                 which="LM",
                 v0=v0,
+                ncv=min(n, max(20, 3 * asked)),
             )
         except ArpackNoConvergence:
             vals, vecs = dense_solve("ARPACK failed to converge")
@@ -716,23 +718,21 @@ def _sector_bands(
     sector's projected pencil, with the series' own weights, is solved
     densely for its lowest b Ritz pairs (``_ritz``), and their vectors W y
     are kept only if they are mass-orthonormal and every one has a relative
-    residual on the sector's whole pencil of at most
-    ``PROJECTED_RESIDUAL_TOL``; otherwise that sector is solved directly
-    there for the modes it keeps.  Then the merge is certified
-    (``_uncertified``): a sector with fewer computed modes than it keeps
-    must have one that the merge leaves out, and one that has none is
-    solved directly there too.  A sector solved in full always passes, and
-    its extra modes only push the others' out, so one round of direct
-    solves certifies the k.
+    residual on the sector's whole pencil of at most ``RESIDUAL_TOL``;
+    otherwise that sector is solved directly there for the modes it keeps.
+    Then the merge is certified (``_uncertified``): a sector with fewer
+    computed modes than it keeps must have one that the merge leaves out,
+    and one that has none is solved directly there too.  A sector solved in
+    full always passes, and its extra modes only push the others' out, so
+    one round of direct solves certifies the k.
 
     The residual check certifies each computed mode, not that none is
     missing: Ritz values only bound the eigenvalues from above, so a band
     whose mode lies almost wholly outside W could drop out of a sector's
     computed modes, shifting the ones above it, while every computed mode
-    still passes.  A direct solve at ARPACK sizes publishes Ritz values too
-    (``solve_reduced``), so every eigenvalue not solved densely is an upper
-    bound.  Vectors are mass-orthonormal in each sector's basis, the kept
-    modes' leading; each k's are made only when it is reached.
+    still passes.  Every eigenvalue not solved densely is a Ritz value, an
+    upper bound.  Vectors are mass-orthonormal in each sector's basis, the
+    kept modes' leading; each k's are made only when it is reached.
     """
     if len(k_points) < 2 * TRAINING_K:
         for k in k_points:
@@ -754,7 +754,7 @@ def _sector_bands(
         series, weights = sectors[s], sectors[s].weights(k)
         small = (np.tensordot(weights, term, axes=1) for term in projected[s])
         vals, vecs, worst = _ritz(*series.at(k), bases[s], *small, budgets[s])
-        if worst <= PROJECTED_RESIDUAL_TOL:
+        if worst <= RESIDUAL_TOL:
             return _frequencies_ghz(vals), vecs
         return _solve_sector(series, k, n_modes)
 

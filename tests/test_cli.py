@@ -688,13 +688,18 @@ class TestPumpProbe:
 
     @pytest.mark.parametrize("flag,value", [("--noise", "nan"),
                                             ("--noise", "inf"),
-                                            ("--window-ns", "nan")])
+                                            ("--window-ns", "nan"),
+                                            ("--t1-ns", "inf"),
+                                            ("--t1-ns", "nan")])
     def test_non_finite_setting_exits_2(self, tmp_path, capsys, flag, value):
         assert cli.main([
             "pumpprobe", "--t1-ns", "34", "--taus", "0:170:3", flag, value,
             "--out-dir", str(tmp_path),
         ]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if flag == "--t1-ns":
+            assert "--t1-ns" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag,value", [("--pulse-width-ns", "20"),

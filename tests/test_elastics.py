@@ -661,6 +661,23 @@ def assert_ritz_values(k_red, m_red, n_modes):
     assert np.all((ref - lam)[live] <= 1e-9 * np.maximum(ref[live], floor))
 
 
+def krylov_dim(n, k):
+    """The Krylov dimension ``solve_reduced`` gives ARPACK for ``k``
+    vectors of an ``n``-DOF pencil."""
+    return min(n, max(20, 3 * k))
+
+
+@pytest.fixture(scope="module")
+def fine_sectors():
+    """The sector series of the nominal 16,12,6 cell too large to solve
+    densely."""
+    mesh = build_unit_cell_mesh(UnitCellParams(), (16, 12, 6))
+    k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
+    operator = elastics._bloch_operator(mesh, k_mat, m_mat)
+    return [series for _, series in sector_series(operator, mesh, k_mat, m_mat)
+            if series.size > elastics.DENSE_MAX_DOFS]
+
+
 class TestArpackGuard:
     @staticmethod
     def loosen_top_mode(monkeypatch, real_eigsh):
@@ -669,10 +686,13 @@ class TestArpackGuard:
         # kept mode, so no Ritz pair on it is exact; mixing in one of the
         # returned guard vectors instead would leave the span, and so the
         # Ritz pairs, as they were.
-        def loose_eigsh(*args, **kwargs):
-            vals, vecs = real_eigsh(*args, **{**kwargs, "k": kwargs["k"] + 1})
+        def loose_eigsh(k_red, **kwargs):
+            n, k = k_red.shape[0], kwargs["k"]
+            assert kwargs["ncv"] == krylov_dim(n, k)
+            vals, vecs = real_eigsh(
+                k_red, **{**kwargs, "k": k + 1, "ncv": krylov_dim(n, k + 1)})
             order = np.argsort(vals)
-            top = order[kwargs["k"] - elastics.ARPACK_GUARD_MODES - 1]
+            top = order[k - elastics.ARPACK_GUARD_MODES - 1]
             vecs = vecs.copy()
             vecs[:, top] += 0.1 * vecs[:, order[-1]]
             return vals[order[:-1]], vecs[:, order[:-1]]
@@ -697,7 +717,8 @@ class TestArpackGuard:
         k_red = sp.diags(lam, format="csr")
         m_red = sp.identity(n, format="csr")
 
-        def exact_eigsh(k_red, k, **_):
+        def exact_eigsh(k_red, k, ncv, **_):
+            assert ncv == krylov_dim(n, k)
             return lam[:k].copy(), np.eye(n, k)
 
         self.loosen_top_mode(monkeypatch, exact_eigsh)
@@ -710,10 +731,28 @@ class TestArpackGuard:
         np.testing.assert_allclose(freqs, [1.0, 2.0])
 
     def test_published_values_are_ritz_values(self, reference_mesh,
-                                              reference_operators, bench_cell):
+                                              reference_operators, bench_cell,
+                                              fine_sectors, monkeypatch):
         # Both 612-DOF sectors of 12,10,5 take ARPACK, asked for the 26
         # kept modes plus the guard modes as a training solve is, and the
-        # whole 1,350-DOF pencil of 10,8,4 does at k = 0.37.
+        # whole 1,350-DOF pencil of 10,8,4 does at k = 0.37.  So do the
+        # 16,12,6 sectors at the ends of the path, asked for 30 modes plus
+        # the guard modes.  Every solve passes its certificate with no
+        # dense solve of the whole pencil.
+        certificates, dense_sizes = [], []
+        ritz, dense = elastics._ritz, elastics.eigh
+
+        def recording_ritz(*args):
+            vals, vecs, worst = ritz(*args)
+            certificates.append(worst)
+            return vals, vecs, worst
+
+        def recording_eigh(a, *args, **kwargs):
+            dense_sizes.append(a.shape[0])
+            return dense(a, *args, **kwargs)
+
+        monkeypatch.setattr(elastics, "_ritz", recording_ritz)
+        monkeypatch.setattr(elastics, "eigh", recording_eigh)
         k_mat, m_mat = reference_operators
         operator = elastics._bloch_operator(reference_mesh, k_mat, m_mat)
         sectors = [series for _, series in
@@ -727,6 +766,13 @@ class TestArpackGuard:
         problem = make_bloch_problem(mesh, 0.37, k_mat, m_mat)
         assert problem.n_dofs > 600
         assert_ritz_values(problem.stiffness, problem.mass, 26)
+        assert fine_sectors
+        for series in fine_sectors:
+            for k in (0.0, 1.0):
+                assert_ritz_values(*series.at(k), 30 + elastics.ARPACK_GUARD_MODES)
+        assert len(certificates) == 7 + 2 * len(fine_sectors)
+        assert max(certificates) <= elastics.RESIDUAL_TOL
+        assert max(dense_sizes) < elastics.DENSE_MAX_DOFS
 
 
 def mirror_overlaps(modes, mesh, m_mat):
@@ -1072,7 +1118,7 @@ class TestModeExpansion:
                                                           monkeypatch):
         # With no residual accepted every projected k is solved directly for
         # the kept modes.
-        monkeypatch.setattr(elastics, "PROJECTED_RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(elastics, "RESIDUAL_TOL", 0.0)
         assert_direct_path(bench_cell[0])
 
     def test_unorthonormal_projections_fall_back_to_direct_solves(
