@@ -145,6 +145,10 @@ class RunConfig:
             )
         if len(self.sweep_values_nm) < 1:
             raise ConfigError("sweep_values_nm must not be empty")
+        if len(set(self.sweep_values_nm)) < len(self.sweep_values_nm):
+            raise ConfigError(
+                f"sweep_values_nm must be distinct, got {self.sweep_values_nm}"
+            )
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -698,6 +702,8 @@ def _pumpprobe_system(args: argparse.Namespace) -> LevelSystem:
 
 
 def cmd_pumpprobe(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     system = _pumpprobe_system(args)
     taus = args.taus
     if taus is None:

@@ -55,7 +55,6 @@ class LevelSystem:
     beta: float = 0.5
     gamma_up_mhz: float = 0.0
     gamma_down_mhz: float = 0.0
-    initial_populations: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         for name in ("omega_mhz", "gamma_up_mhz", "gamma_down_mhz"):
@@ -66,12 +65,6 @@ class LevelSystem:
             raise InvalidParameterError(
                 f"branching fraction must lie in [0, 1], got {self.beta}"
             )
-        if self.initial_populations is not None:
-            p = np.asarray(self.initial_populations, dtype=float)
-            if p.shape != (3,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-                raise InvalidParameterError(
-                    "initial populations must be 3 non-negative values summing to 1"
-                )
 
     @property
     def t1_ns(self) -> float:
@@ -129,12 +122,6 @@ def generator(system: LevelSystem, pump_fraction: float = 1.0) -> np.ndarray:
             [omega, 0.0, -omega - gamma],
         ]
     )
-
-
-def _initial_populations(system: LevelSystem) -> np.ndarray:
-    if system.initial_populations is not None:
-        return np.asarray(system.initial_populations, dtype=float)
-    return system.thermal_populations()
 
 
 def _check_conservation(populations: np.ndarray) -> None:
@@ -199,7 +186,7 @@ def simulate_sequence(
     """
     segments = _segments(system, sequence)
     populations = np.empty((1 + sum(count for _, count, _ in segments), 3))
-    populations[0] = _initial_populations(system)
+    populations[0] = system.thermal_populations()
     start = 0
     for _, count, prop in segments:
         for i in range(start, start + count):
@@ -229,7 +216,7 @@ def _window_populations(
     """
     segments = _segments(system, sequence)
     times = _sample_times(segments)
-    states = [_initial_populations(system)]
+    states = [system.thermal_populations()]
     for _, count, prop in segments:
         states.append(np.linalg.matrix_power(prop, count) @ states[-1])
     _check_conservation(np.stack(states))

@@ -383,19 +383,14 @@ def _bloch_operator(
             "mesh is not mirror-symmetric along the beam axis in its node "
             "lattice; the real Bloch form needs it"
         )
-    n = mesh.n_dofs
-    slave, master = (
-        (3 * nodes[:, None] + np.arange(3)).ravel()
-        for nodes in (mesh.slave_nodes, mesh.master_nodes)
-    )
-    keep = np.setdiff1d(np.arange(n), slave)
-    column = np.full(n, -1, dtype=np.int64)
-    column[keep] = np.arange(keep.size)
-    column[slave] = column[master]
-    inside = np.setdiff1d(keep, master)
+    # In lattice order the master face's DOFs come first and the slave
+    # face's last, so the reduced DOFs are all but the last face, and slave
+    # DOF d is tied to master column d % keep.
+    n, face = mesh.n_dofs, 3 * mesh.master_nodes.size
+    keep = n - face
     faces = tuple(
-        sp.csr_matrix((np.ones(rows.size), (rows, column[rows])), shape=(n, keep.size))
-        for rows in (inside, master, slave)
+        sp.csr_matrix((np.ones(rows.size), (rows, rows % keep)), shape=(n, keep))
+        for rows in (np.arange(face, keep), np.arange(face), np.arange(keep, n))
     )
     shifts = (0, -1, 1)
     blocks = []
@@ -412,8 +407,8 @@ def _bloch_operator(
         blocks = [by_shift[:2] for by_shift in blocks]
     # An involution with one entry per column is a signed permutation.
     x_mirror = _reduced_mirror(faces, _signed_mirror(perm, 0))
-    eye = sp.identity(keep.size)
-    if x_mirror.nnz != keep.size or abs(x_mirror @ x_mirror - eye).max() > 0:
+    eye = sp.identity(keep)
+    if x_mirror.nnz != keep or abs(x_mirror @ x_mirror - eye).max() > 0:
         raise NumericalError(
             "the x-mirror does not map the Bloch space onto itself; "
             "the periodic faces do not match the mirror"

@@ -271,25 +271,21 @@ def half_width_profile(params: UnitCellParams, x_nm: np.ndarray) -> np.ndarray:
     return y
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Structured 8-node hexahedral mesh with one periodic direction (x).
 
-    Nodes are numbered in lattice order, an invariant of every builder:
-    node ``(i * (ny + 1) + j) * (nz + 1) + k`` is the node at grid index
-    ``(i, j, k)`` of ``grid_shape`` ``(nx, ny, nz)``, x-major, then y, then
-    z, each index counting up its axis.  So a mirror across a mid-plane is
-    that lattice read backwards along the axis (``mirror_nodes``).
+    A mesh is its node lattice: node ``(i * (ny + 1) + j) * (nz + 1) + k``
+    is the node at grid index ``(i, j, k)`` of ``grid_shape``
+    ``(nx, ny, nz)``, x-major, then y, then z, each index counting up its
+    axis.  Everything else is read from that numbering: the elements, the
+    periodic faces (lattice planes ``i = 0`` and ``i = nx``) and the mirrors
+    across the mid-planes (the lattice read backwards along an axis).
 
     Attributes
     ----------
-    nodes : ndarray, shape (N, 3)
-        Node coordinates in metres.
-    elements : ndarray, shape (E, 8)
-        Connectivity; node ordering follows :data:`HEX_REF_NODES`.
-    master_nodes, slave_nodes : ndarray
-        Matching node indices on the ``x = 0`` and ``x = period`` faces,
-        aligned entry by entry.
+    nodes : ndarray, shape ((nx + 1) (ny + 1) (nz + 1), 3)
+        Node coordinates in metres, in lattice order.
     period_m : float
         Axial period in metres.
     grid_shape : tuple
@@ -297,11 +293,16 @@ class Mesh:
     """
 
     nodes: np.ndarray
-    elements: np.ndarray
-    master_nodes: np.ndarray
-    slave_nodes: np.ndarray
     period_m: float
     grid_shape: tuple
+
+    def __post_init__(self):
+        expected = (math.prod(n + 1 for n in self.grid_shape), 3)
+        if np.shape(self.nodes) != expected:
+            raise InvalidParameterError(
+                f"a {self.grid_shape} mesh needs nodes of shape {expected}, "
+                f"got {np.shape(self.nodes)}"
+            )
 
     @property
     def n_nodes(self) -> int:
@@ -310,6 +311,33 @@ class Mesh:
     @property
     def n_dofs(self) -> int:
         return 3 * self.nodes.shape[0]
+
+    def _lattice(self) -> np.ndarray:
+        """Node numbers laid out on the grid, shape ``grid_shape + 1``."""
+        return np.arange(self.n_nodes).reshape([n + 1 for n in self.grid_shape])
+
+    @property
+    def elements(self) -> np.ndarray:
+        """Connectivity, shape (E, 8): element ``(i * ny + j) * nz + k``
+        spans grid cell ``(i, j, k)``, its corners in the order of
+        :data:`HEX_REF_NODES`."""
+        lattice = self._lattice()
+        nx, ny, nz = self.grid_shape
+        return np.stack(
+            [lattice[a : a + nx, b : b + ny, c : c + nz].ravel()
+             for a, b, c in ((HEX_REF_NODES + 1) // 2).astype(int)],
+            axis=1,
+        )
+
+    @property
+    def master_nodes(self) -> np.ndarray:
+        """Nodes of the ``x = 0`` face, in lattice order."""
+        return self._lattice()[0].ravel()
+
+    @property
+    def slave_nodes(self) -> np.ndarray:
+        """Nodes of the ``x = period`` face, aligned with ``master_nodes``."""
+        return self._lattice()[-1].ravel()
 
     def element_corner_coords(self) -> np.ndarray:
         """Per-element corner coordinates, shape (E, 8, 3)."""
@@ -324,8 +352,7 @@ class Mesh:
         extent from the mirror image of its partner: the mesh is crooked,
         or its nodes are not in lattice order.
         """
-        lattice = np.arange(self.n_nodes).reshape([n + 1 for n in self.grid_shape])
-        perm = np.flip(lattice, axis).ravel()
+        perm = np.flip(self._lattice(), axis).ravel()
         coords = self.nodes
         along = coords[:, axis]
         flipped = coords.copy()
@@ -362,39 +389,11 @@ def _build_channel_mesh(
     eta = np.linspace(-1.0, 1.0, ny + 1)
     z = np.linspace(0.0, depth_nm, nz + 1)
 
-    # Node layout: the lattice order of ``Mesh``.
-    nodes = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
-    node_id = np.arange(len(nodes)).reshape(nx + 1, ny + 1, nz + 1)
-    xx = np.repeat(x, (ny + 1) * (nz + 1))
-    yy = np.tile(np.repeat(eta, nz + 1), nx + 1) * np.repeat(
-        half_width, (ny + 1) * (nz + 1)
-    )
-    zz = np.tile(z, (nx + 1) * (ny + 1))
-    nodes[:, 0], nodes[:, 1], nodes[:, 2] = xx * NM, yy * NM, zz * NM
-
-    i, j, k = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    i, j, k = i.ravel(), j.ravel(), k.ravel()
-    elements = np.stack(
-        [
-            node_id[i, j, k],
-            node_id[i + 1, j, k],
-            node_id[i + 1, j + 1, k],
-            node_id[i, j + 1, k],
-            node_id[i, j, k + 1],
-            node_id[i + 1, j, k + 1],
-            node_id[i + 1, j + 1, k + 1],
-            node_id[i, j + 1, k + 1],
-        ],
-        axis=1,
-    ).astype(np.int64)
-
+    # C order of the "ij" grid is the lattice order of ``Mesh``.
+    xx, ee, zz = np.meshgrid(x, eta, z, indexing="ij")
+    yy = ee * half_width[:, None, None]
     mesh = Mesh(
-        nodes=nodes,
-        elements=elements,
-        master_nodes=node_id[0].ravel().copy(),
-        slave_nodes=node_id[nx].ravel().copy(),
+        nodes=np.stack([xx, yy, zz], axis=-1).reshape(-1, 3) * NM,
         period_m=period_nm * NM,
         grid_shape=(nx, ny, nz),
     )

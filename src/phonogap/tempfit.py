@@ -146,6 +146,10 @@ def select_model(data: RateSeries, exponents=SUPPORTED_EXPONENTS):
     exponents = tuple(exponents)
     if not exponents:
         raise InvalidParameterError("need at least one candidate exponent")
+    if len(set(exponents)) < len(exponents):
+        raise InvalidParameterError(
+            f"candidate exponents must be distinct, got {exponents}"
+        )
     fits = [fit_power_model(data, p) for p in exponents]
     return sorted(fits, key=lambda fit: fit.wrss)
 

@@ -416,6 +416,8 @@ class TestGap:
         argv = ["sweep", *COARSE, "--sweep-param", "w", "--out-dir", str(tmp_path)]
         assert cli.main([*argv, "--sweep-values-nm", "95,110,200"]) == 2
         assert "must be smaller than the period" in capsys.readouterr().err
+        assert cli.main([*argv, "--sweep-values-nm", "110,110"]) == 2
+        assert "sweep_values_nm must be distinct" in capsys.readouterr().err
         assert calls == []
         assert not list(tmp_path.glob("sweep-*"))
         # The stub does see the solves of a valid sweep: the first cell's.
@@ -702,6 +704,14 @@ class TestPumpProbe:
             assert "--t1-ns" in err
         assert not list(tmp_path.iterdir())
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert cli.main([
+            "pumpprobe", "--t1-ns", "34", "--noise", "0.02", "--seed", "-1",
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag,value", [("--pulse-width-ns", "20"),
                                             ("--window-ns", "200")])
     def test_pulses_too_short_for_window_exit_2(self, tmp_path, capsys,
@@ -832,6 +842,8 @@ class TestFitTemp:
         base = ["fit-temp", "--input", str(src), "--out-dir", str(tmp_path)]
         assert cli.main(base + ["--models", "1,x"]) == 2
         assert cli.main(base + ["--models", "2"]) == 2
+        assert cli.main(base + ["--models", "1,1"]) == 2
+        assert not list(tmp_path.glob("fit-temp-*"))
 
 
 def ellipse_contour(path, semi_x, semi_y, n=40):

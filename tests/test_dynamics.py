@@ -13,12 +13,11 @@ from phonogap.dynamics import LevelSystem, PulseSequence
 from phonogap.errors import ExtractionError, InvalidParameterError, NumericalError
 
 
-def bath_system(t1_ns, up_fraction=0.3, **kwargs):
+def bath_system(t1_ns, up_fraction=0.3):
     total = 1.0e3 / t1_ns
     return LevelSystem(
         gamma_up_mhz=up_fraction * total,
         gamma_down_mhz=(1.0 - up_fraction) * total,
-        **kwargs,
     )
 
 
@@ -54,12 +53,6 @@ class TestLevelSystem:
             LevelSystem(beta=1.5)
         with pytest.raises(InvalidParameterError):
             LevelSystem(beta=-0.1)
-
-    def test_rejects_bad_initial_populations(self):
-        with pytest.raises(InvalidParameterError):
-            LevelSystem(initial_populations=(0.5, 0.6, 0.0))
-        with pytest.raises(InvalidParameterError):
-            LevelSystem(initial_populations=(1.2, -0.2, 0.0))
 
     def test_lifetime_property(self):
         assert LevelSystem().t1_ns == math.inf
@@ -153,18 +146,6 @@ class TestSimulateSequence:
         assert np.array_equal(a.signal, b.signal)
         assert np.array_equal(a.times_ns, b.times_ns)
 
-    def test_initial_populations_honored(self):
-        system = LevelSystem(
-            omega_mhz=0.0,
-            gamma_up_mhz=0.0,
-            gamma_down_mhz=0.0,
-            initial_populations=(0.2, 0.8, 0.0),
-        )
-        trace = dynamics.simulate_sequence(
-            system, PulseSequence(delay_ns=10.0)
-        )
-        assert np.allclose(trace.populations[-1], [0.2, 0.8, 0.0])
-
     @given(
         omega=st.floats(10.0, 1500.0),
         up=st.floats(0.1, 40.0),
@@ -194,7 +175,7 @@ class TestSimulateSequence:
         prop = self.leaky_propagator(-1e-6)
         monkeypatch.setattr(dynamics, "_segments",
                             lambda system, sequence: [(1.0, 3, prop)])
-        system = LevelSystem(initial_populations=(0.5, 0.5, 0.0))
+        system = LevelSystem()
         with pytest.raises(NumericalError, match="went negative"):
             dynamics.simulate_sequence(system, PulseSequence(delay_ns=10.0))
 
@@ -202,7 +183,7 @@ class TestSimulateSequence:
         prop = self.leaky_propagator(-2e-16)
         monkeypatch.setattr(dynamics, "_segments",
                             lambda system, sequence: [(1.0, 1, prop)])
-        system = LevelSystem(initial_populations=(0.5, 0.5, 0.0))
+        system = LevelSystem()
         trace = dynamics.simulate_sequence(system, PulseSequence(delay_ns=10.0))
         assert trace.populations[1, 2] == pytest.approx(-1e-16, rel=1e-6)
         np.testing.assert_array_equal(trace.signal, [0.0, 0.0])
@@ -276,15 +257,13 @@ class TestExtractPeakRatio:
 class TestClosedFormWindows:
     """The closed-form window sums against the stepped trace."""
 
-    @pytest.mark.parametrize("variant", ["bath", "frozen", "initial"])
+    @pytest.mark.parametrize("variant", ["bath", "frozen"])
     @pytest.mark.parametrize("width", [300.0, 60.0])
     @pytest.mark.parametrize("delay_t1", [0.0, 0.7, 5.0])
     @pytest.mark.parametrize("t1", [34.0, 486.0])
     def test_ratio_matches_stepped_trace(self, t1, delay_t1, width, variant):
         if variant == "frozen":
             system = LevelSystem(beta=1.0)
-        elif variant == "initial":
-            system = bath_system(t1, initial_populations=(0.6, 0.3, 0.1))
         else:
             system = bath_system(t1)
         seq = PulseSequence(delay_ns=delay_t1 * t1, width_ns=width)
@@ -294,7 +273,7 @@ class TestClosedFormWindows:
     def test_windows_across_segments_match_stepped_means(self):
         # Windows from t = 0, across every segment edge, and ending exactly
         # on one; the ratio windows never cross an edge.
-        system = bath_system(34.0, initial_populations=(0.1, 0.2, 0.7))
+        system = bath_system(34.0)
         seq = PulseSequence(delay_ns=40.0, width_ns=60.0)
         trace = dynamics.simulate_sequence(system, seq)
         end = float(trace.times_ns[-1])

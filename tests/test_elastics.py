@@ -47,14 +47,17 @@ from test_geometry import mesh_volume
 
 
 def single_element_mesh(corners: np.ndarray) -> Mesh:
-    return Mesh(
-        nodes=np.asarray(corners, dtype=float),
-        elements=np.arange(8, dtype=np.int64).reshape(1, 8),
-        master_nodes=np.array([], dtype=np.int64),
-        slave_nodes=np.array([], dtype=np.int64),
-        period_m=1.0,
-        grid_shape=(1, 1, 1),
-    )
+    """One element whose corners, given in :data:`HEX_REF_NODES` order,
+    sit at their positions in the 2x2x2 node lattice."""
+    nodes = np.empty((8, 3))
+    nodes[((HEX_REF_NODES + 1) // 2).astype(int) @ [4, 2, 1]] = corners
+    return Mesh(nodes=nodes, period_m=1.0, grid_shape=(1, 1, 1))
+
+
+def element_order(mesh: Mesh, mat) -> np.ndarray:
+    """The dense one-element matrix ``mat`` in element DOF order."""
+    dofs = (3 * mesh.elements[0][:, None] + np.arange(3)).ravel()
+    return mat.toarray()[np.ix_(dofs, dofs)]
 
 
 def element_matrices_oracle(coords, material, n_gauss):
@@ -183,10 +186,12 @@ class TestAssembly:
         k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
         k_ref, m_ref = element_matrices_oracle(coords, DIAMOND, n_gauss=4)
         np.testing.assert_allclose(
-            k_mat.toarray(), k_ref, rtol=1e-10, atol=1e-10 * np.abs(k_ref).max()
+            element_order(mesh, k_mat), k_ref, rtol=1e-10,
+            atol=1e-10 * np.abs(k_ref).max()
         )
         np.testing.assert_allclose(
-            m_mat.toarray(), m_ref, rtol=1e-10, atol=1e-12 * np.abs(m_ref).max()
+            element_order(mesh, m_mat), m_ref, rtol=1e-10,
+            atol=1e-12 * np.abs(m_ref).max()
         )
 
     def test_distorted_element_matches_same_rule_reference(self):
@@ -199,10 +204,12 @@ class TestAssembly:
         k_mat, m_mat = elastics.assemble(mesh, DIAMOND)
         k_ref, m_ref = element_matrices_oracle(coords, DIAMOND, n_gauss=2)
         np.testing.assert_allclose(
-            k_mat.toarray(), k_ref, rtol=1e-12, atol=1e-12 * np.abs(k_ref).max()
+            element_order(mesh, k_mat), k_ref, rtol=1e-12,
+            atol=1e-12 * np.abs(k_ref).max()
         )
         np.testing.assert_allclose(
-            m_mat.toarray(), m_ref, rtol=1e-12, atol=1e-14 * np.abs(m_ref).max()
+            element_order(mesh, m_mat), m_ref, rtol=1e-12,
+            atol=1e-14 * np.abs(m_ref).max()
         )
 
     def test_matrices_symmetric(self, reference_operators):
@@ -552,10 +559,7 @@ class TestRealForm:
         mesh, k_mat, m_mat = small_cell
         nodes = mesh.nodes.copy()
         nodes[mesh.grid_shape[2] + 3, 0] += 0.05 * mesh.period_m / mesh.grid_shape[0]
-        crooked = Mesh(nodes=nodes, elements=mesh.elements,
-                       master_nodes=mesh.master_nodes,
-                       slave_nodes=mesh.slave_nodes, period_m=mesh.period_m,
-                       grid_shape=mesh.grid_shape)
+        crooked = dataclasses.replace(mesh, nodes=nodes)
         with pytest.raises(NumericalError, match="mirror-symmetric"):
             make_bloch_problem(crooked, 0.3, k_mat, m_mat)
 
@@ -881,14 +885,7 @@ class TestParity:
         # Only the y and z mirrors break: the node's x-mirror image is itself.
         nodes = nanobeam_mesh.nodes.copy()
         nodes[mid_plane_node(nanobeam_mesh), 1] *= 1.5
-        crooked = Mesh(
-            nodes=nodes,
-            elements=nanobeam_mesh.elements,
-            master_nodes=nanobeam_mesh.master_nodes,
-            slave_nodes=nanobeam_mesh.slave_nodes,
-            period_m=nanobeam_mesh.period_m,
-            grid_shape=nanobeam_mesh.grid_shape,
-        )
+        crooked = dataclasses.replace(nanobeam_mesh, nodes=nodes)
         with pytest.raises(ClassificationError):
             reflection_maps(crooked)
         with pytest.raises(ClassificationError):
@@ -960,24 +957,21 @@ class TestParity:
         assert crooked.mirror_nodes(2) is None
 
     def test_renumbered_mesh_rejected(self, nanobeam_mesh):
-        # The same symmetric solid with its nodes numbered out of lattice
-        # order: every node still has a mirror partner, but the lattice no
-        # longer names it, so the call fails instead of pairing the wrong
-        # nodes and labelling bands by them.
+        # The same symmetric node set given out of lattice order: every node
+        # still has a mirror partner, but the lattice no longer names it,
+        # and the elements the lattice reads are turned inside out.  The
+        # calls fail instead of pairing the wrong nodes and labelling bands
+        # by them.
         mesh = nanobeam_mesh
         order = np.random.default_rng(7).permutation(mesh.n_nodes)
-        number = np.argsort(order)  # node i of mesh is node number[i] here
-        renumbered = dataclasses.replace(
-            mesh, nodes=mesh.nodes[order], elements=number[mesh.elements],
-            master_nodes=number[mesh.master_nodes],
-            slave_nodes=number[mesh.slave_nodes])
+        scrambled = dataclasses.replace(mesh, nodes=mesh.nodes[order])
         for axis in range(3):
-            nearest_mirror_nodes(renumbered, axis)
-            assert renumbered.mirror_nodes(axis) is None
-        with pytest.raises(NumericalError, match="node lattice"):
-            band_diagram(renumbered, DIAMOND, [0.5], 6)
+            nearest_mirror_nodes(scrambled, axis)
+            assert scrambled.mirror_nodes(axis) is None
         with pytest.raises(ClassificationError, match="node lattice"):
-            reflection_maps(renumbered)
+            reflection_maps(scrambled)
+        with pytest.raises(InvalidParameterError, match="non-positive Jacobians"):
+            band_diagram(scrambled, DIAMOND, [0.5], 6)
 
     def test_mirror_matches_run_once_per_band_diagram(self, small_cell,
                                                       monkeypatch):

@@ -245,6 +245,12 @@ class TestMesh:
         for axis, coord in enumerate((x, y, z)):
             assert np.all(np.diff(coord, axis=axis) > 0)
 
+    def test_nodes_must_fill_the_lattice(self):
+        mesh = build_nanobeam_mesh(90.0, 70.0, 129.6, (1, 4, 3))
+        for nodes in (mesh.nodes[:-1], mesh.nodes[:, :2]):
+            with pytest.raises(InvalidParameterError, match="shape"):
+                replace(mesh, nodes=nodes)
+
     def test_rejects_too_coarse_unit_cell(self):
         with pytest.raises(InvalidParameterError):
             build_unit_cell_mesh(UnitCellParams(), (3, 4, 4))

@@ -252,6 +252,10 @@ class TestSelectModel:
         with pytest.raises(InvalidParameterError, match="candidate"):
             select_model(bulk_series(seed=1), ())
 
+    def test_repeated_exponent_rejected(self):
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            select_model(bulk_series(seed=1), (1, 3, 1))
+
     def test_restricted_linear_regime_recovers_slope(self):
         # Piecewise data: linear up to 13 K, cubic-dominated above.  A fit
         # restricted to the low range should see only the linear law.
