@@ -265,7 +265,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Either 'lo:hi:n' (inclusive linspace) or a comma-separated list."""
+    """Either 'lo:hi:n' (inclusive linspace) or a comma-separated list, of
+    distinct values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -275,8 +276,14 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 1:
             raise argparse.ArgumentTypeError("range spec needs n >= 1")
-        return np.linspace(lo, hi, n)
-    return np.array(_parse_float_list(text))
+        grid = np.linspace(lo, hi, n)
+    else:
+        grid = np.array(_parse_float_list(text))
+    if np.unique(grid).size < grid.size:
+        raise argparse.ArgumentTypeError(
+            f"grid values must be distinct, got {text!r}"
+        )
+    return grid
 
 
 #: Flag settings that the type of a ``RunConfig`` default cannot give.

@@ -104,6 +104,13 @@ def primary_gap(gaps: Sequence[Gap], window_ghz: tuple[float, float]) -> Gap | N
     return best
 
 
+#: Grid rows of the DOS kernel held at once.  1601 = 12 x 128 + 65: the last
+#: block has many rows, so every block takes the same matrix-vector product
+#: and the curve matches the whole kernel's bit for bit (a one-row tail
+#: would take another BLAS path and can differ by one ulp).
+_DOS_BLOCK_ROWS = 128
+
+
 @dataclass(frozen=True)
 class DosCurve:
     """Phonon density of states per unit cell, states per GHz."""
@@ -135,6 +142,10 @@ def compute_dos(bands: BandStructure, broadening_ghz: float) -> DosCurve:
     sampling must resolve the band slopes: if any band jumps by more than
     three broadening widths between adjacent k points the histogram would
     alias, which raises :class:`SamplingError`.
+
+    The Gaussian kernel is evaluated ``_DOS_BLOCK_ROWS`` grid rows at a time,
+    so memory scales with block rows x samples (samples = k points x bands),
+    not with the 1601 grid rows x samples of the whole kernel.
     """
     if not (math.isfinite(broadening_ghz) and broadening_ghz > 0):
         raise InvalidParameterError(
@@ -153,7 +164,12 @@ def compute_dos(bands: BandStructure, broadening_ghz: float) -> DosCurve:
 
     grid = np.linspace(0.0, f.max() + 5.0 * broadening_ghz, 1601)
     sigma = broadening_ghz
-    diff = grid[:, None] - f.reshape(1, -1)
-    kernel = np.exp(-0.5 * (diff / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    samples = f.reshape(1, -1)
     per_sample = np.repeat(weights, f.shape[1])
-    return DosCurve(grid, kernel @ per_sample)
+    dos = np.empty_like(grid)
+    for start in range(0, grid.size, _DOS_BLOCK_ROWS):
+        rows = slice(start, start + _DOS_BLOCK_ROWS)
+        diff = grid[rows, None] - samples
+        kernel = np.exp(-0.5 * (diff / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        dos[rows] = kernel @ per_sample
+    return DosCurve(grid, dos)

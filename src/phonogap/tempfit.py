@@ -46,6 +46,10 @@ class RateSeries:
             raise InvalidParameterError("uncertainties must be positive")
         if not np.all(np.isfinite(temps)) or not np.all(np.isfinite(rates)):
             raise InvalidParameterError("temperatures and rates must be finite")
+        if np.any(temps < 0):
+            raise InvalidParameterError(
+                f"temperatures must be >= 0 K, got {temps.min()}"
+            )
         order = np.argsort(temps, kind="stable")
         temps, rates, sigmas = temps[order], rates[order], sigmas[order]
         if np.any(np.diff(temps) <= 0):

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonogap import cli
+from phonogap import cli, elastics
 from phonogap.errors import ConfigError, NumericalError
 from phonogap.rates import KB_OVER_H_GHZ_PER_K
+from test_elastics import relative_errors
 
 COARSE = ("--resolution", "8,6,4", "--n-kpoints", "8", "--n-modes", "24")
 NANOBEAM = (
@@ -88,6 +89,23 @@ def only_dir(root, prefix):
     matches = [p for p in root.iterdir() if p.name.startswith(prefix + "-")]
     assert len(matches) == 1, matches
     return matches[0]
+
+
+def bands_csv_on_blas_threads(argv, threads, out):
+    """``bands.csv`` of a band command run in a fresh interpreter with
+    ``threads`` BLAS/OpenMP threads."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "phonogap", *argv, "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return only_dir(out, argv[0]) / "bands.csv"
 
 
 @pytest.fixture(scope="module")
@@ -284,25 +302,32 @@ class TestBands:
     def test_csv_independent_of_blas_threads(self, tmp_path):
         # The four k = 0 rigid modes are numerical zeros: they print 0 and
         # list in sector order, whatever rounding the thread count brings.
-        src = Path(cli.__file__).resolve().parents[1]
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(src), *filter(None, [env.get("PYTHONPATH")])]
-            )
-            out = tmp_path / threads
-            done = subprocess.run(
-                [sys.executable, "-m", "phonogap", *RUNS["bands-single-k"][0],
-                 "--out-dir", str(out)],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert done.returncode == 0, done.stderr
-            outputs.append((only_dir(out, "bands") / "bands.csv").read_bytes())
+        outputs = [
+            bands_csv_on_blas_threads(RUNS["bands-single-k"][0], threads,
+                                      tmp_path / threads).read_bytes()
+            for threads in ("1", "2")
+        ]
         assert outputs[0] == outputs[1]
         rows = outputs[0].decode().splitlines()[1:5]
         assert [row.split(",")[2] for row in rows] == ["0"] * 4
+
+    def test_mode_expansion_independent_of_blas_threads(self, tmp_path):
+        # A path this long is solved by the Bloch mode expansion.  The
+        # thread count may move its last digits, within the band-vs-dense
+        # bound of tests/test_elastics.py, but no label or row.
+        argv = ("bands", "--resolution", "6,5,4", "--n-kpoints", "12",
+                "--n-modes", "10")
+        assert int(argv[4]) >= 2 * elastics.TRAINING_K
+        one, two = (
+            np.array(read_csv(bands_csv_on_blas_threads(
+                argv, threads, tmp_path / threads))[1])
+            for threads in ("1", "2")
+        )
+        assert one.shape == (12 * 10, 5)
+        labels = [0, 1, 3, 4]
+        np.testing.assert_array_equal(one[:, labels], two[:, labels])
+        freqs = [table[:, 2].astype(float) for table in (one, two)]
+        assert relative_errors(*freqs).max() < 1e-9
 
 
 class TestDos:
@@ -643,6 +668,17 @@ class TestRates:
         ) == 2
 
 
+    def test_repeated_temperatures_exit_2(self, tmp_path, capsys):
+        for grid in ("4:4:3", "4,8,4"):
+            assert cli.main([
+                "rates", "--delta-ghz", "46", "--temp-range", grid,
+                "--chi-rho", "2e-8", "--out-dir", str(tmp_path),
+            ]) == 2
+            err = capsys.readouterr().err
+            assert "--temp-range" in err and "distinct" in err
+        assert not list(tmp_path.glob("rates-*"))
+
+
 class TestPumpProbe:
     def test_curve_follows_exponential_recovery(self, cli_run):
         header, rows = read_csv(cli_run("pumpprobe") / "pumpprobe.csv")
@@ -702,6 +738,15 @@ class TestPumpProbe:
         assert "error:" in err
         if flag == "--t1-ns":
             assert "--t1-ns" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_delays_exit_2(self, tmp_path, capsys):
+        assert cli.main([
+            "pumpprobe", "--t1-ns", "34", "--taus", "10,10",
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--taus" in err and "distinct" in err
         assert not list(tmp_path.iterdir())
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
@@ -843,6 +888,15 @@ class TestFitTemp:
         assert cli.main(base + ["--models", "1,x"]) == 2
         assert cli.main(base + ["--models", "2"]) == 2
         assert cli.main(base + ["--models", "1,1"]) == 2
+        assert not list(tmp_path.glob("fit-temp-*"))
+
+    def test_negative_temperature_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "rates.csv"
+        write_rate_csv(src, [-5, -2, 3, 8], [1.0, 1.2, 2.0, 3.0], [0.1] * 4)
+        assert cli.main([
+            "fit-temp", "--input", str(src), "--out-dir", str(tmp_path),
+        ]) == 2
+        assert ">= 0 K" in capsys.readouterr().err
         assert not list(tmp_path.glob("fit-temp-*"))
 
 

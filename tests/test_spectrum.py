@@ -3,6 +3,7 @@ normalization.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,29 @@ def integrated(dos, f_lo_ghz, f_hi_ghz):
     mask = (dos.frequency_ghz >= f_lo_ghz) & (dos.frequency_ghz <= f_hi_ghz)
     assert mask.sum() >= 2, "fewer than two DOS samples in the window"
     return float(np.trapezoid(dos.dos_per_ghz[mask], dos.frequency_ghz[mask]))
+
+
+def whole_kernel_dos(bands, broadening_ghz):
+    """``compute_dos``'s curve from the whole grid x samples kernel at once:
+    the reference its blocked evaluation must match bit for bit."""
+    f = np.asarray(bands.frequencies_ghz, dtype=float)
+    weights = _k_weights(bands.k_points)
+    grid = np.linspace(0.0, f.max() + 5.0 * broadening_ghz, 1601)
+    sigma = broadening_ghz
+    diff = grid[:, None] - f.reshape(1, -1)
+    kernel = np.exp(-0.5 * (diff / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    per_sample = np.repeat(weights, f.shape[1])
+    return kernel @ per_sample
+
+
+def wavy_bands(n_k, n_modes, broadening_ghz, seed=0):
+    """Bands at random levels up to 60 GHz, each rippling over the k path by
+    less than the DOS aliasing guard allows."""
+    rng = np.random.default_rng(seed)
+    k = np.linspace(0.0, 1.0, n_k)
+    levels = np.sort(rng.uniform(0.0, 60.0, n_modes))
+    ripple = rng.uniform(0.2, 1.0, n_modes) * broadening_ghz
+    return BandStructure(k, levels + np.sin(3.0 * k)[:, None] * ripple)
 
 
 def synthetic_bands(intervals, nk=7):
@@ -198,6 +222,28 @@ class TestDos:
         decreasing = BandStructure(k[::-1].copy(), np.zeros((9, 1)))
         with pytest.raises(InvalidParameterError):
             compute_dos(decreasing, 0.5)
+
+    @pytest.mark.parametrize("n_k,n_modes,broadening_ghz",
+                             [(2, 1, 0.5), (2, 26, 3.0), (3, 6, 1.3),
+                              (17, 24, 0.5), (48, 26, 0.5), (153, 40, 2.0)])
+    def test_matches_whole_kernel_bit_for_bit(self, n_k, n_modes,
+                                              broadening_ghz):
+        bands = wavy_bands(n_k, n_modes, broadening_ghz)
+        dos = compute_dos(bands, broadening_ghz)
+        np.testing.assert_array_equal(
+            dos.dos_per_ghz, whole_kernel_dos(bands, broadening_ghz)
+        )
+
+    def test_never_holds_the_whole_kernel(self):
+        bands = wavy_bands(153, 40, 0.5)
+        kernel_bytes = 1601 * bands.frequencies_ghz.size * 8
+        tracemalloc.start()
+        try:
+            compute_dos(bands, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kernel_bytes
 
     def test_reference_cell_gap_depleted(self, reference_bands):
         # Consistency between the two spectral views: inside a complete gap

@@ -88,6 +88,14 @@ class TestRateSeries:
         with pytest.raises(InvalidParameterError, match="finite"):
             RateSeries([1.0, 2.0, 3.0], [1.0, np.nan, 3.0], [0.1, 0.1, 0.1])
 
+    def test_rejects_negative_temperature(self):
+        with pytest.raises(InvalidParameterError, match=">= 0 K"):
+            RateSeries([-5.0, -2.0, 3.0, 8.0], [1.0, 1.2, 2.0, 3.0], [0.1] * 4)
+
+    def test_accepts_zero_temperature(self):
+        data = RateSeries([0.0, 4.0, 8.0], [1.0, 2.0, 3.0], [0.1] * 3)
+        assert data.temperatures_k[0] == 0.0
+
     def test_restrict_keeps_low_temperatures(self):
         data = RateSeries(
             [4.0, 8.0, 12.0, 16.0, 20.0],
