@@ -266,7 +266,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _parse_grid(text: str) -> np.ndarray:
     """Either 'lo:hi:n' (inclusive linspace) or a comma-separated list, of
-    distinct values."""
+    finite, distinct values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -276,9 +276,14 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 1:
             raise argparse.ArgumentTypeError("range spec needs n >= 1")
-        grid = np.linspace(lo, hi, n)
+        values = (lo, hi)
     else:
-        grid = np.array(_parse_float_list(text))
+        values = _parse_float_list(text)
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"grid values must be finite, got {text!r}"
+        )
+    grid = np.linspace(lo, hi, n) if ":" in text else np.array(values)
     if np.unique(grid).size < grid.size:
         raise argparse.ArgumentTypeError(
             f"grid values must be distinct, got {text!r}"
@@ -714,6 +719,11 @@ def cmd_pumpprobe(args: argparse.Namespace) -> int:
     system = _pumpprobe_system(args)
     taus = args.taus
     if taus is None:
+        if math.isinf(system.t1_ns):
+            raise ConfigError(
+                "T1 is infinite with zero relaxation rates, so the default "
+                "delays (0 to 5 T1) are too; give them with --taus"
+            )
         taus = np.linspace(0.0, 5.0 * system.t1_ns, 13)
     taus, ratios = thermalization_curve(
         system,

@@ -2,7 +2,11 @@
 
 Builds sparse stiffness/mass matrices for trilinear hexahedra with a 2x2x2
 Gauss rule, applies the Bloch phase by eliminating the slave periodic face,
-and solves the reduced generalized eigenproblem for the lowest bands.
+and solves the reduced generalized eigenproblem for the lowest bands.  The
+element lives here whole: its shape functions, its Gauss rule and the one
+check of a mesh, the positive Jacobian that ``assemble`` requires of every
+mesh, hand-built ones included.  ``geometry`` only lays out the node lattice
+and the corner order ``HEX_REF_NODES``.
 
 The reduced Bloch pencil is Hermitian, but the cell is also invariant under
 the axial mirror X (x -> period - x).  X maps a Bloch wave at k to one at -k
@@ -51,7 +55,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .errors import ClassificationError, InvalidParameterError, NumericalError
-from .geometry import GAUSS_GRADIENTS_2, GAUSS_SHAPES_2, Material, Mesh
+from .geometry import HEX_REF_NODES, Material, Mesh
 
 GHZ = 1e9
 _EIGSH_SEED = 20240817  # fixed ARPACK start vector => reproducible iterates
@@ -101,6 +105,37 @@ DENSE_MAX_DOFS = 600
 DENSE_FALLBACK_MAX_DOFS = 6000
 
 
+_G = 1.0 / math.sqrt(3.0)
+#: 2x2x2 Gauss points (unit weights) on the reference hexahedron.
+GAUSS_POINTS_2 = np.array(
+    [[sx * _G, sy * _G, sz * _G] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+)
+
+
+def hex_shape_functions(xi: np.ndarray) -> np.ndarray:
+    """Trilinear shape function values at reference coordinates ``xi`` (3,)."""
+    r = HEX_REF_NODES
+    return 0.125 * (1 + r[:, 0] * xi[0]) * (1 + r[:, 1] * xi[1]) * (1 + r[:, 2] * xi[2])
+
+
+def hex_shape_gradients(xi: np.ndarray) -> np.ndarray:
+    """Reference-space gradients dN/dxi, shape (8, 3), at ``xi`` (3,)."""
+    r = HEX_REF_NODES
+    fx = 1 + r[:, 0] * xi[0]
+    fy = 1 + r[:, 1] * xi[1]
+    fz = 1 + r[:, 2] * xi[2]
+    out = np.empty((8, 3))
+    out[:, 0] = 0.125 * r[:, 0] * fy * fz
+    out[:, 1] = 0.125 * r[:, 1] * fx * fz
+    out[:, 2] = 0.125 * r[:, 2] * fx * fy
+    return out
+
+
+# Gradients are constant data; precompute them for the standard rule.
+GAUSS_GRADIENTS_2 = np.array([hex_shape_gradients(xi) for xi in GAUSS_POINTS_2])
+GAUSS_SHAPES_2 = np.array([hex_shape_functions(xi) for xi in GAUSS_POINTS_2])
+
+
 def assemble(mesh: Mesh, material: Material) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Assemble the global stiffness and consistent mass matrices.
 
@@ -116,6 +151,12 @@ def assemble(mesh: Mesh, material: Material) -> tuple[sp.csr_matrix, sp.csr_matr
     (K, M) : csr_matrix
         Real symmetric stiffness (N/m) and mass (kg) matrices of size
         ``3 N x 3 N`` with node-major DOF ordering (ux, uy, uz per node).
+
+    Raises
+    ------
+    InvalidParameterError
+        If the Jacobian determinant is not positive at some Gauss point of
+        some element: the element is degenerate or turned inside out.
     """
     material.validate()
     c = material.stiffness_voigt_pa()

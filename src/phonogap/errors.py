@@ -19,10 +19,6 @@ class ConfigError(PhonogapError, ValueError):
     """A run configuration is malformed or internally inconsistent."""
 
 
-class MeshingError(PhonogapError, RuntimeError):
-    """Mesh generation produced an invalid (degenerate or mismatched) mesh."""
-
-
 class NumericalError(PhonogapError, RuntimeError):
     """An eigensolve or quadrature failed to converge to tolerance."""
 

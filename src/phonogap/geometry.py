@@ -6,8 +6,15 @@ fillet smoothing the block/tether junction.  Because the cross section at
 every axial position is a single centered interval ``|y| <= Y(x)``, the solid
 can be meshed as a graded channel: a uniform grid along the beam axis whose
 transverse node lines are scaled to the local half-width and extruded through
-the thickness.  This yields guaranteed positive Jacobians and exactly matched
-node sets on the two periodic faces.
+the thickness.  The meshers only lay out node coordinates; the element, its
+quadrature and the one Jacobian check live in :func:`phonogap.elastics.assemble`.
+
+A built mesh is valid by construction, so nothing here checks it.  Each
+element maps x and z uniformly and y = eta * Y(x), so det J = (hx/2)(hz/2)
+dy/deta, which interpolates Y at the element's two x planes: positive, since
+Y >= t/2 > 0 for a validated cell and Y = width/2 > 0 for a nanobeam.  The
+periodic faces sit at x = 0 and x = a exactly (the ends of ``linspace``) and
+|x - a/2| is the same at both, so their node sets match bit for bit.
 
 All user-facing lengths are in nanometres; node coordinates of generated
 meshes are converted to metres.
@@ -21,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, MeshingError
+from .errors import InvalidParameterError
 
 NM = 1e-9
 
@@ -39,36 +46,6 @@ HEX_REF_NODES = np.array(
         [-1.0, +1.0, +1.0],
     ]
 )
-
-_G = 1.0 / math.sqrt(3.0)
-#: 2x2x2 Gauss points (unit weights) on the reference hexahedron.
-GAUSS_POINTS_2 = np.array(
-    [[sx * _G, sy * _G, sz * _G] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-)
-
-
-def hex_shape_functions(xi: np.ndarray) -> np.ndarray:
-    """Trilinear shape function values at reference coordinates ``xi`` (3,)."""
-    r = HEX_REF_NODES
-    return 0.125 * (1 + r[:, 0] * xi[0]) * (1 + r[:, 1] * xi[1]) * (1 + r[:, 2] * xi[2])
-
-
-def hex_shape_gradients(xi: np.ndarray) -> np.ndarray:
-    """Reference-space gradients dN/dxi, shape (8, 3), at ``xi`` (3,)."""
-    r = HEX_REF_NODES
-    fx = 1 + r[:, 0] * xi[0]
-    fy = 1 + r[:, 1] * xi[1]
-    fz = 1 + r[:, 2] * xi[2]
-    out = np.empty((8, 3))
-    out[:, 0] = 0.125 * r[:, 0] * fy * fz
-    out[:, 1] = 0.125 * r[:, 1] * fx * fz
-    out[:, 2] = 0.125 * r[:, 2] * fx * fy
-    return out
-
-
-# Gradients are constant data; precompute them for the standard rule.
-GAUSS_GRADIENTS_2 = np.array([hex_shape_gradients(xi) for xi in GAUSS_POINTS_2])
-GAUSS_SHAPES_2 = np.array([hex_shape_functions(xi) for xi in GAUSS_POINTS_2])
 
 
 @dataclass(frozen=True)
@@ -363,15 +340,6 @@ class Mesh:
         return perm
 
 
-def _element_jacobians(corner_coords: np.ndarray) -> np.ndarray:
-    """det(J) at the 2x2x2 Gauss points for every element, shape (E, 8)."""
-    dets = np.empty((corner_coords.shape[0], len(GAUSS_POINTS_2)))
-    for g, grad in enumerate(GAUSS_GRADIENTS_2):
-        jac = np.einsum("ia,eib->eab", grad, corner_coords)
-        dets[:, g] = np.linalg.det(jac)
-    return dets
-
-
 def _build_channel_mesh(
     profile_nm: Callable[[np.ndarray], np.ndarray],
     period_nm: float,
@@ -384,39 +352,17 @@ def _build_channel_mesh(
         raise InvalidParameterError(f"resolution must be positive, got {resolution}")
     x = np.linspace(0.0, period_nm, nx + 1)
     half_width = profile_nm(x)
-    if np.any(half_width <= 0):
-        raise MeshingError("cross-section half-width must be positive everywhere")
     eta = np.linspace(-1.0, 1.0, ny + 1)
     z = np.linspace(0.0, depth_nm, nz + 1)
 
     # C order of the "ij" grid is the lattice order of ``Mesh``.
     xx, ee, zz = np.meshgrid(x, eta, z, indexing="ij")
     yy = ee * half_width[:, None, None]
-    mesh = Mesh(
+    return Mesh(
         nodes=np.stack([xx, yy, zz], axis=-1).reshape(-1, 3) * NM,
         period_m=period_nm * NM,
         grid_shape=(nx, ny, nz),
     )
-    _validate_mesh(mesh)
-    return mesh
-
-
-def _validate_mesh(mesh: Mesh) -> None:
-    dets = _element_jacobians(mesh.element_corner_coords())
-    if np.any(dets <= 0):
-        raise MeshingError(
-            f"{int(np.sum(np.any(dets <= 0, axis=1)))} degenerate elements "
-            "(non-positive Jacobian)"
-        )
-    master = mesh.nodes[mesh.master_nodes]
-    slave = mesh.nodes[mesh.slave_nodes]
-    tol = 1e-9 * mesh.period_m
-    if np.abs(master[:, 0]).max() > tol:
-        raise MeshingError("master face is not at x = 0")
-    if np.abs(slave[:, 0] - mesh.period_m).max() > tol:
-        raise MeshingError("slave face is not at x = period")
-    if np.abs(master[:, 1:] - slave[:, 1:]).max() > tol:
-        raise MeshingError("periodic faces have mismatched node positions")
 
 
 def build_unit_cell_mesh(params: UnitCellParams, resolution: Sequence[int]) -> Mesh:

@@ -669,13 +669,14 @@ class TestRates:
 
 
     def test_repeated_temperatures_exit_2(self, tmp_path, capsys):
-        for grid in ("4:4:3", "4,8,4"):
+        for grid, reason in (("4:4:3", "distinct"), ("4,8,4", "distinct"),
+                             ("4:inf:3", "finite")):
             assert cli.main([
                 "rates", "--delta-ghz", "46", "--temp-range", grid,
                 "--chi-rho", "2e-8", "--out-dir", str(tmp_path),
             ]) == 2
             err = capsys.readouterr().err
-            assert "--temp-range" in err and "distinct" in err
+            assert "--temp-range" in err and f"must be {reason}" in err
         assert not list(tmp_path.glob("rates-*"))
 
 
@@ -741,13 +742,25 @@ class TestPumpProbe:
         assert not list(tmp_path.iterdir())
 
     def test_repeated_delays_exit_2(self, tmp_path, capsys):
-        assert cli.main([
-            "pumpprobe", "--t1-ns", "34", "--taus", "10,10",
-            "--out-dir", str(tmp_path),
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "--taus" in err and "distinct" in err
+        for taus, reason in (("10,10", "distinct"), ("0:inf:3", "finite")):
+            assert cli.main([
+                "pumpprobe", "--t1-ns", "34", "--taus", taus,
+                "--out-dir", str(tmp_path),
+            ]) == 2
+            err = capsys.readouterr().err
+            assert "--taus" in err and f"must be {reason}" in err
         assert not list(tmp_path.iterdir())
+
+    def test_zero_rates_need_explicit_delays(self, tmp_path, capsys):
+        # T1 is infinite, and so is the default delay grid 0..5 T1.
+        rates = ["pumpprobe", "--gamma-up-mhz", "0", "--gamma-down-mhz", "0"]
+        assert cli.main([*rates, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "infinite" in err and "--taus" in err
+        assert not list(tmp_path.iterdir())
+        assert cli.main(
+            [*rates, "--taus", "0:100:3", "--out-dir", str(tmp_path)]
+        ) == 0
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert cli.main([

@@ -24,6 +24,8 @@ from scipy.spatial import cKDTree
 from phonogap import elastics
 from phonogap.elastics import (
     band_diagram,
+    hex_shape_functions,
+    hex_shape_gradients,
     make_bloch_problem,
     reflection_maps,
     solve_bands,
@@ -40,8 +42,6 @@ from phonogap.geometry import (
     UnitCellParams,
     build_nanobeam_mesh,
     build_unit_cell_mesh,
-    hex_shape_functions,
-    hex_shape_gradients,
 )
 from test_geometry import mesh_volume
 

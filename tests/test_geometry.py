@@ -2,7 +2,9 @@
 
 The volume checks use an independent quadrature of the analytic outline
 (scipy.integrate.quad on the half-width profile) rather than anything from
-the meshing code path.
+the meshing code path.  The meshers check nothing of what they build; the
+tests below pin what their construction guarantees: ``assemble`` accepts
+every mesh built from valid input, and the periodic faces match bit for bit.
 """
 
 import math
@@ -14,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from phonogap.errors import InvalidParameterError, MeshingError
+from phonogap.elastics import assemble
+from phonogap.errors import InvalidParameterError
 from phonogap.geometry import (
     DIAMOND,
     NM,
     Material,
     UnitCellParams,
-    _element_jacobians,
     build_nanobeam_mesh,
     build_unit_cell_mesh,
     half_width_profile,
@@ -29,8 +31,32 @@ from phonogap.geometry import (
 
 
 def mesh_volume(mesh):
-    """Total solid volume in m^3 via element quadrature."""
-    return float(_element_jacobians(mesh.element_corner_coords()).sum())
+    """Total solid volume in m^3, read from the node lattice alone.
+
+    The meshers place x by the lattice index i alone, z by k alone and y by
+    (i, j), so every element is a prism over the quadrilateral of its x-y
+    corners.  A trilinear map keeps the quadrilateral's edges straight, so
+    its area is exactly half the cross product of its diagonals.
+    """
+    lattice = mesh.nodes.reshape(*(n + 1 for n in mesh.grid_shape), 3)
+    x, y, z = np.moveaxis(lattice, -1, 0)
+    assert np.all(x == x[:, :1, :1]) and np.all(y == y[:, :, :1])
+    assert np.all(z == z[:1, :1, :])
+    x, y = x[:, :, 0], y[:, :, 0]
+    area = 0.5 * ((x[1:, 1:] - x[:-1, :-1]) * (y[:-1, 1:] - y[1:, :-1])
+                  - (y[1:, 1:] - y[:-1, :-1]) * (x[:-1, 1:] - x[1:, :-1]))
+    return float(area.sum() * np.ptp(z))
+
+
+def assert_valid_by_construction(mesh):
+    """``assemble`` accepts the mesh (every Jacobian at every Gauss point is
+    positive) and its periodic faces match bit for bit."""
+    assemble(mesh, DIAMOND)
+    master = mesh.nodes[mesh.master_nodes]
+    slave = mesh.nodes[mesh.slave_nodes]
+    assert np.all(master[:, 0] == 0.0)
+    assert np.all(slave[:, 0] == mesh.period_m)
+    assert np.array_equal(master[:, 1:], slave[:, 1:])
 
 
 class TestUnitCellParams:
@@ -177,16 +203,9 @@ class TestMesh:
         assert mesh.period_m == pytest.approx(params.a * NM, rel=1e-15)
 
     def test_jacobians_positive_and_faces_matched(self):
-        mesh = build_unit_cell_mesh(UnitCellParams(), (8, 6, 4))
-        dets = _element_jacobians(mesh.element_corner_coords())
-        assert dets.min() > 0
-        master = mesh.nodes[mesh.master_nodes]
-        slave = mesh.nodes[mesh.slave_nodes]
-        assert np.abs(master[:, 0]).max() < 1e-9 * mesh.period_m
-        np.testing.assert_allclose(
-            slave[:, 0], mesh.period_m, rtol=0, atol=1e-9 * mesh.period_m
+        assert_valid_by_construction(
+            build_unit_cell_mesh(UnitCellParams(), (8, 6, 4))
         )
-        np.testing.assert_allclose(master[:, 1:], slave[:, 1:], atol=1e-20)
 
     def test_volume_against_profile_quadrature(self):
         # Independent oracle: V = d * integral of the full width 2*Y(x),
@@ -273,20 +292,30 @@ class TestMesh:
     t_frac=st.floats(0.2, 0.9),
     r=st.floats(0.0, 12.0),
     d=st.floats(30.0, 120.0),
+    resolution=st.tuples(*[st.integers(4, 12)] * 3),
 )
-def test_random_cells_mesh_cleanly(w, h, t_frac, r, d):
+def test_random_cells_mesh_cleanly(w, h, t_frac, r, d, resolution):
     """Any constructible parameter set yields a valid, positive-volume mesh."""
     params = UnitCellParams(w=w, h=h, a=129.6, t=t_frac * h, r=r, d=d)
     try:
         params.validate()
-        if r > 0:
-            solve_fillet(params)
     except InvalidParameterError:
         return  # not constructible; nothing further to assert
-    try:
-        mesh = build_unit_cell_mesh(params, (4, 4, 4))
-    except MeshingError:
-        return  # outline valid but too extreme for this coarse grid
+    mesh = build_unit_cell_mesh(params, resolution)
+    assert_valid_by_construction(mesh)
     assert mesh_volume(mesh) > 0
-    dets = _element_jacobians(mesh.element_corner_coords())
-    assert dets.min() > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    width=st.floats(1.0, 500.0),
+    thickness=st.floats(1.0, 500.0),
+    period=st.floats(1.0, 500.0),
+    resolution=st.tuples(*[st.integers(1, 8)] * 3),
+)
+def test_random_nanobeams_mesh_cleanly(width, thickness, period, resolution):
+    mesh = build_nanobeam_mesh(width, thickness, period, resolution)
+    assert_valid_by_construction(mesh)
+    assert mesh_volume(mesh) == pytest.approx(
+        width * thickness * period * NM**3, rel=1e-12
+    )
