@@ -1,4 +1,12 @@
-"""Phononic-crystal band engineering and phonon-limited relaxation toolkit."""
+"""Phononic-crystal band engineering and phonon-limited relaxation toolkit.
+
+The band solver, ``elastics``, is the one module that imports SciPy when it
+loads.  It and its names ``BandStructure``, ``band_diagram`` and
+``default_k_path`` are imported on first access, so the relaxation side
+starts on numpy alone.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -9,7 +17,6 @@ from .dynamics import (  # noqa: F401
     simulate_sequence,
     thermalization_curve,
 )
-from .elastics import BandStructure, band_diagram, default_k_path  # noqa: F401
 from .fitkit import (  # noqa: F401
     fit_circle,
     fit_ellipse,
@@ -31,3 +38,13 @@ from .tempfit import (  # noqa: F401
     fit_power_model,
     select_model,
 )
+
+_BAND_NAMES = ("BandStructure", "band_diagram", "default_k_path")
+
+
+def __getattr__(name: str):
+    if name == "elastics" or name in _BAND_NAMES:
+        # Not ``from . import elastics``: that asks this hook again.
+        elastics = importlib.import_module(f"{__name__}.elastics")
+        return elastics if name == "elastics" else getattr(elastics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

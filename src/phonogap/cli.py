@@ -27,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .dynamics import (
     simulate_sequence,
     thermalization_curve,
 )
-from .elastics import BandStructure, band_diagram, default_k_path
 from .errors import ConfigError, InvalidParameterError, PhonogapError
 from .fitkit import fit_circle, fit_ellipse, fit_recovery, fit_tether_width
 from .geometry import (
@@ -50,6 +49,9 @@ from .geometry import (
 from .rates import OrbitalSystem, RateModel, total_relaxation
 from .spectrum import Gap, compute_dos, find_complete_gaps, primary_gap
 from .tempfit import SUPPORTED_EXPONENTS, RateSeries, select_model
+
+if TYPE_CHECKING:  # the band solver is imported by ``_solve``, on first use
+    from .elastics import BandStructure
 
 OUT_DIR_ENV = "PHONOGAP_OUT_DIR"
 STRUCTURES = ("pnc", "nanobeam")
@@ -438,7 +440,13 @@ def _json_text(payload: dict) -> str:
 
 def _solve(config: RunConfig) -> BandStructure:
     """The config's band diagram: its nanobeam or periodic cell, meshed and
-    solved along its k path."""
+    solved along its k path.
+
+    ``elastics`` loads SciPy, so it is imported here, where the band
+    commands first need it, and its functions are read at call time.
+    """
+    from . import elastics
+
     if config.structure == "nanobeam":
         mesh = build_nanobeam_mesh(
             config.beam_width_nm,
@@ -448,10 +456,10 @@ def _solve(config: RunConfig) -> BandStructure:
         )
     else:
         mesh = build_unit_cell_mesh(config.cell_params(), config.resolution)
-    return band_diagram(
+    return elastics.band_diagram(
         mesh,
         config.material(),
-        default_k_path(config.n_kpoints),
+        elastics.default_k_path(config.n_kpoints),
         config.n_modes,
     )
 
@@ -478,7 +486,7 @@ def _gap_row(config: RunConfig, gap: Gap | None) -> list[str]:
 
 #: An artifact writer: file name -> contents, computed from the resolved
 #: config and the solved diagram before any directory exists.
-Writer = Callable[[RunConfig, BandStructure], dict[str, str]]
+Writer = Callable[[RunConfig, "BandStructure"], dict[str, str]]
 
 
 def _bands_csv(config: RunConfig, bands: BandStructure) -> dict[str, str]:

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import h as PLANCK_H
-from scipy.constants import k as BOLTZMANN_K
-
 from .errors import InvalidParameterError, NumericalError
 
 RATE_CONVENTIONS = ("plain_frequency", "angular")
+
+#: Planck and Boltzmann constants, exact in the 2019 SI (J s and J/K).
+PLANCK_H = 6.62607015e-34
+BOLTZMANN_K = 1.380649e-23
 
 #: k_B/h in GHz per kelvin: thermal energy expressed as ordinary frequency.
 KB_OVER_H_GHZ_PER_K = BOLTZMANN_K / PLANCK_H / 1e9
@@ -102,6 +103,16 @@ def _check_temperature(temperature_k: float) -> None:
         )
 
 
+def _check_finite(value: float, what: str, temperature_k: float) -> float:
+    """``value``, or ``InvalidParameterError`` if it overflowed."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(
+            f"temperature {temperature_k:g} K is too high: the {what} "
+            "overflows"
+        )
+    return value
+
+
 def bose_occupation(delta_ghz: float, temperature_k: float) -> float:
     """Thermal occupation of a mode at ``delta_ghz``; exactly 0 at T = 0."""
     if not (math.isfinite(delta_ghz) and delta_ghz > 0):
@@ -109,7 +120,12 @@ def bose_occupation(delta_ghz: float, temperature_k: float) -> float:
     _check_temperature(temperature_k)
     if temperature_k == 0:
         return 0.0
-    return 1.0 / math.expm1(thermal_exponent(delta_ghz, temperature_k))
+    # The exponent underflows to 0 once k_B*T/h overflows.
+    x = thermal_exponent(delta_ghz, temperature_k)
+    return _check_finite(
+        1.0 / math.expm1(x) if x > 0 else math.inf,
+        "thermal occupation", temperature_k,
+    )
 
 
 def single_phonon_rates(
@@ -140,7 +156,13 @@ def raman_rate(
     prefactor = (
         2.0 * math.pi * model.chi_rho_sq * system.delta_gs_ghz**2 * model.scale
     )
-    return prefactor * (math.pi**2 / 3.0) * theta**3
+    try:
+        theta_cubed = theta**3
+    except OverflowError:
+        theta_cubed = math.inf
+    return _check_finite(
+        prefactor * (math.pi**2 / 3.0) * theta_cubed, "Raman rate", temperature_k
+    )
 
 
 def total_relaxation(

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .elastics import BandStructure
 from .errors import CoverageError, InvalidParameterError, SamplingError
+
+if TYPE_CHECKING:  # annotations only: importing elastics loads SciPy
+    from .elastics import BandStructure
 
 
 @dataclass(frozen=True)

@@ -179,20 +179,44 @@ class TestConfig:
 
 
 class TestDispatch:
-    def test_import_leaves_out_optimize_and_spatial(self):
-        # Every command pays for what importing the CLI loads; no command
-        # needs scipy.optimize or scipy.spatial.
+    def test_relaxation_side_loads_no_scipy(self, tmp_path):
+        # Only the band solver needs SciPy: importing the package and the
+        # CLI, and running every relaxation command, load none of it, while
+        # the band names still resolve through the package (on first use).
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(src), *filter(None, [env.get("PYTHONPATH")])]
         )
-        code = ("import sys, phonogap.cli; print(sorted(m for m in "
-                "('scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+        argvs = [[*RUNS[name][0], "--out-dir", str(tmp_path)]
+                 for name in ("rates", "pumpprobe", "fit-t1", "fit-temp",
+                              "fit-geom")]
+        code = f"""
+import json, sys
+import phonogap, phonogap.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {{"import": scipy_modules()}}
+loaded["codes"] = [phonogap.cli.main(argv) for argv in {argvs!r}]
+loaded["commands"] = scipy_modules()
+loaded["band_names"] = [
+    phonogap.band_diagram is phonogap.elastics.band_diagram,
+    phonogap.default_k_path is phonogap.elastics.default_k_path,
+    phonogap.BandStructure is phonogap.elastics.BandStructure,
+    callable(phonogap.band_diagram),
+]
+print(json.dumps(loaded))
+"""
         done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert loaded["import"] == []
+        assert loaded["codes"] == [0] * 5
+        assert loaded["commands"] == []
+        assert loaded["band_names"] == [True] * 4
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
@@ -353,7 +377,8 @@ class TestDos:
         # A DOS needs two k points: a configuration error, caught before
         # anything is solved.
         calls = []
-        monkeypatch.setattr(cli, "band_diagram", lambda *args: calls.append(args))
+        monkeypatch.setattr(elastics, "band_diagram",
+                            lambda *args: calls.append(args))
         code = cli.main([command, "--resolution", "6,5,4", "--n-kpoints", "1",
                          "--n-modes", "6", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -437,7 +462,7 @@ class TestGap:
             calls.append(args)
             raise NumericalError("not solved here")
 
-        monkeypatch.setattr(cli, "band_diagram", band_diagram)
+        monkeypatch.setattr(elastics, "band_diagram", band_diagram)
         argv = ["sweep", *COARSE, "--sweep-param", "w", "--out-dir", str(tmp_path)]
         assert cli.main([*argv, "--sweep-values-nm", "95,110,200"]) == 2
         assert "must be smaller than the period" in capsys.readouterr().err
@@ -677,6 +702,20 @@ class TestRates:
             ]) == 2
             err = capsys.readouterr().err
             assert "--temp-range" in err and f"must be {reason}" in err
+        assert not list(tmp_path.glob("rates-*"))
+
+    @pytest.mark.parametrize("temps", [
+        ("--temp-k", "1e308"), ("--temp-k", "1e300"),
+        ("--temp-range", "1:1e308:3"),
+    ])
+    def test_overflowing_temperature_exits_2(self, tmp_path, capsys, temps):
+        # Past ~3e101 K the Raman rate's T^3 overflows; past ~9e306 K so
+        # does k_B*T/h, and the thermal occupation with it.
+        assert cli.main([
+            "rates", "--delta-ghz", "46", *temps, "--chi-rho", "2e-8",
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        assert "K is too high" in capsys.readouterr().err
         assert not list(tmp_path.glob("rates-*"))
 
 

@@ -97,6 +97,59 @@ class TestGenerator:
         assert abs(final[1] / final[0] - 7.0 / 19.0) < 1e-6
 
 
+class TestPropagator:
+    """The one-step propagators: a Taylor sum exact to round-off."""
+
+    @given(
+        omega=st.floats(0.0, 2000.0),
+        beta=st.floats(0.0, 1.0),
+        up=st.floats(0.0, 500.0),
+        down=st.floats(0.0, 500.0),
+        delay=st.floats(0.0, 400.0),
+        width=st.floats(0.5, 400.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_segments_match_expm(self, omega, beta, up, down, delay, width):
+        system = LevelSystem(omega_mhz=omega, beta=beta, gamma_up_mhz=up,
+                             gamma_down_mhz=down)
+        segments = dynamics._segments(
+            system, PulseSequence(delay_ns=delay, width_ns=width))
+        # Pulse, dark delay (if any), pulse, dark tail.
+        fractions = [1.0, *([0.0] if delay > 0 else []), 1.0, 0.0]
+        assert len(segments) == len(fractions)
+        for (step, _, prop), fraction in zip(segments, fractions):
+            arg = dynamics.generator(system, fraction) * step
+            # The step rule's bound, up to its 1e-12 count slack.
+            assert np.abs(arg).sum(axis=0).max() <= 0.2 * (1.0 + 2e-12)
+            assert np.max(np.abs(prop - sla.expm(arg))) <= 1e-15
+            assert np.max(np.abs(prop.sum(axis=0) - 1.0)) <= dynamics.CONSERVATION_TOL
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs extended-precision long double")
+    @pytest.mark.parametrize("norm", [0.1, 0.2, dynamics.TAYLOR_NORM_MAX])
+    def test_truncation_below_double_round_off(self, norm):
+        # A two-state rate matrix a = -norm * pi (pi a projector) has
+        # exp(a) = I - (1 - e^-norm) pi.  In extended precision the sum's
+        # own error shows: its tail past degree 12 is below 1.2e-18 here,
+        # while its degree-12 term alone reaches 4.3e-18 at norm 0.2.
+        rate = np.longdouble(norm) / 2
+        a = np.array([[-rate, rate], [rate, -rate]])
+        decay = -np.expm1(-np.longdouble(norm)) / 2
+        exact = np.array([[1 - decay, decay], [decay, 1 - decay]])
+        prop = dynamics._propagator(a)
+        assert prop.dtype == np.longdouble
+        assert np.max(np.abs(prop - exact)) <= 3e-18
+
+    @pytest.mark.parametrize("scale", [1.26, 1e3, math.nan])
+    def test_rejects_argument_above_bound(self, scale):
+        # 1-norm 0.2 * 1.26 = 0.252 just exceeds the 0.25 the sum resolves.
+        system = bath_system(34.0)
+        arg = dynamics.generator(system, 1.0)
+        arg = arg * (0.2 / np.abs(arg).sum(axis=0).max()) * scale
+        with pytest.raises(NumericalError, match="1-norm"):
+            dynamics._propagator(arg)
+
+
 class TestSimulateSequence:
     @pytest.mark.parametrize("delay_ns", [1e12, 1e308])
     def test_overlong_sequence_raises_before_stepping(self, delay_ns):

@@ -14,7 +14,9 @@ from scipy.integrate import quad
 
 from phonogap.errors import InvalidParameterError, NumericalError
 from phonogap.rates import (
+    BOLTZMANN_K,
     KB_OVER_H_GHZ_PER_K,
+    PLANCK_H,
     OrbitalSystem,
     RateModel,
     RateSet,
@@ -24,6 +26,11 @@ from phonogap.rates import (
     single_phonon_rates,
     total_relaxation,
 )
+
+
+def test_constants_equal_scipy_codata():
+    # Exact in the 2019 SI, so rates match those built on scipy.constants.
+    assert (PLANCK_H, BOLTZMANN_K) == (h, k)
 
 
 class TestBoseOccupation:
@@ -49,6 +56,12 @@ class TestBoseOccupation:
     def test_invalid_arguments(self, delta, t_k):
         with pytest.raises(InvalidParameterError):
             bose_occupation(delta, t_k)
+
+    def test_overflowing_temperature_rejected(self):
+        # k_B*T/h overflows past ~9e306 K: the exponent underflows to 0.
+        assert math.isfinite(bose_occupation(46.0, 1e300))
+        with pytest.raises(InvalidParameterError, match="1e\\+308 K is too high"):
+            bose_occupation(46.0, 1e308)
 
     def test_monotone_in_temperature(self):
         temps = np.linspace(0.0, 40.0, 81)
@@ -153,6 +166,13 @@ class TestRaman:
         closed = raman_rate(self.SYSTEM, self.MODEL, t_k)
         numeric = raman_quadrature(self.SYSTEM, self.MODEL, t_k)
         assert numeric == pytest.approx(closed, rel=1e-6)
+
+    @pytest.mark.parametrize("model", [MODEL, RateModel()])
+    def test_overflowing_temperature_rejected(self, model):
+        # T^3 overflows past ~3e101 K, even with no two-phonon coupling.
+        assert math.isfinite(raman_rate(self.SYSTEM, model, 1e100))
+        with pytest.raises(InvalidParameterError, match="Raman rate"):
+            raman_rate(self.SYSTEM, model, 1e300)
 
     def test_exact_cubic_scaling(self):
         low = raman_rate(self.SYSTEM, self.MODEL, 3.7)
