@@ -11,9 +11,12 @@ A sequence is a chain of constant-drive segments, each sampled on a uniform
 step with an exact one-step propagator P = exp(G step), summed as a Taylor
 series to below double round-off.  The recovery ratio needs only the
 means of four sample windows, and on one segment the samples are P^j q, so
-``extract_peak_ratio`` sums each window in closed form from one power of the
-block matrix [[P, I], [0, I]].  ``simulate_sequence`` steps the same samples
-one by one; it serves trace dumps and is the tests' reference.
+each window sums in closed form from powers of the block matrix
+[[P, I], [0, I]].  ``thermalization_curve`` sums the windows of all its
+delays in one batch: one Taylor sum for every segment, one binary powering
+for every start state, window offset and window sum.  ``extract_peak_ratio``
+is the same batch of one delay.  ``simulate_sequence`` steps the same
+samples one by one; it serves trace dumps and is the tests' reference.
 
 Rates are in MHz, times in ns throughout (1 MHz = 1e-3 / ns).
 """
@@ -162,10 +165,10 @@ def _propagator(a: np.ndarray) -> np.ndarray:
     return p
 
 
-def _segments(
+def _segment_steps(
     system: LevelSystem, sequence: PulseSequence
-) -> list[tuple[float, int, np.ndarray]]:
-    """(step, step count, one-step propagator) of each constant-drive segment.
+) -> list[tuple[float, int, float]]:
+    """(step, step count, pump fraction) of each constant-drive segment.
 
     A segment splits evenly into steps no longer than 0.1 of the fastest
     rate's timescale (and 1 ns).  The propagator is the matrix exponential
@@ -191,13 +194,21 @@ def _segments(
             "sequence or slow its rates"
         )
     counts = counts.astype(int).tolist()
-    steps = [duration / count for (duration, _), count in zip(drives, counts)]
-    # One batched Taylor sum for all segments.
+    return [(duration / count, count, fraction)
+            for (duration, fraction), count in zip(drives, counts)]
+
+
+def _segments(
+    system: LevelSystem, sequence: PulseSequence
+) -> list[tuple[float, int, np.ndarray]]:
+    """(step, step count, one-step propagator) of each segment of
+    ``_segment_steps``, the propagators from one batched Taylor sum."""
+    segments = _segment_steps(system, sequence)
     propagators = _propagator(np.stack([
-        generator(system, fraction) * step
-        for step, (_, fraction) in zip(steps, drives)
+        generator(system, fraction) * step for step, _, fraction in segments
     ]))
-    return list(zip(steps, counts, propagators))
+    return [(step, count, prop)
+            for (step, count, _), prop in zip(segments, propagators)]
 
 
 def _sample_times(segments) -> np.ndarray:
@@ -234,49 +245,195 @@ def simulate_sequence(
     return FluorescenceTrace(_sample_times(segments), signal, populations)
 
 
-def _window_populations(
-    system: LevelSystem, sequence: PulseSequence, windows
-) -> np.ndarray:
-    """Mean populations over the samples of each (start, stop) window.
+def _power_sums(
+    props: np.ndarray, which: np.ndarray, exponents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """P^n and S(n) = sum_{m<n} P^m for each P = props[which[k]] and
+    n = exponents[k] >= 0.
 
-    The samples are those of ``simulate_sequence`` that lie within 1e-9 ns
-    of the window.  Segment s holds P^j q_s for j = 1..n_s after its start
-    state q_s, and the first segment also holds the t = 0 sample (j = 0).
-    Samples j0..j0+L-1 of a segment sum to S(L) P^j0 q_s, where
-    S(L) = sum_{m<L} P^m is the upper-right block of [[P, I], [0, I]]^L.
+    Both are blocks of B^n = [[P^n, S(n)], [0, I]] for B = [[P, I], [0, I]],
+    raised by one binary powering of the whole stack: each round multiplies
+    the powers whose exponent has the round's bit set by their B^(2^bit), in
+    increasing bit order as ``np.linalg.matrix_power`` does, then squares
+    every B.
     """
-    segments = _segments(system, sequence)
-    times = _sample_times(segments)
-    states = [system.thermal_populations()]
-    for _, count, prop in segments:
-        states.append(np.linalg.matrix_power(prop, count) @ states[-1])
-    _check_conservation(np.stack(states))
+    size = props.shape[-1]
+    base = np.zeros((len(props), 2 * size, 2 * size))
+    base[:, :size, :size] = props
+    base[:, :size, size:] = base[:, size:, size:] = np.eye(size)
+    power = np.tile(np.eye(2 * size), (len(which), 1, 1))
+    exponents = np.asarray(exponents)
+    while True:
+        odd = np.flatnonzero(exponents & 1)
+        power[odd] = power[odd] @ base[which[odd]]
+        exponents = exponents >> 1
+        if not exponents.any():
+            return power[:, :size, :size], power[:, :size, size:]
+        base = base @ base
 
-    eye, zero = np.eye(3), np.zeros((3, 3))
-    means = []
-    for start, stop in windows:
-        first = int(np.searchsorted(times, start - 1e-9, side="left"))
-        last = int(np.searchsorted(times, stop + 1e-9, side="right")) - 1
-        if last < first:
+
+def _window_means(system: LevelSystem, jobs) -> list:
+    """Mean populations over sample windows of a batch of sequences.
+
+    Each job is a (sequence, windows) pair, a window a (start, stop) in ns,
+    or an exception, which passes through.  A window keeps the samples of
+    ``simulate_sequence`` within 1e-9 ns of it, found on the sequence's own
+    sample times; each sequence's times are built and dropped in turn.
+    Segment s holds P^j q_s for j = 1..n_s after its start state q_s, and the
+    first segment also holds the t = 0 sample (j = 0).  Samples j0..j0+L-1 of
+    a segment sum to S(L) P^j0 q_s, so every start state, window offset and
+    window sum of the batch comes from one ``_propagator`` call and one
+    ``_power_sums`` call.
+
+    Returns, in job order, each sequence's (n_windows, 3) means, or the
+    exception of the first check it fails, in the order: sample bound,
+    Taylor bound, conservation of the segment start states, an empty window
+    (``ExtractionError``), conservation of the window means.
+    """
+    results = [job if isinstance(job, Exception) else None for job in jobs]
+    rows = []  # (job index, segment steps, windows, first and last samples)
+    for i, job in enumerate(jobs):
+        if results[i] is not None:
+            continue
+        sequence, windows = job
+        try:
+            segments = _segment_steps(system, sequence)
+        except InvalidParameterError as error:
+            results[i] = error
+            continue
+        times = _sample_times(segments)
+        spans = np.asarray(windows, dtype=float).reshape(-1, 2)
+        first = np.searchsorted(times, spans[:, 0] - 1e-9, side="left")
+        last = np.searchsorted(times, spans[:, 1] + 1e-9, side="right") - 1
+        rows.append((i, segments, spans, first, last))
+    if not rows:
+        return results
+
+    def fail(row: int, error: Exception) -> None:
+        # A sequence keeps the first check it fails.
+        i = rows[row][0]
+        if results[i] is None:
+            results[i] = error
+
+    def check(row: int, guard, *args) -> None:
+        # A row the batch flags meets the single-sequence check itself.
+        try:
+            guard(*args)
+        except NumericalError as error:
+            fail(row, error)
+
+    # Segments padded to the batch's longest sequence with empty ones: no
+    # samples, identity propagator.
+    n_seg = max(len(segments) for _, segments, *_ in rows)
+    table = np.array([segments + [(0.0, 0, 0.0)] * (n_seg - len(segments))
+                      for _, segments, *_ in rows])
+    steps, counts = table[..., 0], table[..., 1].astype(int)
+    drives = {f: generator(system, f) for f in set(table[..., 2].flat)}
+    args = np.stack([drives[f] for f in table[..., 2].flat]).reshape(
+        *steps.shape, 3, 3) * steps[..., None, None]
+    norms = np.abs(args).sum(axis=-2).max(axis=(-2, -1))
+    for row in np.flatnonzero(~(norms <= TAYLOR_NORM_MAX)):
+        check(row, _propagator, args[row])
+        args[row] = 0.0
+    props = _propagator(args).reshape(-1, 3, 3)
+
+    # Per window (flattened over the batch) and segment: the samples lo..hi
+    # it keeps, counted from the segment's start sample.
+    window_row = np.repeat(np.arange(len(rows)), [len(r[2]) for r in rows])
+    spans = np.concatenate([r[2] for r in rows])
+    first = np.concatenate([r[3] for r in rows])
+    last = np.concatenate([r[4] for r in rows])
+    origin = (np.cumsum(counts, axis=1) - counts)[window_row]
+    lo = np.maximum(first[:, None], origin + (origin > 0))
+    hi = np.minimum(last[:, None], origin + counts[window_row])
+    window, seg = np.nonzero(lo <= hi)
+    lo, hi, origin = lo[window, seg], hi[window, seg], origin[window, seg]
+    segment = window_row[window] * n_seg + seg
+    powers, sums = _power_sums(
+        props,
+        np.concatenate([np.arange(counts.size), segment, segment]),
+        np.concatenate([counts.ravel(), lo - origin, hi - lo + 1]),
+    )
+    n_terms = len(segment)
+    ends = powers[:counts.size].reshape(*counts.shape, 3, 3)
+    offsets = powers[counts.size:counts.size + n_terms]
+    partials = sums[counts.size + n_terms:]
+
+    states = np.empty((len(rows), n_seg + 1, 3))
+    states[:, 0] = system.thermal_populations()
+    for s in range(n_seg):
+        states[:, s + 1] = (ends[:, s] @ states[:, s, :, None])[..., 0]
+    drift = np.max(np.abs(states.sum(axis=-1) - 1.0), axis=-1)
+    for row in np.flatnonzero(drift > CONSERVATION_TOL):
+        check(row, _check_conservation, states[row])
+    sizes = last - first + 1
+    for w in np.flatnonzero(sizes < 1):
+        fail(window_row[w], ExtractionError(
+            f"no samples inside the window [{spans[w, 0]:.1f}, "
+            f"{spans[w, 1]:.1f}] ns"))
+
+    start_states = states[:, :-1].reshape(-1, 3)[segment]
+    terms = (partials @ (offsets @ start_states[..., None]))[..., 0]
+    totals = np.zeros((len(spans), 3))
+    np.add.at(totals, window, terms)
+    # An empty window has failed its sequence above; 1 keeps its mean finite.
+    means = totals / np.maximum(sizes, 1)[:, None]
+    drift = np.abs(means.sum(axis=-1) - 1.0)
+    for row in set(window_row[drift > CONSERVATION_TOL]):
+        check(row, _check_conservation, means[window_row == row])
+    per_row = np.split(means, np.cumsum([len(r[2]) for r in rows])[:-1])
+    for (i, *_), row_means in zip(rows, per_row):
+        if results[i] is None:
+            results[i] = row_means
+    return results
+
+
+def _ratio_windows(sequence: PulseSequence, window_ns: float) -> list:
+    """Leading-edge and stationary (start, stop) windows of both pulses."""
+    if not (math.isfinite(window_ns) and window_ns > 0):
+        raise InvalidParameterError(f"window must be positive, got {window_ns}")
+    if sequence.width_ns < SETTLE_NS + 2 * window_ns:
+        raise InvalidParameterError(
+            f"pulses of {sequence.width_ns:g} ns are too short for the chosen "
+            f"window: need at least {SETTLE_NS + 2 * window_ns:g} ns "
+            f"({SETTLE_NS:g} ns settle plus two {window_ns:g} ns windows)"
+        )
+    windows = []
+    for start in sequence.pulse_starts():
+        stop = start + sequence.width_ns
+        windows.append((start + SETTLE_NS, start + SETTLE_NS + window_ns))
+        windows.append((stop - window_ns, stop))
+    return windows
+
+
+def _peak_ratios(
+    system: LevelSystem, taus_ns, width_ns: float, window_ns: float
+) -> np.ndarray:
+    """``extract_peak_ratio`` of the two-pulse sequence at each delay, with
+    the windows of all delays summed in one ``_window_means`` batch.
+
+    Each delay meets the checks of a single call in the same order; the
+    first delay to fail one, in delay order, raises it.
+    """
+    jobs = []
+    for tau in taus_ns:
+        try:
+            sequence = PulseSequence(delay_ns=float(tau), width_ns=width_ns)
+            jobs.append((sequence, _ratio_windows(sequence, window_ns)))
+        except InvalidParameterError as error:
+            jobs.append(error)
+    ratios = np.empty(len(jobs))
+    for k, means in enumerate(_window_means(system, jobs)):
+        if isinstance(means, Exception):
+            raise means
+        peak1, stat1, peak2, stat2 = OPTICAL_DECAY_MHZ * means[:, 2]
+        denom = peak1 - stat1
+        if denom <= 0:
             raise ExtractionError(
-                f"no samples inside the window [{start:.1f}, {stop:.1f}] ns"
+                "first pulse shows no leading-edge transient; cannot normalize"
             )
-        total = np.zeros(3)
-        origin = 0  # index of the sample each segment starts from
-        for (_, count, prop), state in zip(segments, states):
-            lo = max(first, origin + 1 if origin else 0)
-            hi = min(last, origin + count)
-            if lo <= hi:
-                block = np.block([[prop, eye], [zero, eye]])
-                partial = np.linalg.matrix_power(block, hi - lo + 1)[:3, 3:]
-                total += partial @ (
-                    np.linalg.matrix_power(prop, lo - origin) @ state
-                )
-            origin += count
-        means.append(total / (last - first + 1))
-    means = np.stack(means)
-    _check_conservation(means)
-    return means
+        ratios[k] = (peak2 - stat2) / denom
+    return ratios
 
 
 def extract_peak_ratio(
@@ -298,29 +455,11 @@ def extract_peak_ratio(
     T1 = 34.67 ns (+2%).  With no settle time the rise makes it 37.8 ns.
 
     Each window mean averages the samples that ``simulate_sequence`` takes
-    inside it, summed in closed form per segment, so no trace is stepped.
+    inside it, summed in closed form per segment (``_window_means``), so no
+    trace is stepped.
     """
-    if not (math.isfinite(window_ns) and window_ns > 0):
-        raise InvalidParameterError(f"window must be positive, got {window_ns}")
-    if sequence.width_ns < SETTLE_NS + 2 * window_ns:
-        raise InvalidParameterError(
-            f"pulses of {sequence.width_ns:g} ns are too short for the chosen "
-            f"window: need at least {SETTLE_NS + 2 * window_ns:g} ns "
-            f"({SETTLE_NS:g} ns settle plus two {window_ns:g} ns windows)"
-        )
-    windows = []
-    for start in sequence.pulse_starts():
-        stop = start + sequence.width_ns
-        windows.append((start + SETTLE_NS, start + SETTLE_NS + window_ns))
-        windows.append((stop - window_ns, stop))
-    means = _window_populations(system, sequence, windows)
-    peak1, stat1, peak2, stat2 = OPTICAL_DECAY_MHZ * means[:, 2]
-    denom = peak1 - stat1
-    if denom <= 0:
-        raise ExtractionError(
-            "first pulse shows no leading-edge transient; cannot normalize"
-        )
-    return float((peak2 - stat2) / denom)
+    return float(_peak_ratios(
+        system, [sequence.delay_ns], sequence.width_ns, window_ns)[0])
 
 
 def thermalization_curve(
@@ -334,17 +473,18 @@ def thermalization_curve(
     """Recovery ratio versus pump-probe delay, with optional shot noise.
 
     Each delay's ratio is ``extract_peak_ratio`` on a two-pulse sequence of
-    pulse width ``width_ns``; the noise is Gaussian, added to the ratios.
+    pulse width ``width_ns``, all delays summed in one batch; the noise is
+    Gaussian, added to the ratios.
     """
     taus = np.asarray(taus_ns, dtype=float)
+    if taus.ndim != 1:
+        raise InvalidParameterError(
+            f"delays must be a 1-D sequence, got shape {taus.shape}")
     if taus.size == 0:
         raise InvalidParameterError("need at least one delay")
     if not (math.isfinite(noise) and noise >= 0):
         raise InvalidParameterError(f"noise level must be finite and >= 0, got {noise}")
-    ratios = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        sequence = PulseSequence(delay_ns=float(tau), width_ns=width_ns)
-        ratios[i] = extract_peak_ratio(system, sequence, window_ns)
+    ratios = _peak_ratios(system, taus, width_ns, window_ns)
     if noise > 0:
         rng = np.random.default_rng(seed)
         ratios = ratios + rng.normal(0.0, noise, ratios.size)

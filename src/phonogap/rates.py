@@ -113,6 +113,20 @@ def _check_finite(value: float, what: str, temperature_k: float) -> float:
     return value
 
 
+def _check_coupling(
+    rate: float, what: str, coupling: str, value: float, temperature_k: float
+) -> float:
+    """``rate``, or ``InvalidParameterError`` naming the coupling if it
+    overflowed; callers check the thermal factor first, so a finite factor
+    times this coupling is what overflowed."""
+    if not math.isfinite(rate):
+        raise InvalidParameterError(
+            f"coupling {coupling} = {value:g} is too large: the {what} "
+            f"overflows at {temperature_k:g} K"
+        )
+    return rate
+
+
 def bose_occupation(delta_ghz: float, temperature_k: float) -> float:
     """Thermal occupation of a mode at ``delta_ghz``; exactly 0 at T = 0."""
     if not (math.isfinite(delta_ghz) and delta_ghz > 0):
@@ -138,7 +152,10 @@ def single_phonon_rates(
     """
     n = bose_occupation(system.delta_gs_ghz, temperature_k)
     base = 2.0 * math.pi * model.chi_rho * system.delta_gs_ghz**3 * model.scale
-    return base * n, base * (n + 1.0)
+    # Emission is the larger rate, so it overflows whenever absorption does.
+    down = _check_coupling(base * (n + 1.0), "one-phonon emission rate",
+                           "chi_rho", model.chi_rho, temperature_k)
+    return base * n, down
 
 
 def raman_rate(
@@ -160,8 +177,10 @@ def raman_rate(
         theta_cubed = theta**3
     except OverflowError:
         theta_cubed = math.inf
-    return _check_finite(
-        prefactor * (math.pi**2 / 3.0) * theta_cubed, "Raman rate", temperature_k
+    _check_finite(theta_cubed, "Raman rate", temperature_k)
+    return _check_coupling(
+        prefactor * (math.pi**2 / 3.0) * theta_cubed, "Raman rate",
+        "chi_rho_sq", model.chi_rho_sq, temperature_k,
     )
 
 

@@ -719,6 +719,22 @@ class TestRates:
         assert not list(tmp_path.glob("rates-*"))
 
 
+    @pytest.mark.parametrize("coupling,name", [
+        (("--chi-rho", "1e306"), "chi_rho = 1e+306"),
+        (("--chi-rho-sq", "1e300"), "chi_rho_sq = 1e+300"),
+    ])
+    def test_overflowing_coupling_exits_2(self, tmp_path, capsys, coupling,
+                                          name):
+        assert cli.main([
+            "rates", "--delta-ghz", "46", "--temp-k", "4", *coupling,
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"coupling {name} is too large" in err
+        assert "K is too high" not in err
+        assert not list(tmp_path.glob("rates-*"))
+
+
 class TestPumpProbe:
     def test_curve_follows_exponential_recovery(self, cli_run):
         header, rows = read_csv(cli_run("pumpprobe") / "pumpprobe.csv")

@@ -332,7 +332,7 @@ class TestClosedFormWindows:
         end = float(trace.times_ns[-1])
         windows = [(0.0, 10.0), (0.0, end), (55.0, 105.0), (50.0, 100.0),
                    (100.0, 160.0), (159.9, end)]
-        closed = dynamics._window_populations(system, seq, windows)
+        [closed] = dynamics._window_means(system, [(seq, windows)])
         for (start, stop), means in zip(windows, closed):
             stepped = window_mean(trace, start, stop, trace.populations)
             assert np.max(np.abs(means - stepped)) < 1e-12
@@ -352,8 +352,128 @@ class TestClosedFormWindows:
         second = 300.0 + tau
         windows = [(5.0, 15.0), (290.0, 300.0), (second + 5.0, second + 15.0),
                    (second + 290.0, second + 300.0), (0.0, second + 600.0)]
-        means = dynamics._window_populations(system, seq, windows)
+        [means] = dynamics._window_means(system, [(seq, windows)])
         assert np.max(np.abs(means.sum(axis=1) - 1.0)) < 1e-9
+
+
+def raised(call, *args):
+    """The exception ``call(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return info.value
+
+
+class TestBatchedWindows:
+    """All delays of a curve summed in one batch, checked delay by delay."""
+
+    def test_mixed_batch_matches_single_calls_and_stepped_trace(self):
+        system = bath_system(34.0)
+        step = dynamics._segment_steps(system, PulseSequence(delay_ns=0.0))[0][0]
+        # No dark segment, a dark segment one step long, and a long delay.
+        taus = [0.0, 0.9 * step, 12.0 * 34.0, 45.0]
+        segments = [dynamics._segment_steps(system, PulseSequence(tau))
+                    for tau in taus]
+        assert [len(s) for s in segments] == [3, 4, 4, 4]
+        assert segments[1][1][1] == 1
+        batch = dynamics._peak_ratios(system, taus, 300.0, 10.0)
+        single = [dynamics.extract_peak_ratio(system, PulseSequence(tau))
+                  for tau in taus]
+        np.testing.assert_array_equal(batch, single)
+        for tau, ratio in zip(taus, batch):
+            assert abs(ratio - stepped_ratio(system, PulseSequence(tau))) < 1e-12
+
+    def test_batch_of_windows_matches_single_jobs(self):
+        system = bath_system(34.0)
+        jobs = [(PulseSequence(delay_ns=40.0, width_ns=60.0),
+                 [(0.0, 10.0), (55.0, 105.0)]),
+                (PulseSequence(delay_ns=0.0), [(290.0, 310.0)]),
+                (PulseSequence(delay_ns=900.0), [(1205.0, 1215.0)] * 3)]
+        batch = dynamics._window_means(system, jobs)
+        for job, means in zip(jobs, batch):
+            [alone] = dynamics._window_means(system, [job])
+            np.testing.assert_array_equal(means, alone)
+
+    @pytest.mark.parametrize("taus,failing", [
+        ([20.0, 1e12, 50.0], 1e12),
+        ([20.0, -1.0, 1e12], -1.0),
+        ([1e12, -1.0], 1e12),
+    ])
+    def test_first_failing_delay_raises_its_single_call_error(self, taus, failing):
+        system = bath_system(34.0)
+        single = raised(lambda: dynamics.extract_peak_ratio(
+            system, PulseSequence(delay_ns=failing)))
+        batch = raised(dynamics.thermalization_curve, system, taus)
+        assert type(batch) is type(single) is InvalidParameterError
+        assert str(batch) == str(single)
+
+    def test_earlier_delay_failing_a_later_check_raises_first(self):
+        # The undriven first delay fails only the final normalization, the
+        # second the sample bound that comes first in a single call.
+        undriven = LevelSystem(omega_mhz=0.0, gamma_up_mhz=5.0,
+                               gamma_down_mhz=10.0)
+        with pytest.raises(ExtractionError, match="transient"):
+            dynamics.thermalization_curve(undriven, [50.0, 1e12])
+        with pytest.raises(InvalidParameterError, match="samples"):
+            dynamics.thermalization_curve(undriven, [1e12, 50.0])
+
+    def test_empty_window_in_mid_batch_fails_only_its_sequence(self):
+        system = bath_system(34.0)
+        good = (PulseSequence(delay_ns=50.0), [(5.0, 15.0)])
+        empty = (PulseSequence(delay_ns=60.0), [(5.0, 15.0), (5.0, 5.001)])
+        overlong = (PulseSequence(delay_ns=1e12), [(5.0, 15.0)])
+        results = dynamics._window_means(system, [good, empty, overlong, good])
+        [alone] = dynamics._window_means(system, [empty])
+        assert type(results[1]) is type(alone) is ExtractionError
+        assert str(results[1]) == str(alone)
+        assert "no samples inside the window [5.0, 5.0]" in str(alone)
+        assert isinstance(results[2], InvalidParameterError)
+        np.testing.assert_array_equal(results[0], results[3])
+        np.testing.assert_array_equal(
+            results[0], dynamics._window_means(system, [good])[0])
+
+    def test_mid_batch_sample_bound_matches_single_call(self, monkeypatch):
+        system = bath_system(34.0)
+        taus = [10.0, 200.0, 20.0]
+        samples = dynamics.simulate_sequence(
+            system, PulseSequence(delay_ns=taus[1])).times_ns.size
+        monkeypatch.setattr(dynamics, "MAX_SAMPLES", samples - 1)
+        single = raised(lambda: dynamics.extract_peak_ratio(
+            system, PulseSequence(delay_ns=taus[1])))
+        batch = raised(dynamics.thermalization_curve, system, taus)
+        assert type(batch) is type(single) is InvalidParameterError
+        assert str(batch) == str(single)
+
+    @pytest.mark.parametrize("guard,bound,match", [
+        ("TAYLOR_NORM_MAX", 0.1, "1-norm"),
+        ("CONSERVATION_TOL", 0.0, "conservation"),
+    ])
+    def test_numerical_guards_raise_their_single_call_error(
+            self, monkeypatch, guard, bound, match):
+        monkeypatch.setattr(dynamics, guard, bound)
+        system = bath_system(34.0)
+        single = raised(lambda: dynamics.extract_peak_ratio(
+            system, PulseSequence(delay_ns=20.0)))
+        batch = raised(dynamics.thermalization_curve, system, [20.0, 50.0])
+        assert type(batch) is type(single) is NumericalError
+        assert match in str(batch) and str(batch) == str(single)
+
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 3, 4_999_999])
+    def test_power_sums_match_matrix_power(self, exponent):
+        segments = dynamics._segments(bath_system(34.0),
+                                      PulseSequence(delay_ns=50.0))
+        props = np.stack([prop for _, _, prop in segments])
+        powers, sums = dynamics._power_sums(
+            props, np.arange(len(props)), np.full(len(props), exponent))
+        for prop, power, total in zip(props, powers, sums):
+            block = np.block([[prop, np.eye(3)], [np.zeros((3, 3)), np.eye(3)]])
+            np.testing.assert_allclose(
+                power, np.linalg.matrix_power(prop, exponent), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                total, np.linalg.matrix_power(block, exponent)[:3, 3:],
+                rtol=0, atol=1e-12 * max(exponent, 1))
+        if exponent == 0:
+            assert np.array_equal(powers, np.broadcast_to(np.eye(3), powers.shape))
+            assert not sums.any()
 
 
 class TestThermalizationCurve:
@@ -414,3 +534,8 @@ class TestThermalizationCurve:
             dynamics.thermalization_curve(system, [])
         with pytest.raises(InvalidParameterError):
             dynamics.thermalization_curve(system, [10.0], noise=-0.1)
+
+    @pytest.mark.parametrize("taus", [[[10.0, 20.0], [30.0, 40.0]], 10.0])
+    def test_delays_must_be_one_dimensional(self, taus):
+        with pytest.raises(InvalidParameterError, match="1-D"):
+            dynamics.thermalization_curve(bath_system(50.0), taus)

@@ -80,6 +80,16 @@ class TestSinglePhonon:
             2.0 * math.pi * self.MODEL.chi_rho * 60.0**3, rel=1e-12
         )
 
+    @pytest.mark.parametrize("t_k", [0.0, 4.0])
+    def test_overflowing_coupling_rejected(self, t_k):
+        # 2*pi*chi_rho*delta^3 overflows by itself at chi_rho = 1e306.
+        system = OrbitalSystem(delta_gs_ghz=46.0)
+        assert math.isfinite(
+            single_phonon_rates(system, RateModel(chi_rho=1e300), t_k)[1])
+        with pytest.raises(InvalidParameterError,
+                           match="coupling chi_rho = 1e\\+306 is too large"):
+            single_phonon_rates(system, RateModel(chi_rho=1e306), t_k)
+
     @settings(max_examples=150, deadline=None)
     @given(
         delta=st.floats(1.0, 200.0),
@@ -173,6 +183,16 @@ class TestRaman:
         assert math.isfinite(raman_rate(self.SYSTEM, model, 1e100))
         with pytest.raises(InvalidParameterError, match="Raman rate"):
             raman_rate(self.SYSTEM, model, 1e300)
+
+    def test_overflowing_coupling_rejected(self):
+        # A finite T^3 at 4 K times chi_rho_sq = 1e300 overflows: the
+        # coupling is named, not the temperature.
+        system = OrbitalSystem(delta_gs_ghz=46.0)
+        assert math.isfinite(raman_rate(system, RateModel(chi_rho_sq=1e290), 4.0))
+        with pytest.raises(InvalidParameterError) as info:
+            raman_rate(system, RateModel(chi_rho_sq=1e300), 4.0)
+        assert "coupling chi_rho_sq = 1e+300 is too large" in str(info.value)
+        assert "temperature" not in str(info.value)
 
     def test_exact_cubic_scaling(self):
         low = raman_rate(self.SYSTEM, self.MODEL, 3.7)
