@@ -10,13 +10,12 @@ T1 = 1/(gamma_up + gamma_down).
 A sequence is a chain of constant-drive segments, each sampled on a uniform
 step with an exact one-step propagator P = exp(G step), summed as a Taylor
 series to below double round-off.  The recovery ratio needs only the
-means of four sample windows, and on one segment the samples are P^j q, so
-each window sums in closed form from powers of the block matrix
-[[P, I], [0, I]].  ``thermalization_curve`` sums the windows of all its
-delays in one batch: one Taylor sum for every segment, one binary powering
-for every start state, window offset and window sum.  ``extract_peak_ratio``
-is the same batch of one delay.  ``simulate_sequence`` steps the same
-samples one by one; it serves trace dumps and is the tests' reference.
+means of four sample windows.  Both pulses share their step, sample count
+and window offsets, and the delay changes only the dark segment between
+them, so a curve builds each window's mean operator once, from powers of P
+and of the block matrix [[P, I], [0, I]], and each delay adds one power of
+its dark propagator.  ``simulate_sequence`` steps the same samples one by
+one; it serves trace dumps and is the tests' reference.
 
 Rates are in MHz, times in ns throughout (1 MHz = 1e-3 / ns).
 """
@@ -53,8 +52,9 @@ TAYLOR_DEGREE = 12
 TAYLOR_NORM_MAX = 0.25
 
 #: Most samples a pulse sequence may take, t = 0 included.  The committed
-#: tests, goldens and benchmark workloads reach at most 46,508; past the
-#: bound a sequence raises ``InvalidParameterError`` before it is sampled.
+#: tests, goldens and benchmark workloads reach at most about 109,000 (a
+#: 4000 ns delay between 450 ns pulses at a 1500 MHz drive); past the bound
+#: a sequence raises ``InvalidParameterError`` before it is sampled.
 MAX_SAMPLES = 5_000_000
 
 
@@ -137,7 +137,7 @@ def generator(system: LevelSystem, pump_fraction: float = 1.0) -> np.ndarray:
 
 
 def _check_conservation(populations: np.ndarray) -> None:
-    drift = float(np.max(np.abs(np.sum(populations, axis=-1) - 1.0)))
+    drift = float(np.abs(populations.sum(axis=-1) - 1.0).max())
     if drift > CONSERVATION_TOL:
         raise NumericalError(f"population conservation violated by {drift:.2e}")
 
@@ -211,29 +211,28 @@ def _segments(
             for (step, count, _), prop in zip(segments, propagators)]
 
 
-def _sample_times(segments) -> np.ndarray:
-    """Sample times from t = 0, accumulated step by step in sequence order."""
-    steps = [np.full(count, step) for step, count, _ in segments]
-    return np.cumsum(np.concatenate([[0.0], *steps]))
-
-
 def simulate_sequence(
     system: LevelSystem, sequence: PulseSequence
 ) -> FluorescenceTrace:
     """Step the rate equations sample by sample over the two-pulse sequence.
 
-    Each constant-drive segment advances with its cached exact one-step
-    propagator.  The stepped trace serves trace dumps and is the reference
-    for the closed-form window sums of ``extract_peak_ratio``.
+    Each constant-drive segment advances with its exact one-step propagator
+    from ``_segments``, and sample j of a segment sits at the segment's
+    origin plus j steps.  The stepped trace serves trace dumps and is the
+    reference for the closed-form window means of ``extract_peak_ratio``.
     """
     segments = _segments(system, sequence)
     populations = np.empty((1 + sum(count for _, count, _ in segments), 3))
     populations[0] = system.thermal_populations()
-    start = 0
-    for _, count, prop in segments:
+    times = [np.zeros(1)]
+    start, origin = 0, 0.0
+    for step, count, prop in segments:
         for i in range(start, start + count):
             populations[i + 1] = prop @ populations[i]
-        start += count
+        # From the origin, not a running sum, whose round-off grows with the
+        # sample count past the windows' 1e-9 ns tolerance.
+        times.append(origin + step * np.arange(1, count + 1))
+        start, origin = start + count, origin + step * count
     _check_conservation(populations)
     excited = populations[:, 2]
     if excited.min() < -CONSERVATION_TOL:
@@ -242,154 +241,12 @@ def simulate_sequence(
         )
     # Only round-off below zero is left; clip it so the signal is >= 0.
     signal = OPTICAL_DECAY_MHZ * np.clip(excited, 0.0, None)
-    return FluorescenceTrace(_sample_times(segments), signal, populations)
-
-
-def _power_sums(
-    props: np.ndarray, which: np.ndarray, exponents: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """P^n and S(n) = sum_{m<n} P^m for each P = props[which[k]] and
-    n = exponents[k] >= 0.
-
-    Both are blocks of B^n = [[P^n, S(n)], [0, I]] for B = [[P, I], [0, I]],
-    raised by one binary powering of the whole stack: each round multiplies
-    the powers whose exponent has the round's bit set by their B^(2^bit), in
-    increasing bit order as ``np.linalg.matrix_power`` does, then squares
-    every B.
-    """
-    size = props.shape[-1]
-    base = np.zeros((len(props), 2 * size, 2 * size))
-    base[:, :size, :size] = props
-    base[:, :size, size:] = base[:, size:, size:] = np.eye(size)
-    power = np.tile(np.eye(2 * size), (len(which), 1, 1))
-    exponents = np.asarray(exponents)
-    while True:
-        odd = np.flatnonzero(exponents & 1)
-        power[odd] = power[odd] @ base[which[odd]]
-        exponents = exponents >> 1
-        if not exponents.any():
-            return power[:, :size, :size], power[:, :size, size:]
-        base = base @ base
-
-
-def _window_means(system: LevelSystem, jobs) -> list:
-    """Mean populations over sample windows of a batch of sequences.
-
-    Each job is a (sequence, windows) pair, a window a (start, stop) in ns,
-    or an exception, which passes through.  A window keeps the samples of
-    ``simulate_sequence`` within 1e-9 ns of it, found on the sequence's own
-    sample times; each sequence's times are built and dropped in turn.
-    Segment s holds P^j q_s for j = 1..n_s after its start state q_s, and the
-    first segment also holds the t = 0 sample (j = 0).  Samples j0..j0+L-1 of
-    a segment sum to S(L) P^j0 q_s, so every start state, window offset and
-    window sum of the batch comes from one ``_propagator`` call and one
-    ``_power_sums`` call.
-
-    Returns, in job order, each sequence's (n_windows, 3) means, or the
-    exception of the first check it fails, in the order: sample bound,
-    Taylor bound, conservation of the segment start states, an empty window
-    (``ExtractionError``), conservation of the window means.
-    """
-    results = [job if isinstance(job, Exception) else None for job in jobs]
-    rows = []  # (job index, segment steps, windows, first and last samples)
-    for i, job in enumerate(jobs):
-        if results[i] is not None:
-            continue
-        sequence, windows = job
-        try:
-            segments = _segment_steps(system, sequence)
-        except InvalidParameterError as error:
-            results[i] = error
-            continue
-        times = _sample_times(segments)
-        spans = np.asarray(windows, dtype=float).reshape(-1, 2)
-        first = np.searchsorted(times, spans[:, 0] - 1e-9, side="left")
-        last = np.searchsorted(times, spans[:, 1] + 1e-9, side="right") - 1
-        rows.append((i, segments, spans, first, last))
-    if not rows:
-        return results
-
-    def fail(row: int, error: Exception) -> None:
-        # A sequence keeps the first check it fails.
-        i = rows[row][0]
-        if results[i] is None:
-            results[i] = error
-
-    def check(row: int, guard, *args) -> None:
-        # A row the batch flags meets the single-sequence check itself.
-        try:
-            guard(*args)
-        except NumericalError as error:
-            fail(row, error)
-
-    # Segments padded to the batch's longest sequence with empty ones: no
-    # samples, identity propagator.
-    n_seg = max(len(segments) for _, segments, *_ in rows)
-    table = np.array([segments + [(0.0, 0, 0.0)] * (n_seg - len(segments))
-                      for _, segments, *_ in rows])
-    steps, counts = table[..., 0], table[..., 1].astype(int)
-    drives = {f: generator(system, f) for f in set(table[..., 2].flat)}
-    args = np.stack([drives[f] for f in table[..., 2].flat]).reshape(
-        *steps.shape, 3, 3) * steps[..., None, None]
-    norms = np.abs(args).sum(axis=-2).max(axis=(-2, -1))
-    for row in np.flatnonzero(~(norms <= TAYLOR_NORM_MAX)):
-        check(row, _propagator, args[row])
-        args[row] = 0.0
-    props = _propagator(args).reshape(-1, 3, 3)
-
-    # Per window (flattened over the batch) and segment: the samples lo..hi
-    # it keeps, counted from the segment's start sample.
-    window_row = np.repeat(np.arange(len(rows)), [len(r[2]) for r in rows])
-    spans = np.concatenate([r[2] for r in rows])
-    first = np.concatenate([r[3] for r in rows])
-    last = np.concatenate([r[4] for r in rows])
-    origin = (np.cumsum(counts, axis=1) - counts)[window_row]
-    lo = np.maximum(first[:, None], origin + (origin > 0))
-    hi = np.minimum(last[:, None], origin + counts[window_row])
-    window, seg = np.nonzero(lo <= hi)
-    lo, hi, origin = lo[window, seg], hi[window, seg], origin[window, seg]
-    segment = window_row[window] * n_seg + seg
-    powers, sums = _power_sums(
-        props,
-        np.concatenate([np.arange(counts.size), segment, segment]),
-        np.concatenate([counts.ravel(), lo - origin, hi - lo + 1]),
-    )
-    n_terms = len(segment)
-    ends = powers[:counts.size].reshape(*counts.shape, 3, 3)
-    offsets = powers[counts.size:counts.size + n_terms]
-    partials = sums[counts.size + n_terms:]
-
-    states = np.empty((len(rows), n_seg + 1, 3))
-    states[:, 0] = system.thermal_populations()
-    for s in range(n_seg):
-        states[:, s + 1] = (ends[:, s] @ states[:, s, :, None])[..., 0]
-    drift = np.max(np.abs(states.sum(axis=-1) - 1.0), axis=-1)
-    for row in np.flatnonzero(drift > CONSERVATION_TOL):
-        check(row, _check_conservation, states[row])
-    sizes = last - first + 1
-    for w in np.flatnonzero(sizes < 1):
-        fail(window_row[w], ExtractionError(
-            f"no samples inside the window [{spans[w, 0]:.1f}, "
-            f"{spans[w, 1]:.1f}] ns"))
-
-    start_states = states[:, :-1].reshape(-1, 3)[segment]
-    terms = (partials @ (offsets @ start_states[..., None]))[..., 0]
-    totals = np.zeros((len(spans), 3))
-    np.add.at(totals, window, terms)
-    # An empty window has failed its sequence above; 1 keeps its mean finite.
-    means = totals / np.maximum(sizes, 1)[:, None]
-    drift = np.abs(means.sum(axis=-1) - 1.0)
-    for row in set(window_row[drift > CONSERVATION_TOL]):
-        check(row, _check_conservation, means[window_row == row])
-    per_row = np.split(means, np.cumsum([len(r[2]) for r in rows])[:-1])
-    for (i, *_), row_means in zip(rows, per_row):
-        if results[i] is None:
-            results[i] = row_means
-    return results
+    return FluorescenceTrace(np.concatenate(times), signal, populations)
 
 
 def _ratio_windows(sequence: PulseSequence, window_ns: float) -> list:
-    """Leading-edge and stationary (start, stop) windows of both pulses."""
+    """Leading-edge and stationary (start, stop) windows of a pulse, in ns
+    from its start; both pulses take the same two."""
     if not (math.isfinite(window_ns) and window_ns > 0):
         raise InvalidParameterError(f"window must be positive, got {window_ns}")
     if sequence.width_ns < SETTLE_NS + 2 * window_ns:
@@ -398,41 +255,70 @@ def _ratio_windows(sequence: PulseSequence, window_ns: float) -> list:
             f"window: need at least {SETTLE_NS + 2 * window_ns:g} ns "
             f"({SETTLE_NS:g} ns settle plus two {window_ns:g} ns windows)"
         )
-    windows = []
-    for start in sequence.pulse_starts():
-        stop = start + sequence.width_ns
-        windows.append((start + SETTLE_NS, start + SETTLE_NS + window_ns))
-        windows.append((stop - window_ns, stop))
-    return windows
+    return [(SETTLE_NS, SETTLE_NS + window_ns),
+            (sequence.width_ns - window_ns, sequence.width_ns)]
 
 
 def _peak_ratios(
     system: LevelSystem, taus_ns, width_ns: float, window_ns: float
 ) -> np.ndarray:
-    """``extract_peak_ratio`` of the two-pulse sequence at each delay, with
-    the windows of all delays summed in one ``_window_means`` batch.
+    """``extract_peak_ratio`` of the two-pulse sequence at each delay.
 
-    Each delay meets the checks of a single call in the same order; the
-    first delay to fail one, in delay order, raises it.
+    Every delay's inputs are checked first, in delay order: the sequence,
+    its windows and its sample bound.  Both pulses share one step, count
+    and pair of windows; the delay changes only the dark segment between
+    them.  A pulse from state q holds the samples P^j q, so the samples
+    lo..lo+L-1 of a window average to M q with M = S(L) P^lo / L and
+    S(L) = sum_{m<L} P^m, the top-right block of [[P, I], [0, I]]^L.  With
+    s1 = P^n q0 the first pulse's end, the second pulse starts from
+    q2 = D^k s1 (D the dark step's propagator, k its count), and the ratio
+    is the leading-minus-stationary excited mean of M q2 over that of M q0.
     """
-    jobs = []
+    darks = []  # (step, count) of each delay's dark segment
     for tau in taus_ns:
-        try:
-            sequence = PulseSequence(delay_ns=float(tau), width_ns=width_ns)
-            jobs.append((sequence, _ratio_windows(sequence, window_ns)))
-        except InvalidParameterError as error:
-            jobs.append(error)
-    ratios = np.empty(len(jobs))
-    for k, means in enumerate(_window_means(system, jobs)):
-        if isinstance(means, Exception):
-            raise means
-        peak1, stat1, peak2, stat2 = OPTICAL_DECAY_MHZ * means[:, 2]
-        denom = peak1 - stat1
-        if denom <= 0:
+        sequence = PulseSequence(delay_ns=float(tau), width_ns=width_ns)
+        windows = _ratio_windows(sequence, window_ns)
+        segments = _segment_steps(system, sequence)
+        darks.append(segments[1][:2] if len(segments) == 4 else (0.0, 0))
+    step, count, _ = segments[0]
+
+    pulse = _propagator(generator(system, 1.0) * step)
+    eye = np.eye(3)
+    block = np.block([[pulse, eye], [np.zeros((3, 3)), eye]])
+    # The pulse's own sample times, j steps from its start.
+    times = step * np.arange(count + 1)
+    operators = []
+    for start, stop in windows:
+        lo = int(np.searchsorted(times, start - 1e-9, side="left"))
+        size = int(np.searchsorted(times, stop + 1e-9, side="right")) - lo
+        if size < 1:
             raise ExtractionError(
-                "first pulse shows no leading-edge transient; cannot normalize"
-            )
-        ratios[k] = (peak2 - stat2) / denom
+                f"no samples inside the window [{start:.1f}, {stop:.1f}] ns")
+        operators.append(np.linalg.matrix_power(block, size)[:3, 3:]
+                         @ np.linalg.matrix_power(pulse, lo) / size)
+    operators = np.stack(operators)
+
+    q0 = system.thermal_populations()
+    s1 = np.linalg.matrix_power(pulse, count) @ q0
+    _check_conservation(s1)
+    means = operators @ q0
+    _check_conservation(means)
+    denom = means[0, 2] - means[1, 2]
+    if denom <= 0:
+        raise ExtractionError(
+            "first pulse shows no leading-edge transient; cannot normalize"
+        )
+    dark = generator(system, 0.0)
+    ratios = np.empty(len(darks))
+    for k, (dark_step, dark_count) in enumerate(darks):
+        q2 = s1
+        if dark_count:
+            q2 = np.linalg.matrix_power(
+                _propagator(dark * dark_step), dark_count) @ s1
+            _check_conservation(q2)
+        means = operators @ q2
+        _check_conservation(means)
+        ratios[k] = (means[0, 2] - means[1, 2]) / denom
     return ratios
 
 
@@ -454,9 +340,9 @@ def extract_peak_ratio(
     T1 = 34 ns sit up to 0.014 off 1 - exp(-delay/T1), and their fit returns
     T1 = 34.67 ns (+2%).  With no settle time the rise makes it 37.8 ns.
 
-    Each window mean averages the samples that ``simulate_sequence`` takes
-    inside it, summed in closed form per segment (``_window_means``), so no
-    trace is stepped.
+    Each window mean averages the samples of its own pulse that
+    ``simulate_sequence`` takes inside it, in closed form (``_peak_ratios``),
+    so no trace is stepped.
     """
     return float(_peak_ratios(
         system, [sequence.delay_ns], sequence.width_ns, window_ns)[0])
@@ -473,8 +359,8 @@ def thermalization_curve(
     """Recovery ratio versus pump-probe delay, with optional shot noise.
 
     Each delay's ratio is ``extract_peak_ratio`` on a two-pulse sequence of
-    pulse width ``width_ns``, all delays summed in one batch; the noise is
-    Gaussian, added to the ratios.
+    pulse width ``width_ns``, all delays sharing one set of window
+    operators; the noise is Gaussian, added to the ratios.
     """
     taus = np.asarray(taus_ns, dtype=float)
     if taus.ndim != 1:

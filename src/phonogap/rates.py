@@ -46,6 +46,13 @@ class OrbitalSystem:
             raise InvalidParameterError(
                 f"orbital splitting must be positive, got {self.delta_gs_ghz}"
             )
+        try:
+            self.delta_gs_ghz**3  # the one-phonon rates scale as delta^3
+        except OverflowError:
+            raise InvalidParameterError(
+                f"orbital splitting {self.delta_gs_ghz:g} GHz is too large: "
+                "its cube overflows"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -136,10 +143,12 @@ def bose_occupation(delta_ghz: float, temperature_k: float) -> float:
         return 0.0
     # The exponent underflows to 0 once k_B*T/h overflows.
     x = thermal_exponent(delta_ghz, temperature_k)
-    return _check_finite(
-        1.0 / math.expm1(x) if x > 0 else math.inf,
-        "thermal occupation", temperature_k,
-    )
+    try:
+        occupation = 1.0 / math.expm1(x) if x > 0 else math.inf
+    except OverflowError:
+        # expm1 overflows past x ~ 709.8, where 1/expm1(x) has underflowed.
+        return 0.0
+    return _check_finite(occupation, "thermal occupation", temperature_k)
 
 
 def single_phonon_rates(

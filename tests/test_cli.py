@@ -735,6 +735,25 @@ class TestRates:
         assert not list(tmp_path.glob("rates-*"))
 
 
+    def test_large_splitting_has_no_thermal_phonons(self, tmp_path):
+        # At 4 K, h*delta/k_B*T ~ 1200 overflows expm1: the occupation is 0.
+        assert cli.main([
+            "rates", "--delta-ghz", "1e5", "--temp-k", "4", "--chi-rho",
+            "1e-9", "--out-dir", str(tmp_path),
+        ]) == 0
+        [run] = tmp_path.glob("rates-*")
+        _, [row] = read_csv(run / "rates.csv")
+        assert float(row[1]) == 0.0 and float(row[2]) > 0.0
+
+    def test_overflowing_splitting_exits_2(self, tmp_path, capsys):
+        assert cli.main([
+            "rates", "--delta-ghz", "1e103", "--temp-k", "4", "--chi-rho",
+            "1e-9", "--out-dir", str(tmp_path),
+        ]) == 2
+        assert "splitting 1e+103 GHz is too large" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rates-*"))
+
+
 class TestPumpProbe:
     def test_curve_follows_exponential_recovery(self, cli_run):
         header, rows = read_csv(cli_run("pumpprobe") / "pumpprobe.csv")

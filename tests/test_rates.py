@@ -24,6 +24,7 @@ from phonogap.rates import (
     crossover_temperature,
     raman_rate,
     single_phonon_rates,
+    thermal_exponent,
     total_relaxation,
 )
 
@@ -63,6 +64,14 @@ class TestBoseOccupation:
         with pytest.raises(InvalidParameterError, match="1e\\+308 K is too high"):
             bose_occupation(46.0, 1e308)
 
+    def test_underflowing_occupation_is_zero(self):
+        # expm1 overflows past h*delta/k_B*T ~ 709.8: at 4 K, 1e5 GHz is
+        # ~1200.  Just below, the occupation is the plain 1/expm1.
+        assert bose_occupation(1e5, 4.0) == 0.0
+        x = thermal_exponent(5.9e4, 4.0)
+        assert 700 < x < 709
+        assert bose_occupation(5.9e4, 4.0) == 1.0 / math.expm1(x) > 0
+
     def test_monotone_in_temperature(self):
         temps = np.linspace(0.0, 40.0, 81)
         occ = [bose_occupation(60.0, t) for t in temps]
@@ -89,6 +98,15 @@ class TestSinglePhonon:
         with pytest.raises(InvalidParameterError,
                            match="coupling chi_rho = 1e\\+306 is too large"):
             single_phonon_rates(system, RateModel(chi_rho=1e306), t_k)
+
+    def test_overflowing_splitting_rejected(self):
+        # delta^3 overflows past ~5.6e102 GHz.
+        system = OrbitalSystem(delta_gs_ghz=5e102)
+        assert math.isfinite(
+            single_phonon_rates(system, RateModel(chi_rho=1e-9), 4.0)[1])
+        with pytest.raises(InvalidParameterError,
+                           match="splitting 1e\\+103 GHz is too large"):
+            OrbitalSystem(delta_gs_ghz=1e103)
 
     @settings(max_examples=150, deadline=None)
     @given(
