@@ -1,9 +1,9 @@
 """Phononic-crystal band engineering and phonon-limited relaxation toolkit.
 
 The band solver, ``elastics``, is the one module that imports SciPy when it
-loads.  It and its names ``BandStructure``, ``band_diagram`` and
-``default_k_path`` are imported on first access, so the relaxation side
-starts on numpy alone.
+loads.  It and its ``band_diagram`` are imported on first access, so the
+relaxation side, and gaps and DOS of a ``BandStructure`` (``spectrum``),
+start on numpy alone.
 """
 
 import importlib
@@ -31,7 +31,13 @@ from .rates import (  # noqa: F401
     single_phonon_rates,
     total_relaxation,
 )
-from .spectrum import compute_dos, find_complete_gaps, primary_gap  # noqa: F401
+from .spectrum import (  # noqa: F401
+    BandStructure,
+    compute_dos,
+    default_k_path,
+    find_complete_gaps,
+    primary_gap,
+)
 from .tempfit import (  # noqa: F401
     RateSeries,
     crossing_report,
@@ -39,12 +45,10 @@ from .tempfit import (  # noqa: F401
     select_model,
 )
 
-_BAND_NAMES = ("BandStructure", "band_diagram", "default_k_path")
-
 
 def __getattr__(name: str):
-    if name == "elastics" or name in _BAND_NAMES:
+    if name in ("elastics", "band_diagram"):
         # Not ``from . import elastics``: that asks this hook again.
         elastics = importlib.import_module(f"{__name__}.elastics")
-        return elastics if name == "elastics" else getattr(elastics, name)
+        return elastics if name == "elastics" else elastics.band_diagram
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

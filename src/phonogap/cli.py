@@ -27,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,11 +47,15 @@ from .geometry import (
     build_unit_cell_mesh,
 )
 from .rates import OrbitalSystem, RateModel, total_relaxation
-from .spectrum import Gap, compute_dos, find_complete_gaps, primary_gap
+from .spectrum import (
+    BandStructure,
+    Gap,
+    compute_dos,
+    default_k_path,
+    find_complete_gaps,
+    primary_gap,
+)
 from .tempfit import SUPPORTED_EXPONENTS, RateSeries, select_model
-
-if TYPE_CHECKING:  # the band solver is imported by ``_solve``, on first use
-    from .elastics import BandStructure
 
 OUT_DIR_ENV = "PHONOGAP_OUT_DIR"
 STRUCTURES = ("pnc", "nanobeam")
@@ -443,7 +447,7 @@ def _solve(config: RunConfig) -> BandStructure:
     solved along its k path.
 
     ``elastics`` loads SciPy, so it is imported here, where the band
-    commands first need it, and its functions are read at call time.
+    commands first need it, and ``band_diagram`` is read at call time.
     """
     from . import elastics
 
@@ -459,7 +463,7 @@ def _solve(config: RunConfig) -> BandStructure:
     return elastics.band_diagram(
         mesh,
         config.material(),
-        elastics.default_k_path(config.n_kpoints),
+        default_k_path(config.n_kpoints),
         config.n_modes,
     )
 
@@ -486,7 +490,7 @@ def _gap_row(config: RunConfig, gap: Gap | None) -> list[str]:
 
 #: An artifact writer: file name -> contents, computed from the resolved
 #: config and the solved diagram before any directory exists.
-Writer = Callable[[RunConfig, "BandStructure"], dict[str, str]]
+Writer = Callable[[RunConfig, BandStructure], dict[str, str]]
 
 
 def _bands_csv(config: RunConfig, bands: BandStructure) -> dict[str, str]:
@@ -882,15 +886,8 @@ def cmd_fit_geom(args: argparse.Namespace) -> int:
             "tether-edge contours must come in upper/lower pairs; got "
             f"{len(tether_edges)}"
         )
-    tether_widths = []
-    for first, second in zip(tether_edges[::2], tether_edges[1::2]):
-        # Larger mean height is the upper edge, whichever order the
-        # manifest listed them in.
-        if np.mean(first[:, 1]) >= np.mean(second[:, 1]):
-            upper, lower = first, second
-        else:
-            upper, lower = second, first
-        tether_widths.append(fit_tether_width(upper, lower).width_nm)
+    pairs = zip(tether_edges[::2], tether_edges[1::2])
+    tether_widths = [fit_tether_width(*pair).width_nm for pair in pairs]
 
     rows = []
     for name, values in (
@@ -909,12 +906,10 @@ def cmd_fit_geom(args: argparse.Namespace) -> int:
     )
 
 
+# A band command solves one diagram, except sweep, which solves one per cell.
 _COMMANDS = {
-    "bands": run_band_command,
-    "dos": run_band_command,
-    "gap": run_band_command,
+    **dict.fromkeys(BAND_COMMANDS, run_band_command),
     "sweep": cmd_sweep,
-    "fig1b": run_band_command,
     "rates": cmd_rates,
     "pumpprobe": cmd_pumpprobe,
     "fit-t1": cmd_fit_t1,

@@ -292,8 +292,10 @@ def _peak_ratios(
         lo = int(np.searchsorted(times, start - 1e-9, side="left"))
         size = int(np.searchsorted(times, stop + 1e-9, side="right")) - lo
         if size < 1:
+            bounds = ", ".join(repr(float(t)) for t in (start, stop))
             raise ExtractionError(
-                f"no samples inside the window [{start:.1f}, {stop:.1f}] ns")
+                f"no samples inside the window [{bounds}] ns; the pulse is "
+                f"sampled every {float(step)!r} ns")
         operators.append(np.linalg.matrix_power(block, size)[:3, 3:]
                          @ np.linalg.matrix_power(pulse, lo) / size)
     operators = np.stack(operators)

@@ -472,12 +472,12 @@ class TetherFit:
     lower: FitResult
 
 
-def _fit_edge(points, flip: bool, label: str) -> FitResult:
-    pts = _point_array(points, 5, label)
+def _fit_edge(pts: np.ndarray, flip: bool, label: str) -> FitResult:
     x = pts[:, 0]
     y = -pts[:, 1] if flip else pts[:, 1]
     inner = np.argmin(y)
-    if inner == 0 or inner == x.size - 1:
+    # Interior in x, whatever order the points are listed in.
+    if x[inner] in (x.min(), x.max()):
         raise FitError(
             f"{label} edge has no interior waist; profile is monotone"
         )
@@ -488,15 +488,22 @@ def _fit_edge(points, flip: bool, label: str) -> FitResult:
     return fit_nonlinear(MODELS["waist"], x, y, None, init)
 
 
-def fit_tether_width(upper_edge, lower_edge) -> TetherFit:
+def fit_tether_width(first_edge, second_edge) -> TetherFit:
     """Tether thickness from waist fits of the two opposing edge contours.
 
-    Both edges are fitted with the symmetric waist profile
-    y(x) = y0 + c*(x - x0)^2 / (1 + |x - x0|/s); the thickness is the sum of
-    the two waist offsets (the lower edge is mirrored before fitting).
+    The edges may come in either order, the one of larger mean height
+    being the upper, and each edge's points in any order along x.  Both
+    are fitted with the symmetric waist profile
+    y(x) = y0 + c*(x - x0)^2 / (1 + |x - x0|/s); the thickness is the sum
+    of the two waist offsets (the lower edge is mirrored before fitting).
     """
-    upper = _fit_edge(upper_edge, flip=False, label="upper tether")
-    lower = _fit_edge(lower_edge, flip=True, label="lower tether")
+    # A stable sort: on a tie the first edge stays the upper one.
+    top, bottom = sorted(
+        (_point_array(edge, 5, "tether edge") for edge in (first_edge, second_edge)),
+        key=lambda pts: np.mean(pts[:, 1]), reverse=True,
+    )
+    upper = _fit_edge(top, flip=False, label="upper tether")
+    lower = _fit_edge(bottom, flip=True, label="lower tether")
     width = upper["y0"] + lower["y0"]
     waist_x = 0.5 * (upper["x0"] + lower["x0"])
     return TetherFit(float(width), float(waist_x), upper, lower)

@@ -1,4 +1,8 @@
-"""Band-structure post-processing: complete gaps and the density of states.
+"""Band structures and their post-processing: complete gaps and the DOS.
+
+``BandStructure`` holds the bands of a k path, whichever solver made them
+(``elastics.band_diagram`` builds it), and ``default_k_path`` samples that
+path; this module needs numpy alone, so a gap or a DOS loads no SciPy.
 
 A *complete* gap is a frequency interval that no band touches at any
 wavenumber.  Detection works on the per-band frequency extents: each band
@@ -13,14 +17,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CoverageError, InvalidParameterError, SamplingError
 
-if TYPE_CHECKING:  # annotations only: importing elastics loads SciPy
-    from .elastics import BandStructure
+
+@dataclass
+class BandStructure:
+    """Band frequencies (GHz) over a reduced k path, with mirror parities."""
+
+    k_points: np.ndarray  # (nk,) in units of pi/period
+    frequencies_ghz: np.ndarray  # (nk, n_modes), ascending per row
+    parity_y: np.ndarray | None = None  # (nk, n_modes) of 'even'/'odd'
+    parity_z: np.ndarray | None = None
+    n_dofs_reduced: int = 0
+
+    @property
+    def n_bands(self) -> int:
+        return self.frequencies_ghz.shape[1]
+
+
+def default_k_path(n_points: int) -> np.ndarray:
+    """Uniform reduced-wavenumber path over the irreducible zone [0, 1]."""
+    if n_points < 1:
+        raise InvalidParameterError("k path needs at least one point")
+    return np.linspace(0.0, 1.0, n_points)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from phonogap import dynamics, elastics, fitkit, tempfit
-from phonogap.elastics import band_diagram, default_k_path, make_bloch_problem, solve_bands
+from phonogap.elastics import band_diagram, make_bloch_problem, solve_bands
 from phonogap.geometry import (
     DIAMOND,
     UnitCellParams,
@@ -30,7 +30,12 @@ from phonogap.rates import (
     single_phonon_rates,
     total_relaxation,
 )
-from phonogap.spectrum import compute_dos, find_complete_gaps, primary_gap
+from phonogap.spectrum import (
+    compute_dos,
+    default_k_path,
+    find_complete_gaps,
+    primary_gap,
+)
 from test_rates import raman_quadrature
 from test_spectrum import integrated
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -179,10 +180,33 @@ class TestConfig:
 
 
 class TestDispatch:
+    def test_only_elastics_imports_scipy_at_module_level(self):
+        # What runs when a module loads: every statement outside a function
+        # body.  ``rates`` imports ``brentq`` inside its call, which is fine.
+        def loading_imports(body):
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if isinstance(node, ast.Import):
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    yield node.module
+                for field in ("body", "handlers", "orelse", "finalbody"):
+                    yield from loading_imports(getattr(node, field, []))
+
+        package = Path(cli.__file__).parent
+        importers = sorted(
+            path.stem for path in package.glob("*.py")
+            if any(name.split(".")[0] == "scipy" for name in
+                   loading_imports(ast.parse(path.read_text()).body))
+        )
+        assert importers == ["elastics"]
+
     def test_relaxation_side_loads_no_scipy(self, tmp_path):
         # Only the band solver needs SciPy: importing the package and the
-        # CLI, and running every relaxation command, load none of it, while
-        # the band names still resolve through the package (on first use).
+        # CLI, running every relaxation command, and the gaps and DOS of a
+        # band structure load none of it, while the band names still
+        # resolve through the package (on first use).
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -193,6 +217,7 @@ class TestDispatch:
                               "fit-geom")]
         code = f"""
 import json, sys
+import numpy as np
 import phonogap, phonogap.cli
 
 def scipy_modules():
@@ -201,9 +226,15 @@ def scipy_modules():
 loaded = {{"import": scipy_modules()}}
 loaded["codes"] = [phonogap.cli.main(argv) for argv in {argvs!r}]
 loaded["commands"] = scipy_modules()
+k = phonogap.default_k_path(9)
+bands = phonogap.spectrum.BandStructure(k, np.column_stack([40 * k, np.full(9, 60.0)]))
+loaded["gaps"] = [(g.f_lo_ghz, g.f_hi_ghz)
+                  for g in phonogap.find_complete_gaps(bands, 50.0)]
+phonogap.compute_dos(bands, 10.0)
+loaded["spectrum"] = scipy_modules()
 loaded["band_names"] = [
     phonogap.band_diagram is phonogap.elastics.band_diagram,
-    phonogap.default_k_path is phonogap.elastics.default_k_path,
+    phonogap.default_k_path is phonogap.spectrum.default_k_path,
     phonogap.BandStructure is phonogap.elastics.BandStructure,
     callable(phonogap.band_diagram),
 ]
@@ -216,6 +247,8 @@ print(json.dumps(loaded))
         assert loaded["import"] == []
         assert loaded["codes"] == [0] * 5
         assert loaded["commands"] == []
+        assert loaded["gaps"] == [[40.0, 60.0]]
+        assert loaded["spectrum"] == []
         assert loaded["band_names"] == [True] * 4
 
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -813,6 +846,17 @@ class TestPumpProbe:
         assert "error:" in err
         if flag == "--t1-ns":
             assert "--t1-ns" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_window_narrower_than_sample_step_exits_3(self, tmp_path, capsys):
+        # The message names the window at full precision beside the step.
+        assert cli.main([
+            "pumpprobe", "--t1-ns", "34", "--window-ns", "1e-12",
+            "--out-dir", str(tmp_path),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert ("no samples inside the window [5.0, 5.000000000001] ns; "
+                "the pulse is sampled every 0.12684989429175475 ns") in err
         assert not list(tmp_path.iterdir())
 
     def test_repeated_delays_exit_2(self, tmp_path, capsys):

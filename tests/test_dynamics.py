@@ -316,7 +316,8 @@ class TestExtractPeakRatio:
         # Samples are ~0.127 ns apart; [5, 5.001] ns holds none of them.
         system = bath_system(34.0)
         with pytest.raises(ExtractionError,
-                           match=r"no samples inside the window \[5.0, 5.0\]"):
+                           match=r"no samples inside the window \[5\.0, 5\.001\] "
+                                 r"ns; the pulse is sampled every 0\.12\d* ns"):
             dynamics.extract_peak_ratio(
                 system, PulseSequence(delay_ns=50.0), 1e-3
             )

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.spatial import cKDTree
@@ -43,6 +43,7 @@ from phonogap.geometry import (
     build_nanobeam_mesh,
     build_unit_cell_mesh,
 )
+from phonogap.spectrum import default_k_path
 from test_geometry import mesh_volume
 
 
@@ -642,6 +643,63 @@ class TestBlochOperator:
             assert relative_errors(freqs, ref).max() < 1e-9
 
 
+def assert_mirrors_are_lattice_flips(mesh):
+    """What the node lattice guarantees of the reduced mirrors, which
+    ``elastics`` does not check: the reduced x-mirror is a signed-permutation
+    involution with one entry per column, and each transverse mirror G and
+    its reduced form G_r satisfy ``G P'(k) = P'(k) G_r`` exactly at a
+    non-real phase (k = 0.5 gives every entry of P' a phase of its own)."""
+    operator = elastics._bloch_operator(mesh, *elastics.assemble(mesh, DIAMOND))
+    x_mirror = operator.x_mirror
+    size = x_mirror.shape[0]
+    assert np.array_equal(np.diff(x_mirror.indptr), np.ones(size))
+    assert np.array_equal(np.abs(x_mirror.data), np.ones(size))
+    assert abs(x_mirror @ x_mirror - sp.identity(size)).max() == 0
+    basis = operator.basis(0.5)
+    for axis, perm in zip((1, 2), reflection_maps(mesh)):
+        mirror = elastics._signed_mirror(perm, axis)
+        reduced = elastics._reduced_mirror(operator.faces, mirror)
+        assert abs(mirror @ basis - basis @ reduced).max() == 0
+    # A one-element-long beam also has the master-slave block B_2.
+    assert len(operator.blocks[0]) == (3 if mesh.grid_shape[0] == 1 else 2)
+
+
+class TestLatticeMirrors:
+    """The mirror identities hold by construction on every valid mesh."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        w=st.floats(40.0, 120.0),
+        h=st.floats(40.0, 120.0),
+        t_frac=st.floats(0.2, 0.9),
+        r=st.floats(0.0, 12.0),
+        d=st.floats(30.0, 120.0),
+        resolution=st.tuples(*[st.integers(4, 7)] * 3),
+    )
+    @example(w=98.0, h=93.0, t_frac=0.3, r=6.0, d=70.0, resolution=(4, 6, 4))
+    @example(w=98.0, h=93.0, t_frac=0.3, r=6.0, d=70.0, resolution=(5, 7, 5))
+    def test_random_cells(self, w, h, t_frac, r, d, resolution):
+        params = UnitCellParams(w=w, h=h, a=129.6, t=t_frac * h, r=r, d=d)
+        try:
+            params.validate()
+        except InvalidParameterError:
+            assume(False)
+        assert_mirrors_are_lattice_flips(build_unit_cell_mesh(params, resolution))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        width=st.floats(1.0, 500.0),
+        thickness=st.floats(1.0, 500.0),
+        period=st.floats(1.0, 500.0),
+        resolution=st.tuples(*[st.integers(1, 5)] * 3),
+    )
+    @example(width=90.0, thickness=70.0, period=129.6, resolution=(1, 4, 3))
+    @example(width=90.0, thickness=70.0, period=129.6, resolution=(2, 3, 2))
+    def test_random_nanobeams(self, width, thickness, period, resolution):
+        assert_mirrors_are_lattice_flips(
+            build_nanobeam_mesh(width, thickness, period, resolution))
+
+
 def assert_ritz_values(k_red, m_red, n_modes):
     """``solve_reduced``'s frequencies against their own vectors' Rayleigh
     quotients (to 1e-10) and against dense ``eigh`` (none below it by more
@@ -872,8 +930,7 @@ class TestParity:
         np.testing.assert_allclose(overlaps[1], [1, 1, -1, 0, 1], atol=1e-12)
 
     def test_reflection_is_involution(self, reference_mesh):
-        maps = reflection_maps(reference_mesh)
-        perms = [reference_mesh.mirror_nodes(0), maps.perm_y, maps.perm_z]
+        perms = [reference_mesh.mirror_nodes(0), *reflection_maps(reference_mesh)]
         mirrors = [elastics._signed_mirror(p, axis) for axis, p in enumerate(perms)]
         eye = sp.identity(reference_mesh.n_dofs)
         for i, first in enumerate(mirrors):
@@ -910,10 +967,10 @@ class TestParity:
         # unitary.  The reduced mirrors are R X P(0), from the reference P.
         mesh, k_mat, m_mat = small_cell
         operator = elastics._bloch_operator(mesh, k_mat, m_mat)
-        maps = reflection_maps(mesh)
-        unitaries = elastics._parity_sectors(operator, maps, k_mat, m_mat)
+        perms = reflection_maps(mesh)
+        unitaries = elastics._parity_sectors(operator, perms, k_mat, m_mat)
         keep = reduced_dofs(mesh)
-        perms = [mesh.mirror_nodes(0), maps.perm_y, maps.perm_z]
+        perms = [mesh.mirror_nodes(0), *perms]
         x_mirror, *mirrors = [
             (elastics._signed_mirror(perm, axis) @ bloch_basis(mesh, 0.0))[keep]
             for axis, perm in enumerate(perms)
@@ -1236,7 +1293,7 @@ class TestBandDiagram:
             band_diagram(mesh, DIAMOND, [], 6)
 
     def test_default_path_covers_zone_edge(self):
-        path = elastics.default_k_path(48)
+        path = default_k_path(48)
         assert path[0] == 0.0
         assert path[-1] == 1.0
         assert np.all(np.diff(path) > 0)

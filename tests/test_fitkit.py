@@ -354,6 +354,42 @@ class TestTetherWidth:
             errors.append(abs(fit.width_nm - 22.1))
         assert np.mean(errors) < 0.5
 
+    @pytest.mark.parametrize("order", ["shuffled", "waist-first", "waist-last"])
+    def test_point_order_does_not_matter(self, order):
+        # The waist is interior in x however the points are listed; the
+        # lowest point may come first or last.
+        x = np.linspace(-40.0, 40.0, 41)
+        prof = waist_profile(x, 22.0, x0=4.0)  # one lowest point, at x = 4
+        upper, lower = np.stack([x, prof], axis=1), np.stack([x, -prof], axis=1)
+        ref = fitkit.fit_tether_width(upper, lower)
+        if order == "shuffled":
+            idx = np.random.default_rng(11).permutation(x.size)
+        else:
+            waist = int(np.argmin(prof))
+            rest = np.delete(np.arange(x.size), waist)
+            idx = np.r_[waist, rest] if order == "waist-first" else np.r_[rest, waist]
+        fit = fitkit.fit_tether_width(upper[idx], lower[idx])
+        assert ref.width_nm == pytest.approx(22.0, abs=1e-6)
+        assert fit.width_nm == pytest.approx(ref.width_nm, abs=1e-9)
+        assert fit.waist_x_nm == pytest.approx(ref.waist_x_nm, abs=1e-9)
+
+    def test_edges_in_either_order(self):
+        # The edge of larger mean height is the upper one, whichever comes
+        # first.
+        x = np.linspace(-40.0, 40.0, 41)
+        rng = np.random.default_rng(5)
+        upper = np.stack([x, waist_profile(x, 20.0) + rng.normal(0.0, 0.2, x.size)],
+                         axis=1)
+        lower = np.stack([x, -waist_profile(x, 24.0, x0=2.0)], axis=1)
+        ref = fitkit.fit_tether_width(upper, lower)
+        swapped = fitkit.fit_tether_width(lower, upper)
+        assert (swapped.width_nm, swapped.waist_x_nm) == (ref.width_nm, ref.waist_x_nm)
+        for edge in ("upper", "lower"):
+            np.testing.assert_array_equal(getattr(swapped, edge).params,
+                                          getattr(ref, edge).params)
+        assert ref.upper["y0"] == pytest.approx(10.0, abs=0.2)
+        assert ref.lower["y0"] == pytest.approx(12.0, abs=1e-6)
+
     def test_monotone_edge_rejected(self):
         x = np.linspace(0.0, 10.0, 12)
         rising = np.stack([x, 5.0 + 0.3 * x], axis=1)

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from phonogap.elastics import BandStructure
 from phonogap.errors import CoverageError, InvalidParameterError, SamplingError
 from phonogap.spectrum import (
+    BandStructure,
     Gap,
     _k_weights,
     band_extents,
