@@ -149,12 +149,13 @@ def _propagator(a: np.ndarray) -> np.ndarray:
 
     Raises ``NumericalError`` when a 1-norm ||a||_1 exceeds
     ``TAYLOR_NORM_MAX``, where the truncated sum would no longer be exact to
-    round-off.
+    round-off; the message names the first such matrix of a stack.
     """
-    norm = float(np.abs(a).sum(axis=-2).max())
-    if not norm <= TAYLOR_NORM_MAX:
+    norms = np.abs(a).sum(axis=-2).max(axis=-1).ravel()
+    over = np.flatnonzero(~(norms <= TAYLOR_NORM_MAX))
+    if over.size:
         raise NumericalError(
-            f"propagator argument has 1-norm {norm:.3g}, above the "
+            f"propagator argument has 1-norm {norms[over[0]]:.3g}, above the "
             f"{TAYLOR_NORM_MAX:g} its degree-{TAYLOR_DEGREE} Taylor sum "
             "resolves"
         )
@@ -165,19 +166,24 @@ def _propagator(a: np.ndarray) -> np.ndarray:
     return p
 
 
+def _max_step(system: LevelSystem) -> float:
+    """Longest sample step in ns: 0.1 of the fastest rate's timescale, and
+    at most 1 ns."""
+    max_rate = float(np.max(np.abs(np.diag(generator(system, 1.0)))))
+    return min(1.0, 0.1 / max_rate) if max_rate > 0 else 1.0
+
+
 def _segment_steps(
-    system: LevelSystem, sequence: PulseSequence
+    sequence: PulseSequence, dt_ns: float
 ) -> list[tuple[float, int, float]]:
     """(step, step count, pump fraction) of each constant-drive segment.
 
-    A segment splits evenly into steps no longer than 0.1 of the fastest
-    rate's timescale (and 1 ns).  The propagator is the matrix exponential
-    over one step (``_propagator``), so the step only sets how finely the
+    A segment splits evenly into steps no longer than ``dt_ns``, the
+    system's ``_max_step``.  The propagator is the matrix exponential over
+    one step (``_propagator``), so the step only sets how finely the
     fluorescence is sampled for the edge windows.  A sequence of more than
     ``MAX_SAMPLES`` samples raises ``InvalidParameterError``.
     """
-    max_rate = float(np.max(np.abs(np.diag(generator(system, 1.0)))))
-    dt_ns = min(1.0, 0.1 / max_rate) if max_rate > 0 else 1.0
     drives = []  # (duration, pump fraction)
     for off in (sequence.delay_ns, TAIL_NS):
         drives.append((sequence.width_ns, 1.0))
@@ -203,7 +209,7 @@ def _segments(
 ) -> list[tuple[float, int, np.ndarray]]:
     """(step, step count, one-step propagator) of each segment of
     ``_segment_steps``, the propagators from one batched Taylor sum."""
-    segments = _segment_steps(system, sequence)
+    segments = _segment_steps(sequence, _max_step(system))
     propagators = _propagator(np.stack([
         generator(system, fraction) * step for step, _, fraction in segments
     ]))
@@ -274,11 +280,12 @@ def _peak_ratios(
     q2 = D^k s1 (D the dark step's propagator, k its count), and the ratio
     is the leading-minus-stationary excited mean of M q2 over that of M q0.
     """
+    dt_ns = _max_step(system)
     darks = []  # (step, count) of each delay's dark segment
     for tau in taus_ns:
         sequence = PulseSequence(delay_ns=float(tau), width_ns=width_ns)
         windows = _ratio_windows(sequence, window_ns)
-        segments = _segment_steps(system, sequence)
+        segments = _segment_steps(sequence, dt_ns)
         darks.append(segments[1][:2] if len(segments) == 4 else (0.0, 0))
     step, count, _ = segments[0]
 
@@ -310,13 +317,16 @@ def _peak_ratios(
         raise ExtractionError(
             "first pulse shows no leading-edge transient; cannot normalize"
         )
-    dark = generator(system, 0.0)
+    # Every delay's dark step propagator from one batched Taylor sum; a
+    # delay without a dark segment takes exp(0) and leaves it unused.
+    dark_steps, dark_counts = zip(*darks)
+    dark_props = _propagator(
+        generator(system, 0.0) * np.array(dark_steps)[:, None, None])
     ratios = np.empty(len(darks))
-    for k, (dark_step, dark_count) in enumerate(darks):
+    for k, (dark_prop, dark_count) in enumerate(zip(dark_props, dark_counts)):
         q2 = s1
         if dark_count:
-            q2 = np.linalg.matrix_power(
-                _propagator(dark * dark_step), dark_count) @ s1
+            q2 = np.linalg.matrix_power(dark_prop, dark_count) @ s1
             _check_conservation(q2)
         means = operators @ q2
         _check_conservation(means)

@@ -6,6 +6,15 @@ conic fits (ellipse, circle) on orthogonal distances, which start from
 algebraic initializations.  Standard errors of the curve fits come from the
 inverse weighted normal matrix and therefore assume the supplied sigmas are
 absolute one-sigma uncertainties.
+
+The engine stops on the first of three tests: the gradient norm falls below
+``GRAD_TOL``; the full Gauss-Newton step predicts a decrease of the sum of
+squares of at most machine epsilon times the sum, less than one rounding of
+it (MINPACK's reduction test, Moré 1978); or an accepted step moves every
+parameter by less than ``STEP_TOL`` relative.  The second ends most fits:
+without it a parameter near 0, such as a centred ellipse's centre, holds
+off the third while trials whose sums differ in the last digit are
+rejected.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .errors import FitError, InvalidParameterError, NonConvergenceError
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -134,9 +144,11 @@ def fit_nonlinear(
     """Levenberg-Marquardt weighted least squares.
 
     Damping starts at 1e-3 on the normal-matrix diagonal and adapts by
-    factors of ten.  Convergence requires a relative parameter step below
-    1e-10 or a gradient norm below 1e-12; running out of the
-    ``MAX_ITERATIONS`` iterations raises :class:`NonConvergenceError`
+    factors of ten.  Convergence requires a gradient norm below 1e-12, a
+    full Gauss-Newton step that predicts a decrease of at most machine
+    epsilon times the weighted residual sum of squares, or a relative
+    parameter step below 1e-10; a stall, or running out of the
+    ``MAX_ITERATIONS`` iterations, raises :class:`NonConvergenceError`
     carrying the best parameters so far.
 
     When ``sigma`` is given, the standard errors treat it as absolute
@@ -175,9 +187,15 @@ def _levenberg_marquardt(residual, jacobian, params):
     after an accepted step and rises tenfold after a rejected one; a trial
     whose sum of squares is not finite is rejected.  Returns the best
     parameters, their sum of squares, the iteration count and a status:
-    ``"converged"`` (relative step below STEP_TOL or gradient norm below
-    GRAD_TOL), ``"stalled"`` (damping reached 1e12 without an improving
-    step) or ``"capped"`` (``MAX_ITERATIONS`` steps taken).
+    ``"converged"``, ``"stalled"`` (damping reached 1e12 without an
+    improving step) or ``"capped"`` (``MAX_ITERATIONS`` steps taken).
+
+    Before each step the fit counts as converged, with no further residual
+    evaluated, when the gradient norm is below GRAD_TOL or when the
+    Gauss-Newton decrement |J s|^2 is at most EPS times the sum of squares,
+    s being the least-squares solution of J s = -r: a full step then
+    predicts a decrease below one rounding of the sum.  After an accepted
+    step it counts as converged when the step is below STEP_TOL relative.
     """
     resid = residual(params)
     wrss = float(resid @ resid)
@@ -185,8 +203,16 @@ def _levenberg_marquardt(residual, jacobian, params):
     for n_iter in range(1, MAX_ITERATIONS + 1):
         jac = jacobian(params)
         grad = jac.T @ resid
-        if np.linalg.norm(grad) < GRAD_TOL:
+        grad_norm = np.linalg.norm(grad)
+        if grad_norm < GRAD_TOL:
             return params, wrss, n_iter - 1, "converged"
+        # From lstsq, |J s|^2 is >= 0 even for a rank-deficient J.  A
+        # non-finite J or residual (a non-finite gradient) is left to the
+        # damping, which rejects its trials.
+        if math.isfinite(grad_norm):
+            predicted = jac @ np.linalg.lstsq(jac, resid, rcond=None)[0]
+            if predicted @ predicted <= EPS * wrss:
+                return params, wrss, n_iter - 1, "converged"
         normal = jac.T @ jac
         diag = np.diag(normal).copy()
         diag[diag == 0] = 1.0
@@ -356,35 +382,38 @@ def _ellipse_foot(pts: np.ndarray, geom: np.ndarray):
     u = (pts[:, 0] - cx) * cos_p + (pts[:, 1] - cy) * sin_p
     v = -(pts[:, 0] - cx) * sin_p + (pts[:, 1] - cy) * cos_p
     t = np.arctan2(ay * v, ax * u)
-    for _ in range(30):
-        ct, st = np.cos(t), np.sin(t)
-        ex, ey = ax * ct, ay * st
-        # Stationarity of squared distance w.r.t. the ellipse parameter.
-        g = (ax * st) * (ex - u) - (ay * ct) * (ey - v)
-        gp = (ax * ct) * (ex - u) + (ay * st) * (ey - v) - (
-            ax * st
-        ) ** 2 - (ay * ct) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(30):
+            ct, st = np.cos(t), np.sin(t)
+            ex, ey = ax * ct, ay * st
+            # Stationarity of squared distance w.r.t. the ellipse parameter.
+            g = (ax * st) * (ex - u) - (ay * ct) * (ey - v)
+            gp = (ax * ct) * (ex - u) + (ay * st) * (ey - v) - (
+                ax * st
+            ) ** 2 - (ay * ct) ** 2
             delta = np.where(np.abs(gp) > 0, g / gp, 0.0)
-        t = t - delta
-        if np.max(np.abs(delta)) < 1e-14:
-            break
+            t = t - delta
+            if np.max(np.abs(delta)) < 1e-14:
+                break
     return u, v, t
 
 
-def _ellipse_distances(pts: np.ndarray, geom: np.ndarray) -> np.ndarray:
-    u, v, t = _ellipse_foot(pts, geom)
+def _ellipse_distances(pts: np.ndarray, geom: np.ndarray, foot=None) -> np.ndarray:
+    """Orthogonal distances of the points from the ellipse; ``foot`` is
+    ``_ellipse_foot(pts, geom)`` when the caller already holds it."""
+    u, v, t = _ellipse_foot(pts, geom) if foot is None else foot
     return np.hypot(geom[2] * np.cos(t) - u, geom[3] * np.sin(t) - v)
 
 
-def _ellipse_jacobian(pts: np.ndarray, geom: np.ndarray) -> np.ndarray:
-    """Derivatives of the orthogonal distances by (cx, cy, ax, ay, phi).
+def _ellipse_jacobian(pts: np.ndarray, geom: np.ndarray, foot=None) -> np.ndarray:
+    """Derivatives of the orthogonal distances by (cx, cy, ax, ay, phi);
+    ``foot`` as for ``_ellipse_distances``.
 
     The foot point is stationary in t, so each derivative is the unit normal
     n = (E(t) - (u, v)) / d dotted with the derivative of E(t) - (u, v) at
     fixed t.  A point on the ellipse (d = 0) has no normal and a zero row.
     """
-    u, v, t = _ellipse_foot(pts, geom)
+    u, v, t = _ellipse_foot(pts, geom) if foot is None else foot
     ct, st = np.cos(t), np.sin(t)
     rx, ry = geom[2] * ct - u, geom[3] * st - v
     d = np.hypot(rx, ry)
@@ -406,16 +435,22 @@ def fit_ellipse(points) -> EllipseFit:
     coeffs = _direct_ellipse_coeffs(pts)
     geom = np.array(_conic_to_geometry(coeffs))
 
+    latest = [None, None]  # the geometry of the latest residual, its feet
+
     def distances(g):
         # A non-positive semi-axis is no ellipse: reject the trial.
         if g[2] <= 0 or g[3] <= 0:
             return np.full(pts.shape[0], np.inf)
-        return _ellipse_distances(pts, g)
+        latest[:] = g, _ellipse_foot(pts, g)
+        return _ellipse_distances(pts, g, latest[1])
+
+    def jacobian(g):
+        # The engine evaluates the residual at a geometry before it asks
+        # for the Jacobian there, so the feet are already solved for.
+        return _ellipse_jacobian(pts, g, latest[1] if g is latest[0] else None)
 
     # A stall or the iteration cap still leaves the best geometry found.
-    best, best_val, _, _ = _levenberg_marquardt(
-        distances, lambda g: _ellipse_jacobian(pts, g), geom
-    )
+    best, best_val, _, _ = _levenberg_marquardt(distances, jacobian, geom)
 
     cx, cy, ax, ay, phi = best
     # Quarter turns bring the first axis within 45 degrees of x; each odd

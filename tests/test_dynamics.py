@@ -169,6 +169,14 @@ class TestPropagator:
         with pytest.raises(NumericalError, match="1-norm"):
             dynamics._propagator(arg)
 
+    def test_stack_names_its_first_argument_above_bound(self):
+        system = bath_system(34.0)
+        arg = dynamics.generator(system, 1.0)
+        arg = arg / np.abs(arg).sum(axis=0).max()
+        stack = np.stack([0.2 * arg, 0.3 * arg, 0.5 * arg])
+        with pytest.raises(NumericalError, match="1-norm 0.3,"):
+            dynamics._propagator(stack)
+
 
 class TestSimulateSequence:
     @pytest.mark.parametrize("delay_ns", [1e12, 1e308])
@@ -460,10 +468,11 @@ class TestBatchedWindows:
 
     def test_mixed_batch_matches_single_calls_and_stepped_trace(self):
         system = bath_system(34.0)
-        step = dynamics._segment_steps(system, PulseSequence(delay_ns=0.0))[0][0]
+        dt_ns = dynamics._max_step(system)
+        step = dynamics._segment_steps(PulseSequence(delay_ns=0.0), dt_ns)[0][0]
         # No dark segment, a dark segment one step long, and a long delay.
         taus = [0.0, 0.9 * step, 12.0 * 34.0, 45.0]
-        segments = [dynamics._segment_steps(system, PulseSequence(tau))
+        segments = [dynamics._segment_steps(PulseSequence(tau), dt_ns)
                     for tau in taus]
         assert [len(s) for s in segments] == [3, 4, 4, 4]
         assert segments[1][1][1] == 1
@@ -535,6 +544,26 @@ class TestBatchedWindows:
         batch = raised(dynamics.thermalization_curve, system, [20.0, 50.0])
         assert type(batch) is type(single) is NumericalError
         assert match in str(batch) and str(batch) == str(single)
+
+    def test_first_dark_step_above_the_norm_bound_raises_its_own_error(
+            self, monkeypatch):
+        # A dark step's 1-norm stays below the pulse step's, so twice the
+        # dark generator stands in for one that is not: its steps of 0.9
+        # and 0.99 of the pulse step reach 1-norms 0.269 and 0.296, above
+        # the 0.25 bound, and its step of 0.75 reaches 0.224.
+        system = bath_system(34.0)
+        generator = dynamics.generator
+        monkeypatch.setattr(dynamics, "generator", lambda system, fraction=1.0: (
+            generator(system, fraction) * (2.0 if fraction == 0.0 else 1.0)))
+        dt_ns = dynamics._max_step(system)
+        taus = [1.5 * dt_ns, 8.1 * dt_ns, 6.93 * dt_ns]
+        single = [raised(lambda: dynamics.extract_peak_ratio(
+            system, PulseSequence(delay_ns=tau))) for tau in taus[1:]]
+        batch = raised(dynamics.thermalization_curve, system, taus)
+        assert type(batch) is type(single[0]) is NumericalError
+        assert "1-norm 0.269," in str(batch) and str(batch) == str(single[0])
+        assert "1-norm 0.296," in str(single[1])
+        dynamics.thermalization_curve(system, taus[:1])
 
 
 class TestThermalizationCurve:

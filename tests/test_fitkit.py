@@ -23,6 +23,11 @@ def ellipse_points(cx, cy, a, b, phi, n=60, arc=(0.0, 2.0 * math.pi)):
     return np.stack([x, y], axis=1)
 
 
+def waist_profile(x, thickness, curvature=0.05, softening=30.0, x0=0.0):
+    q = x - x0
+    return thickness / 2.0 + curvature * q * q / (1.0 + np.abs(q) / softening)
+
+
 def finite_difference_jacobian(model, x, params):
     fd = np.empty((x.size, params.size))
     for j in range(params.size):
@@ -66,6 +71,63 @@ LINE = fitkit.CurveModel(
 )
 
 
+def noisy_fits(rng):
+    """One seeded noisy fit of each kind the measurement chain runs, as
+    (name, call) pairs; the data mimic imaged contours and recovery curves."""
+    arc = np.linspace(0.0, math.pi / 2.0, 15)
+    fillet = np.stack([12.0 * np.cos(arc), 12.0 * np.sin(arc)], axis=1)
+    x = np.linspace(-30.0, 30.0, 21)
+    edge = np.stack([x, waist_profile(x, 20.0, softening=40.0)], axis=1)
+    taus = np.linspace(2.0, 170.0, 16)
+    block = ellipse_points(0.0, 0.0, 45.0, 43.0, 0.0, n=40)
+    data = {
+        "ellipse": block + rng.normal(0.0, 0.2, block.shape),
+        "circle": fillet + rng.normal(0.0, 0.2, fillet.shape),
+        "waist": edge + rng.normal(0.0, 0.2, edge.shape),
+        "recovery": 1.0 - np.exp(-taus / 34.0) + rng.normal(0.0, 0.02, taus.size),
+    }
+    return [
+        ("ellipse", lambda: fitkit.fit_ellipse(data["ellipse"])),
+        ("circle", lambda: fitkit.fit_circle(data["circle"])),
+        ("waist", lambda: fitkit.fit_tether_width(
+            data["waist"], data["waist"] * np.array([1.0, -1.0]))),
+        ("recovery", lambda: fitkit.fit_recovery(taus, data["recovery"])),
+    ]
+
+
+def recorded_engine_runs(patch):
+    """Wrap the engine so each run records its residual and Jacobian
+    functions, the points it evaluates them at (in order) and its result."""
+    engine = fitkit._levenberg_marquardt
+    runs = []
+
+    def spy(residual, jacobian, params):
+        run = {"residual": residual, "jacobian": jacobian, "calls": []}
+        runs.append(run)
+
+        def logged(kind, func):
+            def call(p):
+                run["calls"].append((kind, p.copy()))
+                return func(p)
+            return call
+
+        run["result"] = engine(logged("residual", residual),
+                               logged("jacobian", jacobian), params)
+        return run["result"]
+
+    patch.setattr(fitkit, "_levenberg_marquardt", spy)
+    return runs
+
+
+def gauss_newton_decrement(run, params):
+    """|J s|^2 and the sum of squares at ``params``, s the least-squares
+    Gauss-Newton step."""
+    resid = run["residual"](params)
+    jac = run["jacobian"](params)
+    predicted = jac @ np.linalg.lstsq(jac, resid, rcond=None)[0]
+    return float(predicted @ predicted), float(resid @ resid)
+
+
 class TestEngine:
     def test_zero_iterations_when_started_at_optimum(self):
         taus = np.linspace(5.0, 200.0, 12)
@@ -85,6 +147,72 @@ class TestEngine:
         exact, *_ = np.linalg.lstsq(design, y, rcond=None)
         assert np.allclose(result.params, exact, atol=1e-9)
         assert result.n_iterations < 12
+
+    @pytest.mark.parametrize("name", ["ellipse", "circle", "waist", "recovery"])
+    def test_no_residual_after_the_decrement_falls_below_round_off(
+            self, monkeypatch, name):
+        # Once the full Gauss-Newton step predicts less than one rounding of
+        # the sum of squares, the engine returns without another trial.
+        runs = recorded_engine_runs(monkeypatch)
+        stops = 0
+        for seed in range(8):
+            fit = dict(noisy_fits(np.random.default_rng(seed)))[name]
+            del runs[:]
+            fit()
+            for run in runs:
+                calls = run["calls"]
+                for i, (kind, params) in enumerate(calls):
+                    if kind != "jacobian":
+                        continue
+                    decrement, wrss = gauss_newton_decrement(run, params)
+                    if decrement <= fitkit.EPS * wrss:
+                        assert i == len(calls) - 1
+                        assert run["result"][3] == "converged"
+                        stops += 1
+        # Most seeded fits end on this stop; a few on the step test.
+        assert stops >= 6
+
+    def test_rank_deficient_jacobian_does_not_stop_early(self):
+        # Two slopes of the same column: the Jacobian has rank 2 of 3, and
+        # the decrement still measures the whole reducible residual.
+        twin = fitkit.CurveModel(
+            "twin-slope", ("intercept", "slope", "slope_twin"),
+            lambda x, p: p[0] + (p[1] + p[2]) * x,
+            lambda x, p: np.stack([np.ones_like(x), x, x], axis=1),
+        )
+        rng = np.random.default_rng(5)
+        x = np.linspace(0.0, 10.0, 30)
+        y = 2.0 + 0.7 * x + rng.normal(0.0, 0.3, x.size)
+        result = fitkit.fit_nonlinear(twin, x, y, None, [0.0, 0.0, 0.0])
+        design = np.stack([np.ones_like(x), x], axis=1)
+        _, (best,), _, _ = np.linalg.lstsq(design, y, rcond=None)
+        assert result.n_iterations > 0
+        assert abs(result.wrss - best) <= 1e-12 * best
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_restart_from_own_result(self, seed):
+        # A fit that ends on the decrement (or gradient) test ends at a
+        # point where that test holds, so a restart there takes no step.  A
+        # fit that ends on the step test (about 3 in 100 of these) stopped
+        # after a damped step; its restart may take a step or two, which
+        # moves the parameters by round-off only.
+        with pytest.MonkeyPatch.context() as patch:
+            runs = recorded_engine_runs(patch)
+            for _, fit in noisy_fits(np.random.default_rng(seed)):
+                fit()
+        for run in runs:
+            params, wrss, _, _ = run["result"]
+            again, again_wrss, n_iter, status = fitkit._levenberg_marquardt(
+                run["residual"], run["jacobian"], params)
+            assert status == "converged"
+            if run["calls"][-1][0] == "jacobian":
+                assert n_iter == 0
+                np.testing.assert_array_equal(again, params)
+                assert again_wrss == wrss
+            else:
+                assert again_wrss <= wrss
+                np.testing.assert_allclose(again, params, rtol=1e-8, atol=1e-8)
 
     def test_iteration_cap_raises_with_best_parameters(self, monkeypatch):
         x = np.linspace(-10.0, 10.0, 40)
@@ -313,11 +441,6 @@ class TestCircle:
         assert abs(fit.radius - ref.radius) < 1e-7
         assert abs(fit.center_x - expected[0]) < 1e-7
         assert abs(fit.center_y - expected[1]) < 1e-7
-
-
-def waist_profile(x, thickness, curvature=0.05, softening=30.0, x0=0.0):
-    q = x - x0
-    return thickness / 2.0 + curvature * q * q / (1.0 + np.abs(q) / softening)
 
 
 class TestTetherWidth:
