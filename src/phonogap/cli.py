@@ -806,6 +806,9 @@ def cmd_fit_t1(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_temp(args: argparse.Namespace) -> int:
+    if args.t_max is not None and not 0 <= args.t_max < math.inf:
+        raise ConfigError(
+            f"--t-max must be non-negative and finite, got {args.t_max}")
     cols = _read_csv_columns(
         args.input, ("temperature_K", "rate_MHz", "sigma_MHz")
     )

@@ -7,20 +7,18 @@ algebraic initializations.  Standard errors of the curve fits come from the
 inverse weighted normal matrix and therefore assume the supplied sigmas are
 absolute one-sigma uncertainties.
 
-The engine stops on the first of three tests: the gradient norm falls below
-``GRAD_TOL``; the full Gauss-Newton step predicts a decrease of the sum of
-squares of at most machine epsilon times the sum, less than one rounding of
-it (MINPACK's reduction test, Moré 1978); or an accepted step moves every
-parameter by less than ``STEP_TOL`` relative.  The second ends most fits:
-without it a parameter near 0, such as a centred ellipse's centre, holds
-off the third while trials whose sums differ in the last digit are
-rejected.
+The engine stops when the full Gauss-Newton step predicts a decrease of
+the sum of squares of at most m machine epsilons times the sum, m being
+the number of residuals: less than the rounding error of a sum of m
+squares (MINPACK's reduction test, Moré 1978; Higham 2002, §4.2).  It also
+stops, at the point it stands on, when an accepted trial does not lower
+the sum.  Neither test depends on the units of the data or the parameters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +26,6 @@ import numpy as np
 from .errors import FitError, InvalidParameterError, NonConvergenceError
 
 MAX_ITERATIONS = 200
-STEP_TOL = 1e-10
-GRAD_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
 
 
@@ -58,7 +54,6 @@ class FitResult:
     wrss: float
     dof: int
     n_iterations: int
-    flags: tuple[str, ...] = field(default_factory=tuple)
 
     def __getitem__(self, name: str) -> float:
         return float(self.params[self.param_names.index(name)])
@@ -144,10 +139,10 @@ def fit_nonlinear(
     """Levenberg-Marquardt weighted least squares.
 
     Damping starts at 1e-3 on the normal-matrix diagonal and adapts by
-    factors of ten.  Convergence requires a gradient norm below 1e-12, a
-    full Gauss-Newton step that predicts a decrease of at most machine
-    epsilon times the weighted residual sum of squares, or a relative
-    parameter step below 1e-10; a stall, or running out of the
+    factors of ten.  Convergence requires a full Gauss-Newton step that
+    predicts a decrease of at most m machine epsilons times the weighted
+    residual sum of squares, m being the number of points, or an accepted
+    step that does not lower the sum; a stall, or running out of the
     ``MAX_ITERATIONS`` iterations, raises :class:`NonConvergenceError`
     carrying the best parameters so far.
 
@@ -183,42 +178,47 @@ def fit_nonlinear(
 def _levenberg_marquardt(residual, jacobian, params):
     """Minimize ``|residual(p)|^2`` from ``params`` by damped Gauss-Newton.
 
-    Damping starts at 1e-3 on the normal-matrix diagonal, falls tenfold
-    after an accepted step and rises tenfold after a rejected one; a trial
-    whose sum of squares is not finite is rejected.  Returns the best
+    The Jacobian's columns are scaled to unit norm, so that no test or
+    solve depends on the parameters' units.  Damping starts at 1e-3 on the
+    diagonal of the scaled normal matrix, falls tenfold after an accepted
+    step and rises tenfold after a rejected one; a trial whose sum of
+    squares is not finite is rejected.  Returns the best
     parameters, their sum of squares, the iteration count and a status:
     ``"converged"``, ``"stalled"`` (damping reached 1e12 without an
     improving step) or ``"capped"`` (``MAX_ITERATIONS`` steps taken).
 
     Before each step the fit counts as converged, with no further residual
-    evaluated, when the gradient norm is below GRAD_TOL or when the
-    Gauss-Newton decrement |J s|^2 is at most EPS times the sum of squares,
-    s being the least-squares solution of J s = -r: a full step then
-    predicts a decrease below one rounding of the sum.  After an accepted
-    step it counts as converged when the step is below STEP_TOL relative.
+    evaluated, when the Gauss-Newton decrement |J s|^2 is at most m EPS
+    times the sum of squares, s being the least-squares solution of
+    J s = -r and m the number of residuals: a full step then predicts a
+    decrease below the rounding error of the sum.  It also counts as
+    converged when an accepted trial leaves the sum as it is; the point
+    before that trial is returned, with the trial not counted.
     """
     resid = residual(params)
     wrss = float(resid @ resid)
+    round_off = resid.size * EPS
     lam = 1e-3
     for n_iter in range(1, MAX_ITERATIONS + 1):
+        # lstsq's rank cutoff is relative to the largest singular value, so
+        # unscaled columns in disparate units would cut off the smallest.
         jac = jacobian(params)
+        norms = np.linalg.norm(jac, axis=0)
+        norms[norms == 0] = 1.0
+        jac = jac / norms
         grad = jac.T @ resid
-        grad_norm = np.linalg.norm(grad)
-        if grad_norm < GRAD_TOL:
-            return params, wrss, n_iter - 1, "converged"
         # From lstsq, |J s|^2 is >= 0 even for a rank-deficient J.  A
         # non-finite J or residual (a non-finite gradient) is left to the
         # damping, which rejects its trials.
-        if math.isfinite(grad_norm):
+        if np.all(np.isfinite(grad)):
             predicted = jac @ np.linalg.lstsq(jac, resid, rcond=None)[0]
-            if predicted @ predicted <= EPS * wrss:
+            if predicted @ predicted <= round_off * wrss:
                 return params, wrss, n_iter - 1, "converged"
         normal = jac.T @ jac
-        diag = np.diag(normal).copy()
-        diag[diag == 0] = 1.0
         while lam < 1e12:
             try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(
+                    normal + lam * np.eye(params.size), -grad) / norms
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -230,23 +230,20 @@ def _levenberg_marquardt(residual, jacobian, params):
             lam *= 10.0
         else:
             return params, wrss, n_iter, "stalled"
-        rel_step = np.max(np.abs(step) / (np.abs(params) + 1e-30))
+        if trial_wrss == wrss:
+            return params, wrss, n_iter - 1, "converged"
         params, resid, wrss = trial, trial_resid, trial_wrss
         lam = max(lam / 10.0, 1e-15)
-        if rel_step < STEP_TOL:
-            return params, wrss, n_iter, "converged"
     return params, wrss, MAX_ITERATIONS, "capped"
 
 
 def _finalize(model, x, sigma, params, wrss, n_iter, absolute_sigma=True):
     jac = model.jacobian(x, params) / sigma[:, None]
     normal = jac.T @ jac
-    flags: tuple[str, ...] = ()
     try:
         cov = np.linalg.inv(normal)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(normal)
-        flags = ("singular-normal-matrix",)
     dof = x.size - params.size
     if not absolute_sigma and dof > 0:
         cov = cov * (wrss / dof)
@@ -259,7 +256,6 @@ def _finalize(model, x, sigma, params, wrss, n_iter, absolute_sigma=True):
         wrss=wrss,
         dof=dof,
         n_iterations=n_iter,
-        flags=flags,
     )
 
 
@@ -516,10 +512,9 @@ def _fit_edge(pts: np.ndarray, flip: bool, label: str) -> FitResult:
         raise FitError(
             f"{label} edge has no interior waist; profile is monotone"
         )
-    span = max(np.ptp(x) / 4.0, 1e-3)
-    rise = max(float(y.max() - y.min()), 1e-9)
-    curv = rise / max((np.ptp(x) / 2.0) ** 2, 1e-12)
-    init = [float(y[inner]), float(x[inner]), curv, span]
+    width = float(np.ptp(x))
+    curv = float(y.max() - y.min()) / (width / 2.0) ** 2
+    init = [float(y[inner]), float(x[inner]), curv, width / 4.0]
     return fit_nonlinear(MODELS["waist"], x, y, None, init)
 
 

@@ -1030,6 +1030,19 @@ class TestFitTemp:
         assert ">= 0 K" in capsys.readouterr().err
         assert not list(tmp_path.glob("fit-temp-*"))
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "-1"])
+    def test_bad_t_max_exits_2_naming_the_flag(self, tmp_path, capsys, t_max):
+        temps = np.linspace(4.4, 30, 5)
+        src = tmp_path / "rates.csv"
+        write_rate_csv(src, temps, 1 + temps, np.ones(5))
+        assert cli.main([
+            "fit-temp", "--input", str(src), f"--t-max={t_max}",
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--t-max must be non-negative and finite" in err
+        assert not list(tmp_path.glob("fit-temp-*"))
+
 
 def ellipse_contour(path, semi_x, semi_y, n=40):
     theta = np.linspace(0, 2 * np.pi, n, endpoint=False)

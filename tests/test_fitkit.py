@@ -71,9 +71,10 @@ LINE = fitkit.CurveModel(
 )
 
 
-def noisy_fits(rng):
+def noisy_fits(rng, scale=1.0):
     """One seeded noisy fit of each kind the measurement chain runs, as
-    (name, call) pairs; the data mimic imaged contours and recovery curves."""
+    (name, call) pairs; the data mimic imaged contours and recovery curves,
+    in nm and ns, and ``scale`` multiplies every point and delay."""
     arc = np.linspace(0.0, math.pi / 2.0, 15)
     fillet = np.stack([12.0 * np.cos(arc), 12.0 * np.sin(arc)], axis=1)
     x = np.linspace(-30.0, 30.0, 21)
@@ -81,11 +82,12 @@ def noisy_fits(rng):
     taus = np.linspace(2.0, 170.0, 16)
     block = ellipse_points(0.0, 0.0, 45.0, 43.0, 0.0, n=40)
     data = {
-        "ellipse": block + rng.normal(0.0, 0.2, block.shape),
-        "circle": fillet + rng.normal(0.0, 0.2, fillet.shape),
-        "waist": edge + rng.normal(0.0, 0.2, edge.shape),
+        "ellipse": scale * (block + rng.normal(0.0, 0.2, block.shape)),
+        "circle": scale * (fillet + rng.normal(0.0, 0.2, fillet.shape)),
+        "waist": scale * (edge + rng.normal(0.0, 0.2, edge.shape)),
         "recovery": 1.0 - np.exp(-taus / 34.0) + rng.normal(0.0, 0.02, taus.size),
     }
+    taus = scale * taus
     return [
         ("ellipse", lambda: fitkit.fit_ellipse(data["ellipse"])),
         ("circle", lambda: fitkit.fit_circle(data["circle"])),
@@ -120,12 +122,18 @@ def recorded_engine_runs(patch):
 
 
 def gauss_newton_decrement(run, params):
-    """|J s|^2 and the sum of squares at ``params``, s the least-squares
-    Gauss-Newton step."""
+    """|J s|^2 at ``params``, s the least-squares Gauss-Newton step, and
+    its round-off bound m EPS wrss, m residuals with sum of squares wrss.
+
+    The Jacobian's columns are scaled to unit norm first, as the engine
+    does; that leaves |J s|^2 as it is and the rank cutoff unit-free."""
     resid = run["residual"](params)
     jac = run["jacobian"](params)
+    norms = np.linalg.norm(jac, axis=0)
+    jac = jac / np.where(norms == 0, 1.0, norms)
     predicted = jac @ np.linalg.lstsq(jac, resid, rcond=None)[0]
-    return float(predicted @ predicted), float(resid @ resid)
+    return (float(predicted @ predicted),
+            resid.size * fitkit.EPS * float(resid @ resid))
 
 
 class TestEngine:
@@ -151,8 +159,9 @@ class TestEngine:
     @pytest.mark.parametrize("name", ["ellipse", "circle", "waist", "recovery"])
     def test_no_residual_after_the_decrement_falls_below_round_off(
             self, monkeypatch, name):
-        # Once the full Gauss-Newton step predicts less than one rounding of
-        # the sum of squares, the engine returns without another trial.
+        # Once the full Gauss-Newton step predicts less than the rounding
+        # error of the sum of squares, the engine returns without another
+        # trial.
         runs = recorded_engine_runs(monkeypatch)
         stops = 0
         for seed in range(8):
@@ -164,12 +173,13 @@ class TestEngine:
                 for i, (kind, params) in enumerate(calls):
                     if kind != "jacobian":
                         continue
-                    decrement, wrss = gauss_newton_decrement(run, params)
-                    if decrement <= fitkit.EPS * wrss:
+                    decrement, bound = gauss_newton_decrement(run, params)
+                    if decrement <= bound:
                         assert i == len(calls) - 1
                         assert run["result"][3] == "converged"
                         stops += 1
-        # Most seeded fits end on this stop; a few on the step test.
+        # Most seeded fits end on this stop, a few on an accepted trial that
+        # leaves the sum as it is.
         assert stops >= 6
 
     def test_rank_deficient_jacobian_does_not_stop_early(self):
@@ -192,11 +202,9 @@ class TestEngine:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_restart_from_own_result(self, seed):
-        # A fit that ends on the decrement (or gradient) test ends at a
-        # point where that test holds, so a restart there takes no step.  A
-        # fit that ends on the step test (about 3 in 100 of these) stopped
-        # after a damped step; its restart may take a step or two, which
-        # moves the parameters by round-off only.
+        # A fit ends where the decrement test holds, or at the point before
+        # an accepted trial that left the sum as it was; either way a
+        # restart there takes no step.
         with pytest.MonkeyPatch.context() as patch:
             runs = recorded_engine_runs(patch)
             for _, fit in noisy_fits(np.random.default_rng(seed)):
@@ -206,13 +214,9 @@ class TestEngine:
             again, again_wrss, n_iter, status = fitkit._levenberg_marquardt(
                 run["residual"], run["jacobian"], params)
             assert status == "converged"
-            if run["calls"][-1][0] == "jacobian":
-                assert n_iter == 0
-                np.testing.assert_array_equal(again, params)
-                assert again_wrss == wrss
-            else:
-                assert again_wrss <= wrss
-                np.testing.assert_allclose(again, params, rtol=1e-8, atol=1e-8)
+            assert n_iter == 0
+            np.testing.assert_array_equal(again, params)
+            assert again_wrss == wrss
 
     def test_iteration_cap_raises_with_best_parameters(self, monkeypatch):
         x = np.linspace(-10.0, 10.0, 40)
@@ -258,6 +262,40 @@ class TestEngine:
         )
         ratio = large.stderr[1] / small.stderr[1]
         assert 5.0 < ratio < 20.0
+
+
+def returned_values(name, fit):
+    """Each value a fit of ``noisy_fits`` returns, as (value, power of the
+    data's unit it carries) pairs: its parameters and their errors."""
+    if name == "recovery":
+        return [(fit["t1"], 1), (fit.error_of("t1"), 1)]
+    if name == "waist":
+        values = [(fit.width_nm, 1), (fit.waist_x_nm, 1)]
+        for edge in (fit.upper, fit.lower):
+            # y0, x0 and the softening are lengths, the curvature per length.
+            powers = (1, 1, -1, 1)
+            values += list(zip(edge.params, powers))
+            values += list(zip(edge.stderr, powers))
+        return values
+    return [(value, 0 if field == "rotation_rad" else 1)
+            for field, value in vars(fit).items()]
+
+
+class TestUnitEquivariance:
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1e3, 1e9])
+    def test_scaled_data_give_scaled_fits(self, scale):
+        # The same contours in metres or picometres, the same delays in
+        # seconds: every fit stops on unit-free tests, so its parameters
+        # and errors carry the scale and nothing else.
+        for seed in range(8):
+            fits = noisy_fits(np.random.default_rng(seed))
+            scaled = noisy_fits(np.random.default_rng(seed), scale)
+            for (name, fit), (_, scaled_fit) in zip(fits, scaled):
+                expected = returned_values(name, fit())
+                for (value, power), (reference, _) in zip(
+                        returned_values(name, scaled_fit()), expected):
+                    assert value / scale**power == pytest.approx(
+                        reference, rel=1e-8), (name, seed)
 
 
 class TestRecovery:
